@@ -7,15 +7,16 @@ cache entry, and process-executor suite workers always started cold.
 This benchmark proves the canonical structural-hashing subsystem
 (:mod:`repro.ir.struct_hash`) fixes both without changing any result:
 
-1. **Transparency** — byte-identical optimized areas with structural
-   keys on vs off, for all 5 presets, across a corpus of random
-   workload modules.  Asserted unconditionally.
+1. **Transparency** — byte-identical optimized areas between the default
+   (structural keys for the result cache and the oracle's verdicts) and
+   the memo-free reference (``use_result_cache=False, use_oracle=False``:
+   every outcome recomputed, a fresh solver per query), for all 5
+   presets, across a corpus of random workload modules.  Asserted
+   unconditionally.
 2. **Cross-module sharing** — on a design of renamed clones (every wire
    and cell renamed, sort order scrambled), the session-wide
    :class:`~repro.core.cache.ResultCache` answers at least 30% of a
-   clone run's lookups from entries another module created.  With
-   identity keys that rate is *structurally* zero — the keys embed wire
-   identities — which the benchmark also asserts exactly.
+   clone run's lookups from entries another module created.
 3. **Warm-started workers** — a process-executor suite over renamed
    clones runs at least 20% faster when workers are seeded with the
    parent session's exported snapshot (sub-graph resolutions plus
@@ -42,6 +43,8 @@ from repro.ir.struct_hash import renamed_copy
 #: base workload: one seed, several renamed clones of it
 BASE_SEED = 2101
 PARITY_SEEDS = (2101, 2102, 2103)
+#: memoizes nothing: no result cache, no oracle verdict cache
+MEMO_FREE = SmartlyOptions(use_result_cache=False, use_oracle=False)
 N_CLONES = 4
 WIDTH, N_UNITS = 5, 6
 
@@ -68,25 +71,22 @@ def build_clone(index: int, seed: int = BASE_SEED, width: int = WIDTH,
 
 
 def measure_parity(preset: str, seeds=PARITY_SEEDS):
-    """Optimized areas for one preset, structural keys on vs off."""
-    on_areas, off_areas = {}, {}
+    """Optimized areas for one preset, default vs the memo-free reference."""
+    keyed, reference = {}, {}
     for seed in seeds:
-        on = Session(
+        keyed[seed] = Session(
             random_module(seed, width=WIDTH, n_units=N_UNITS),
-            options=SmartlyOptions(structural_keys=True),
-        ).run(preset)
-        off = Session(
+        ).run(preset).optimized_area
+        reference[seed] = Session(
             random_module(seed, width=WIDTH, n_units=N_UNITS),
-            options=SmartlyOptions(structural_keys=False),
-        ).run(preset)
-        on_areas[seed] = on.optimized_area
-        off_areas[seed] = off.optimized_area
-    return {"preset": preset, "on": on_areas, "off": off_areas,
-            "identical": on_areas == off_areas}
+            options=MEMO_FREE,
+        ).run(preset).optimized_area
+    return {"preset": preset, "structural": keyed, "reference": reference,
+            "identical": keyed == reference}
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_structural_keys_area_parity(preset):
+def test_structural_area_parity_vs_memo_free(preset):
     row = measure_parity(preset)
     assert row["identical"], row
 
@@ -94,17 +94,15 @@ def test_structural_keys_area_parity(preset):
 # -- 2. cross-module hit rate --------------------------------------------------
 
 
-def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
+def measure_cross_module_hits(flow: str = "smartly"):
     """Hit traffic of clone runs in a primed session vs fresh sessions.
 
     The base module's run primes the session cache; each renamed clone
     then runs in the *same* session.  A clone run's hits split into
     self-hits (fixpoint rounds re-asking its own queries — measured by
     running the same clone in a fresh session) and *cross-module* hits
-    answered from other modules' entries.  With identity keys the cross
-    component is structurally zero.
+    answered from other modules' entries.
     """
-    opts = SmartlyOptions(structural_keys=structural)
     design = Design()
     design.add_module(build_base(), top=True)
     clones = [build_clone(i) for i in range(N_CLONES)]
@@ -112,7 +110,7 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
     baselines = [build_clone(i) for i in range(N_CLONES)]
     for clone in clones:
         design.add_module(clone)
-    session = Session(design, options=opts)
+    session = Session(design)
     session.run(flow, module="base")  # prime
 
     def delta(after, before, suffix):
@@ -129,7 +127,7 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
         hits = delta(after, before, "_hits")
         misses = delta(after, before, "_misses")
 
-        fresh = Session(baseline, options=opts)
+        fresh = Session(baseline)
         fresh.run(flow)
         self_hits = sum(
             value for key, value in fresh._result_cache.counters.items()
@@ -139,7 +137,6 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
         lookups += hits + misses
     rate = cross_hits / lookups if lookups else 0.0
     return {
-        "structural": structural,
         "flow": flow,
         "cross_hits": cross_hits,
         "lookups": lookups,
@@ -148,26 +145,17 @@ def measure_cross_module_hits(structural: bool, flow: str = "smartly"):
 
 
 def test_cross_module_hit_rate(table_report):
-    structural = measure_cross_module_hits(True)
-    identity = measure_cross_module_hits(False)
+    row = measure_cross_module_hits()
     lines = [
-        f"{'Keys':<12}{'cross hits':>12}{'lookups':>10}{'rate':>9}",
-        "-" * 43,
+        f"cross hits: {row['cross_hits']}",
+        f"lookups:    {row['lookups']}",
+        f"rate:       {row['cross_hit_rate_pct']:.1f}% (need >= 30%)",
     ]
-    for row in (identity, structural):
-        label = "structural" if row["structural"] else "identity"
-        lines.append(
-            f"{label:<12}{row['cross_hits']:>12}{row['lookups']:>10}"
-            f"{row['cross_hit_rate_pct']:>8.1f}%"
-        )
-    lines.append("-" * 43)
-    lines.append("identity must be exactly 0%, structural >= 30%")
     table_report.add(
         "Structural keys — cross-module hit rate on renamed clones",
         "\n".join(lines),
     )
-    assert identity["cross_hits"] == 0, identity
-    assert structural["cross_hit_rate_pct"] >= 30.0, structural
+    assert row["cross_hit_rate_pct"] >= 30.0, row
 
 
 # -- 3. warm-started process workers -------------------------------------------
@@ -188,7 +176,7 @@ def measure_warm_start(flow: str = "smartly", max_workers: int = 2):
     cases = suite_clone_cases()
 
     def run_suite(warm_start: bool):
-        session = Session(options=SmartlyOptions(structural_keys=True))
+        session = Session()
         # prime the parent: one suite job over the base case fills the
         # cache with the sub-graph resolutions and the suite_job entry
         # every clone job can replay
@@ -280,14 +268,10 @@ def main(argv=None) -> int:
     print(f"area parity over {len(PRESET_NAMES)} presets: "
           f"{'OK' if not mismatches else f'MISMATCH {mismatches}'}")
 
-    structural = measure_cross_module_hits(True)
-    identity = measure_cross_module_hits(False)
-    payload["cross_module"] = {"structural": structural,
-                               "identity": identity}
-    print(f"cross-module hit rate: identity "
-          f"{identity['cross_hit_rate_pct']}% (must be 0), structural "
-          f"{structural['cross_hit_rate_pct']}% (need >= "
-          f"{args.min_hit_rate}%)")
+    cross = measure_cross_module_hits()
+    payload["cross_module"] = cross
+    print(f"cross-module hit rate: {cross['cross_hit_rate_pct']}% "
+          f"(need >= {args.min_hit_rate}%)")
 
     warm = measure_warm_start()
     payload["warm_start"] = warm
@@ -302,9 +286,7 @@ def main(argv=None) -> int:
 
     if mismatches:
         return 1
-    if identity["cross_hits"] != 0:
-        return 1
-    if structural["cross_hit_rate_pct"] < args.min_hit_rate:
+    if cross["cross_hit_rate_pct"] < args.min_hit_rate:
         return 1
     if not warm["areas_identical"] or \
             warm["warm_suite_job_hits"] != warm["jobs"]:

@@ -6,32 +6,21 @@ decision ladder — the Table-I inference rules and exhaustive simulation —
 were recomputed from scratch whenever a dirty region was re-traversed, even
 though their answers are pure functions of exactly the same key.
 
-:class:`ResultCache` closes that gap.  Two keying schemes exist, selected
-per instance:
+:class:`ResultCache` closes that gap.  Keys are the canonical name-free
+signature of :func:`repro.ir.struct_hash.struct_signature` — equal for
+renamed, cloned or independently built isomorphic sub-graphs, so entries
+are shared across modules, suite jobs and (via :meth:`export`/
+:meth:`merge`) worker processes.  Per-cell version bumps still invalidate:
+the signature encodes each cell's current connections directly, and the
+identity→signature memo (:class:`~repro.ir.struct_hash.StructKeyMemo`)
+re-canonicalises whenever a version moves.  The key embeds everything
+inference and simulation consume — that is precisely what makes the
+oracle's verdict cache safe across pass generations (see
+:meth:`repro.sat.oracle.SatOracle.begin_pass`), and the same argument
+applies verbatim here.  The reference path for this keying is no cache
+at all (``SmartlyOptions(use_result_cache=False)``).
 
-* **structural** (``structural=True``, the default): the canonical
-  name-free signature of :func:`repro.ir.struct_hash.struct_signature` —
-  equal for renamed, cloned or independently built isomorphic sub-graphs,
-  so entries are shared across modules, suite jobs and (via
-  :meth:`export`/:meth:`merge`) worker processes.  Per-cell version
-  bumps still invalidate exactly as before: the signature encodes each
-  cell's current connections directly, and the identity→signature memo
-  (:class:`~repro.ir.struct_hash.StructKeyMemo`) re-canonicalises
-  whenever a version moves;
-* **identity** (``structural=False``, the reference path): the historic
-  key — the ordered ``(cell name, version)`` tuple of the sub-graph's
-  cells (:func:`repro.sat.oracle.signature_of`) plus its free-input
-  list, target and known facts in canonical bits.  Keys never collide
-  across modules or clones because non-constant
-  :class:`~repro.ir.signals.SigBit` objects hash by wire *identity* —
-  and for the same reason never *hit* across them either.
-
-Either way the key embeds everything inference and simulation consume —
-that is precisely the scheme that makes the oracle's verdict cache safe
-across pass generations (see :meth:`repro.sat.oracle.SatOracle.begin_pass`),
-and the same argument applies verbatim here.
-
-Beyond the per-sub-graph rungs, structural caches carry whole-artifact
+Beyond the per-sub-graph rungs, the cache carries whole-artifact
 kinds keyed by module- or miter-level signatures: ``suite_job``
 (name-stripped :class:`~repro.flow.session.RunReport` replays — see
 :func:`repro.flow.session._run_suite_job` and
@@ -49,9 +38,8 @@ rounds and runs, and :class:`~repro.flow.session.Session` injects a single
 session-wide instance into every flow it builds so entries persist across
 rounds, runs *and* modules of the same design.  Entries are bounded with
 oldest-half eviction, like the oracle's verdict cache — netlist mutation
-permanently orphans keys embedding old cell versions (identity mode) or
-unreachable structures (structural mode), so the population must not grow
-with session lifetime.
+permanently orphans keys of unreachable structures, so the population
+must not grow with session lifetime.
 """
 
 from __future__ import annotations
@@ -60,7 +48,6 @@ import threading
 from typing import Any, Container, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..ir.struct_hash import StructKeyMemo
-from ..sat.oracle import signature_of
 
 _MISS = object()
 
@@ -77,12 +64,11 @@ class ResultCache:
     cache_stats`.
     """
 
-    def __init__(self, max_entries: int = 200_000, structural: bool = True):
+    def __init__(self, max_entries: int = 200_000):
         self.max_entries = max_entries
-        self.structural = structural
         self._entries: Dict[Tuple, Any] = {}
         self.counters: Dict[str, int] = {}
-        self._struct_memo = StructKeyMemo() if structural else None
+        self._struct_memo = StructKeyMemo()
         #: guards mutation sweeps and snapshot iteration: thread-suite
         #: workers merge deltas into the shared session cache while the
         #: owner may be exporting a snapshot for the next job (or the
@@ -93,11 +79,11 @@ class ResultCache:
         self._lock = threading.Lock()
 
     @property
-    def struct_memo(self) -> Optional[StructKeyMemo]:
-        """The labeling memo (None in identity mode).  Owners hand it to
-        their :class:`~repro.sat.oracle.SatOracle` so one canonicalization
-        per sub-graph state serves resolve keys, rung keys and verdict
-        keys alike."""
+    def struct_memo(self) -> StructKeyMemo:
+        """The labeling memo.  Owners hand it to their
+        :class:`~repro.sat.oracle.SatOracle` so one canonicalization per
+        sub-graph state serves resolve keys, rung keys and verdict keys
+        alike."""
         return self._struct_memo
 
     def __len__(self) -> int:
@@ -106,25 +92,6 @@ class ResultCache:
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    @staticmethod
-    def subgraph_key(kind: str, subgraph: Any, extra: Tuple = ()) -> Tuple:
-        """The identity memo key of one analysis over one sub-graph.
-
-        ``kind`` separates analyses ("infer", "sim", ...); ``extra``
-        carries analysis parameters that change the answer (budgets,
-        thresholds) — structural identity comes from the sub-graph itself.
-        This is the reference scheme; :meth:`key_for` selects between it
-        and the canonical structural key per the cache's mode.
-        """
-        return (
-            kind,
-            signature_of(subgraph.cells),
-            tuple(subgraph.inputs),
-            subgraph.target,
-            frozenset(subgraph.known.items()),
-            extra,
-        )
-
     def key_for(
         self,
         kind: str,
@@ -132,14 +99,14 @@ class ResultCache:
         extra: Tuple = (),
         sigmap: Any = None,
     ) -> Tuple:
-        """The memo key of one analysis, per this cache's keying mode.
+        """The memo key of one analysis over one sub-graph.
 
-        Structural caches key by the canonical name-free signature
-        (``sigmap`` resolves raw connection bits exactly like the
-        analyses do); identity caches fall back to :meth:`subgraph_key`.
+        ``kind`` separates analyses ("infer", "sim", ...); ``extra``
+        carries analysis parameters that change the answer (budgets,
+        thresholds).  The sub-graph contributes its canonical name-free
+        signature (``sigmap`` resolves raw connection bits exactly like
+        the analyses do).
         """
-        if self._struct_memo is None:
-            return self.subgraph_key(kind, subgraph, extra)
         signature = self._struct_memo.signature(
             subgraph.cells, subgraph.target, subgraph.known,
             inputs=subgraph.inputs, sigmap=sigmap,
@@ -183,16 +150,12 @@ class ResultCache:
     def export(self, exclude: Optional[Container[Tuple]] = None) -> Dict[Tuple, Any]:
         """Snapshot the signature-keyed entries for another process.
 
-        Structural keys are pure data (``(kind, digest, extra)`` tuples)
-        and the memoized values are plain outcomes — no live IR objects —
-        so the snapshot pickles cheaply and stays meaningful in any
-        process.  Identity-keyed caches export nothing: their keys embed
-        wire-identity bits that are only meaningful to this process.
+        Keys are pure data (``(kind, digest, extra)`` tuples) and the
+        memoized values are plain outcomes — no live IR objects — so the
+        snapshot pickles cheaply and stays meaningful in any process.
         ``exclude`` drops keys already known to the receiver (workers use
         it to return just their delta).
         """
-        if self._struct_memo is None:
-            return {}
         # snapshot the items under the lock: concurrent thread-suite
         # workers store()/merge() into the shared session cache, and an
         # unlocked iteration raced their inserts (RuntimeError:

@@ -75,7 +75,6 @@ class SatRedundancy(OptMuxtree):
         oracle: Optional[SatOracle] = None,
         use_result_cache: bool = True,
         result_cache: Optional[ResultCache] = None,
-        structural_keys: bool = True,
     ):
         self.k = k
         self.data_k = data_k
@@ -86,10 +85,6 @@ class SatRedundancy(OptMuxtree):
         self.data_inference = data_inference
         self.use_oracle = use_oracle
         self.use_result_cache = use_result_cache
-        #: key caches by canonical structural signatures (cross-module
-        #: sharing) instead of identity signatures; governs the fallback
-        #: cache/oracle built below — injected instances keep their own mode
-        self.structural_keys = structural_keys
         self._oracle = oracle
         #: persistent memo for inference/simulation outcomes, keyed by
         #: sub-graph content signatures; injectable so an owner (the
@@ -107,10 +102,8 @@ class SatRedundancy(OptMuxtree):
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point).
 
-        Identity keys embed wire-identity bits and structural keys are
-        canonical, so either way one cache instance serves any number of
-        modules without collisions; the injected cache's own keying mode
-        governs, which is how one session keeps every flow consistent.
+        Keys are canonical structural signatures, so one cache instance
+        serves any number of modules without collisions.
         """
         self._result_cache = cache
 
@@ -135,9 +128,7 @@ class SatRedundancy(OptMuxtree):
         oracle_base: Optional[Dict[str, int]] = None
         if self.use_result_cache:
             if self._result_cache is None:
-                self._result_cache = ResultCache(
-                    structural=self.structural_keys
-                )
+                self._result_cache = ResultCache()
             rcache_base = dict(self._result_cache.counters)
         else:
             self._result_cache = None
@@ -147,7 +138,6 @@ class SatRedundancy(OptMuxtree):
                 cache = self._result_cache
                 self._oracle = SatOracle(
                     module,
-                    structural_keys=self.structural_keys,
                     # one canonicalization per sub-graph state serves the
                     # resolve/rung keys and the verdict keys alike
                     struct_memo=(
@@ -224,19 +214,19 @@ class SatRedundancy(OptMuxtree):
             self.index, target, facts, k=k, max_gates=self.max_gates
         )
         cache = self._result_cache
-        if cache is None or not cache.structural:
+        if cache is None:
             # reference path: run the ladder directly
             value, _storable = self._resolve_ladder(
                 subgraph, facts, allow_solvers, self.result.note
             )
             return value
 
-        # structural path: whole resolutions memoize on the reduced
-        # sub-graph — the target's and the fact bits' fanin cones, i.e.
-        # exactly the content every ladder rung is a pure function of —
-        # so a hit skips all three rungs (and their per-rung lookups) in
-        # one step, and exported entries let warm-started suite workers
-        # skip them too.
+        # whole resolutions memoize on the reduced sub-graph — the
+        # target's and the fact bits' fanin cones, i.e. exactly the
+        # content every ladder rung is a pure function of — so a hit
+        # skips all three rungs (and their per-rung lookups) in one step,
+        # and exported entries let warm-started suite workers skip them
+        # too.
         key = cache.key_for(
             "resolve", subgraph,
             extra=(
@@ -430,12 +420,12 @@ class SatRedundancy(OptMuxtree):
         try:
             if self._oracle is not None:
                 # decided two-polarity outcomes are semantic properties of
-                # the structure, so with structural keys they memoize in
-                # the (exportable) result cache — this is what lets
-                # warm-started suite workers skip the SAT rung entirely
+                # the structure, so they memoize in the (exportable) result
+                # cache — this is what lets warm-started suite workers
+                # skip the SAT rung entirely
                 cache = self._result_cache
                 key = None
-                if cache is not None and cache.structural:
+                if cache is not None:
                     key = cache.key_for(
                         "sat", subgraph, extra=(self.max_conflicts,),
                         sigmap=self.sigmap,

@@ -58,16 +58,12 @@ class SmartlyOptions:
     #: answer SAT queries through the persistent incremental oracle
     #: (False = historic fresh-solver-per-query reference path)
     use_oracle: bool = True
-    #: memoize inference/simulation outcomes in a persistent
-    #: :class:`~repro.core.cache.ResultCache` keyed by sub-graph content
-    #: signatures (False = recompute every outcome, the reference path)
+    #: memoize inference/simulation/SAT outcomes in a persistent
+    #: :class:`~repro.core.cache.ResultCache` keyed by canonical
+    #: name-independent structural signatures, so isomorphic sub-graphs
+    #: from renamed modules, clones or other processes share entries
+    #: (False = recompute every outcome, the reference path)
     use_result_cache: bool = True
-    #: key the result cache and the oracle's decided verdicts by canonical
-    #: name-independent structural signatures
-    #: (:func:`repro.ir.struct_hash.struct_signature`), so isomorphic
-    #: sub-graphs from renamed modules, clones or other processes share
-    #: entries (False = the historic identity ``(name, version)`` keys)
-    structural_keys: bool = True
     #: largest case-selector width restructuring will tabulate
     max_sel_width: int = 12
     #: minimum estimated AIG gain before a tree is rebuilt
@@ -104,12 +100,11 @@ class Smartly(Pass):
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point).
 
-        Identity keys embed wire-identity bits and structural keys are
-        canonical, so either way one cache instance can serve any number
-        of modules without collisions; injecting the owning
-        :class:`~repro.flow.session.Session`'s instance makes outcomes
-        persist across runs and across the design's modules (and, with
-        structural keys, lets isomorphic sub-graphs share them).
+        Keys are canonical structural signatures, so one cache instance
+        can serve any number of modules without collisions; injecting the
+        owning :class:`~repro.flow.session.Session`'s instance makes
+        outcomes persist across runs and across the design's modules, and
+        lets isomorphic sub-graphs share them.
         """
         self._result_cache = cache
 
@@ -140,16 +135,13 @@ class Smartly(Pass):
             )
         if opts.sat:
             if opts.use_result_cache and self._result_cache is None:
-                self._result_cache = ResultCache(
-                    structural=opts.structural_keys
-                )
+                self._result_cache = ResultCache()
             if opts.use_oracle and (
                 self._oracle is None or self._oracle.module is not module
             ):
                 cache = self._result_cache if opts.use_result_cache else None
                 self._oracle = SatOracle(
                     module,
-                    structural_keys=opts.structural_keys,
                     # share the cache's labeling memo: one canonicalization
                     # per sub-graph state serves rcache and verdict keys
                     struct_memo=(
@@ -170,7 +162,6 @@ class Smartly(Pass):
                     result_cache=(
                         self._result_cache if opts.use_result_cache else None
                     ),
-                    structural_keys=opts.structural_keys,
                 )
             )
         else:

@@ -81,13 +81,12 @@ def check_equivalence(
     question within the budget, the result is *undecided*
     (``EquivResult(False, method="budget", undecided=True)``) rather than
     a claim in either direction.  ``cache`` persists decided SAT verdicts
-    under the miter's structural digest (see module docs); only
-    structural-mode caches participate.
+    under the miter's structural digest (see module docs).
     """
     aig, miter_lit = build_miter(gold, gate)
 
     cec_key = None
-    if cache is not None and cache.structural:
+    if cache is not None:
         cec_key = ("cec", aig.structural_digest(miter_lit))
         hit, verdict = cache.lookup(cec_key)
         if hit:

@@ -184,20 +184,16 @@ class FlowServer:
         self.per_client_limit = per_client_limit
         self.drain_timeout_s = drain_timeout_s
         self.allow_fault_injection = allow_fault_injection
-        self._cache = ResultCache(
-            structural=options.structural_keys if options is not None
-            else True
-        )
+        self._cache = ResultCache()
         self._store: Optional[CacheStore] = None
         self._keep_generations = keep_generations
         self._known: set = set()
         if store_path is not None:
             self._store = CacheStore(store_path)
-            if self._cache.structural:
-                loaded = self._store.load()
-                if loaded:
-                    self._cache.merge(loaded)
-                self._known = set(loaded)
+            loaded = self._store.load()
+            if loaded:
+                self._cache.merge(loaded)
+            self._known = set(loaded)
         #: serializes merges of job deltas with snapshot exports; the
         #: ResultCache is itself iteration-safe, but pairing "export then
         #: count on it" sequences keeps per-job replay flags coherent
@@ -232,7 +228,7 @@ class FlowServer:
         the ``store-corrupt-generation`` site fires here, garbling the
         generation just written (what torn disk state would leave).
         """
-        if self._store is None or not self._cache.structural:
+        if self._store is None:
             return 0
         delta = self._cache.export(exclude=self._known)
         if not delta:

@@ -387,10 +387,7 @@ class Session:
     of recomputing.  At :meth:`close` (or an explicit
     :meth:`flush_store`) the delta this session learned is written back
     as one new atomic, content-addressed generation and old generations
-    beyond ``store_keep_generations`` are garbage-collected.  Identity-
-    keyed sessions (``SmartlyOptions(structural_keys=False)``) keep the
-    store inert: their keys embed live wire objects that mean nothing in
-    another process.
+    beyond ``store_keep_generations`` are garbage-collected.
     """
 
     def __init__(
@@ -425,19 +422,13 @@ class Session:
         self._running: Optional[str] = None
         #: session-wide sub-graph result cache shared by every
         #: incremental flow on every module of the design; keyed by
-        #: canonical structural signatures unless the options opt out,
-        #: so isomorphic sub-graphs hit across modules and suite jobs
-        self._result_cache = ResultCache(
-            structural=options.structural_keys if options is not None
-            else True
-        )
+        #: canonical structural signatures, so isomorphic sub-graphs hit
+        #: across modules and suite jobs
+        self._result_cache = ResultCache()
         #: optional on-disk persistence (see :mod:`repro.core.store`):
         #: the store's generations warm-start this session's cache at
         #: open, and :meth:`close`/:meth:`flush_store` persist the delta
-        #: this session learned as one new generation.  Identity-keyed
-        #: caches export nothing meaningful across processes, so the
-        #: store is inert for them (``store_incompatible_mode`` counts
-        #: the refusal).
+        #: this session learned as one new generation
         self._store: Optional[CacheStore] = None
         self._store_keep = (
             store_keep_generations if store_keep_generations is not None
@@ -448,13 +439,10 @@ class Session:
         self._store_known: set = set()
         if store_path is not None:
             self._store = CacheStore(store_path)
-            if self._result_cache.structural:
-                loaded = self._store.load()
-                if loaded:
-                    self._result_cache.merge(loaded)
-                self._store_known = set(loaded)
-            else:
-                self._store._bump("incompatible_mode")
+            loaded = self._store.load()
+            if loaded:
+                self._result_cache.merge(loaded)
+            self._store_known = set(loaded)
         #: SAT-oracle counters accumulated over every run so far; the
         #: session-lifetime side of :attr:`RunReport.cache_stats` (the
         #: oracles themselves live on per-(module, flow) pass objects)
@@ -550,7 +538,7 @@ class Session:
         garbage-collects the store down to the session's
         ``store_keep_generations``.
         """
-        if self._store is None or not self._result_cache.structural:
+        if self._store is None:
             return 0
         delta = self._result_cache.export(exclude=self._store_known)
         if not delta:
@@ -562,7 +550,7 @@ class Session:
 
     def export_cache(self, exclude=None) -> Dict[Tuple, Any]:
         """Snapshot this session's structural-cache entries (pure data,
-        picklable; empty for identity-keyed sessions).  ``exclude`` drops
+        picklable).  ``exclude`` drops
         keys the receiver already holds, so workers return just their
         delta.  The public face of the warm-start plumbing
         :meth:`run_suite`, the serve daemon and its process-isolated
@@ -902,7 +890,6 @@ class Session:
           equivalent to the module it replaces before the swap commits;
           an unproven candidate (refuted *or* undecided) is discarded.
 
-        Identity-keyed sessions (``structural_keys=False``) never replay.
         Replayed modules do not anchor design-incremental state: the
         swap bumps the module's revision, so a later direct :meth:`run`
         does a normal full/seeded pass over the new content.
@@ -936,28 +923,23 @@ class Session:
             job_key = ("suite_job", sig, flow_fp)
             net_key = ("hier_netlist", sig, flow_fp)
             replay = None
-            if cache.structural:
-                report_hit, stored_report = cache.lookup(job_key)
-                netlist_hit, stored_mod = cache.lookup(net_key)
-                if report_hit and netlist_hit:
-                    replay = self._try_replay(
-                        name, mod, stored_mod, stored_report, check,
-                        fallbacks,
-                    )
+            report_hit, stored_report = cache.lookup(job_key)
+            netlist_hit, stored_mod = cache.lookup(net_key)
+            if report_hit and netlist_hit:
+                replay = self._try_replay(
+                    name, mod, stored_mod, stored_report, check, fallbacks,
+                )
             if replay is not None:
                 reports[name] = replay
                 replayed[name] = stored_mod.name
                 continue
             report = self.run(spec, module=name, check=check, engine=engine)
             reports[name] = report
-            if cache.structural:
-                # strip instance-local fields so the stored report is
-                # name-free; the netlist keeps its wire/cell names (the
-                # port-interface precondition makes them transferable)
-                cache.store(
-                    job_key, replace(report, case_name="", cache_stats={})
-                )
-                cache.store(net_key, self.design.modules[name].clone())
+            # strip instance-local fields so the stored report is
+            # name-free; the netlist keeps its wire/cell names (the
+            # port-interface precondition makes them transferable)
+            cache.store(job_key, replace(report, case_name="", cache_stats={}))
+            cache.store(net_key, self.design.modules[name].clone())
         runtime = time.perf_counter() - start
         counts = dict(info.instance_counts)
         original_total = sum(
@@ -1071,9 +1053,7 @@ class Session:
         sessions runs that preceded them, and a second suite benefits
         from the first.  The snapshot is taken once before any job
         starts, which keeps every job's cache traffic deterministic
-        regardless of scheduling; identity-keyed sessions
-        (``SmartlyOptions(structural_keys=False)``) export nothing, so
-        the flag is then a no-op.  Suite-wide totals come back as
+        regardless of scheduling.  Suite-wide totals come back as
         :attr:`SuiteReport.cache_stats`.
         """
         specs = [resolve_flow(flow, options=self.options) for flow in flows]
@@ -1303,7 +1283,7 @@ def _run_suite_job(
     """
     cache = session._result_cache
     key = None
-    if memoize and cache.structural:
+    if memoize:
         key = (
             "suite_job",
             module_signature(module),

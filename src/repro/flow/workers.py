@@ -130,7 +130,7 @@ def run_job(
             module = design.top
             report = _run_suite_job(
                 session, module, spec, check, engine,
-                memoize=session._result_cache.structural,
+                memoize=True,
             )
             payload = report.to_dict()
             # the private session makes exactly one suite_job lookup

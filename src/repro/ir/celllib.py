@@ -10,25 +10,27 @@ Every :class:`~repro.ir.cells.CellType` is described by exactly one
   propagation, the Table-I inference engine and x-aware simulation;
 * **mask evaluation** — the bit-parallel word-level evaluator behind
   exhaustive/random simulation;
-* **AIG lowering** — the 2-input AND/inverter decomposition used by area
-  accounting, the Tseitin encoder's reference and equivalence checking;
+* **lowering** — the 2-input AND/inverter decomposition used by area
+  accounting, equivalence checking and the SAT rung's Tseitin encoding;
 * **interchange identity** — the Yosys RTLIL cell type (``$and``, …) used
   by the Yosys-JSON reader/writer pair.
 
 The registry API (:func:`spec_for`, :func:`all_specs`,
 :func:`spec_for_yosys`) is the *only* place cell semantics live:
-:mod:`repro.sim.eval`, :mod:`repro.aig.aigmap`, :mod:`repro.ir.validate`
-and the frontend width inference are all thin delegations, so the three
-soundness substrates (ternary inference, exhaustive/mask simulation, SAT
-via the AIG/Tseitin path) can never silently diverge on a cell's meaning.
-Adding a cell type means writing one ``CellSpec`` — and the
-cross-substrate property suite (``tests/ir/test_celllib.py``) then checks
-all three evaluators agree on it automatically.
+:mod:`repro.sim.eval`, :mod:`repro.aig.aigmap`, :mod:`repro.sat.tseitin`,
+:mod:`repro.ir.validate` and the frontend width inference are all thin
+delegations, so the soundness substrates (ternary inference,
+exhaustive/mask simulation, AIG mapping and SAT) can never silently
+diverge on a cell's meaning.  Adding a cell type means writing one
+``CellSpec`` — and the cross-substrate property suite
+(``tests/ir/test_celllib.py``) then checks that every evaluator and both
+lowering consumers agree on it automatically.
 
-AIG lowering is expressed against the small :class:`LoweringEmitter`
-protocol (literal access + AND-graph construction) implemented by
-:class:`~repro.aig.aigmap.AigMapper`, which keeps this module free of any
-dependency on the AIG package.
+Lowering is expressed against the small :class:`LoweringEmitter` protocol
+(port literals + AND-graph construction), which keeps this module free of
+any dependency on the AIG or SAT packages.  It has two implementations:
+:class:`~repro.aig.aigmap.AigMapper` builds AIG nodes, and
+:class:`~repro.sat.tseitin.CircuitEncoder` emits Tseitin clauses.
 
 PMUX semantics (shared by all three substrates): the select is treated as
 a *priority* select — the lowest set bit of ``S`` wins, ``Y = A`` when
@@ -80,20 +82,19 @@ Lowering = Callable[["LoweringEmitter", "Cell"], None]
 
 
 class LoweringEmitter:
-    """The protocol AIG lowerings are written against.
+    """The protocol lowerings are written against.
 
-    :class:`~repro.aig.aigmap.AigMapper` is the production implementation;
-    anything exposing the same surface (an ``aig`` attribute with the
-    AND-graph construction helpers plus per-cell literal access) can reuse
-    the registry's lowerings verbatim.
+    Literals follow the AIGER convention (negation is ``^ 1``, 0/1 are
+    the constants).  :class:`~repro.aig.aigmap.AigMapper` and
+    :class:`~repro.sat.tseitin.CircuitEncoder` implement it; anything
+    exposing the same surface (an ``aig`` attribute with the AND-graph
+    construction helpers plus per-cell literal access) can reuse the
+    registry's lowerings verbatim.
     """
 
     aig = None  # an AIG-like object: and_/or_/xor/xnor/mux/…_reduce
 
     def port_lits(self, cell: "Cell", port: str) -> List[int]:
-        raise NotImplementedError
-
-    def lit(self, bit) -> int:
         raise NotImplementedError
 
     def set_output(self, cell: "Cell", port: str, lits: List[int]) -> None:

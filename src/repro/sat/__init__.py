@@ -1,11 +1,11 @@
-"""MiniSAT-style CDCL SAT solving, CNF containers, Tseitin encoding, and
-the incremental :class:`~repro.sat.oracle.SatOracle`."""
+"""MiniSAT-style CDCL SAT solving, a CNF container, Tseitin encoding through
+the cell-semantics registry, and the incremental
+:class:`~repro.sat.oracle.SatOracle`."""
 
 from .cnf import CNF
-from .dimacs import dimacs_str, read_dimacs, write_dimacs
 from .oracle import Decision, OracleStats, SatOracle
 from .solver import Clause, Solver, SolverStats, luby
-from .tseitin import CircuitEncoder, encode_module
+from .tseitin import CircuitEncoder
 
 __all__ = [
     "CNF",
@@ -16,9 +16,5 @@ __all__ = [
     "SatOracle",
     "Solver",
     "SolverStats",
-    "dimacs_str",
-    "encode_module",
     "luby",
-    "read_dimacs",
-    "write_dimacs",
 ]

@@ -1,7 +1,7 @@
 """A plain CNF formula container, independent of any solver instance.
 
-Useful for building formulas once and solving them several times, for
-DIMACS round-trips, and for brute-force cross-checking in tests.
+Useful for building formulas once and solving them several times, and
+for brute-force cross-checking in tests.
 """
 
 from __future__ import annotations

@@ -29,16 +29,15 @@ that with persistent *contexts*:
   assumptions, polarity, budget)`` key, so repeated queries (the muxtree
   traversal asks about the same control bits along many paths, and
   fixpoint flows repeat whole pass invocations) skip the solver entirely.
-  With ``structural_keys=True`` (the default) *decided* verdicts are
-  additionally keyed by the canonical name-free structural signature
-  (:func:`repro.ir.struct_hash.struct_signature`), so isomorphic
+  *Decided* verdicts are keyed by the canonical name-free structural
+  signature (:func:`repro.ir.struct_hash.struct_signature`), so isomorphic
   sub-graphs — renamed regions of the same module, or repeated instances
   of the same logic shape — share SAT/UNSAT answers.  A decided polarity
   verdict is a semantic property of the structure, so sharing it is
   always sound; *budget-exhausted* (None) verdicts depend on the CNF
-  variable order the solver happened to see, so they stay under the
-  identity key — only ever replayed for the exact same sub-graph, the
-  historic behaviour.
+  variable order the solver happened to see, so they memoize under the
+  identity key (:func:`signature_of`) and only ever replay for the exact
+  same sub-graph.
 
 Per-session counters (:class:`OracleStats`) are merged into the owning
 pass's :class:`~repro.opt.pass_base.PassResult` stats, which flow through
@@ -159,11 +158,10 @@ class SatOracle:
     ``module`` is an identity anchor only: owners such as
     :class:`~repro.core.smartly.Smartly` keep one oracle per module and
     rebuild it when handed a different one.  ``max_contexts`` bounds
-    memory with LRU eviction of whole solver contexts.
-    ``structural_keys`` additionally memoizes decided :meth:`can_be`
-    verdicts under canonical name-free structural signatures so
-    isomorphic sub-graphs share answers (see the module docstring);
-    :meth:`equiv` keys stay identity-only either way (its two-target
+    memory with LRU eviction of whole solver contexts.  Decided
+    :meth:`can_be` verdicts memoize under canonical name-free structural
+    signatures so isomorphic sub-graphs share answers (see the module
+    docstring); :meth:`equiv` keys stay identity-only (its two-target
     queries serve the equivalence checker, which never crosses modules).
 
     A *generation* is one optimization-pass invocation: callers must open
@@ -178,7 +176,6 @@ class SatOracle:
         module: Any = None,
         max_contexts: int = 256,
         max_verdicts: int = 200_000,
-        structural_keys: bool = True,
         struct_memo: Optional[StructKeyMemo] = None,
     ):
         self.module = module
@@ -189,15 +186,13 @@ class SatOracle:
         self._contexts: "OrderedDict[SigBit, _Context]" = OrderedDict()
         self._verdicts: Dict[Tuple, Optional[bool]] = {}
         self._sigmap: Optional[SigMap] = None
-        #: canonical-labeling memo; None disables structural verdict
-        #: sharing (the pure-identity reference path).  Owners that also
-        #: hold a structural :class:`~repro.core.cache.ResultCache` pass
-        #: its memo in, so the same sub-graph is canonicalized once for
-        #: resolve keys, rung keys and verdict keys alike.
-        if struct_memo is not None:
-            self._struct_memo: Optional[StructKeyMemo] = struct_memo
-        else:
-            self._struct_memo = StructKeyMemo() if structural_keys else None
+        #: canonical-labeling memo.  Owners that also hold a
+        #: :class:`~repro.core.cache.ResultCache` pass its memo in, so the
+        #: same sub-graph is canonicalized once for resolve keys, rung
+        #: keys and verdict keys alike.
+        self._struct_memo = (
+            struct_memo if struct_memo is not None else StructKeyMemo()
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -297,6 +292,16 @@ class SatOracle:
         drop the bit from it) even when no sub-graph cell was rewired.
         """
         self.stats.queries += 1
+        struct_key = (
+            self._struct_memo.signature(
+                cells, target, known, inputs=inputs, sigmap=self._sigmap
+            ),
+            value,
+            max_conflicts,
+        )
+        if struct_key in self._verdicts:
+            self.stats.cache_hits += 1
+            return self._verdicts[struct_key]
         ident_key = (
             signature_of(cells),
             tuple(inputs),
@@ -305,18 +310,6 @@ class SatOracle:
             value,
             max_conflicts,
         )
-        struct_key: Optional[Tuple] = None
-        if self._struct_memo is not None:
-            struct_key = (
-                self._struct_memo.signature(
-                    cells, target, known, inputs=inputs, sigmap=self._sigmap
-                ),
-                value,
-                max_conflicts,
-            )
-            if struct_key in self._verdicts:
-                self.stats.cache_hits += 1
-                return self._verdicts[struct_key]
         if ident_key in self._verdicts:
             self.stats.cache_hits += 1
             return self._verdicts[ident_key]
@@ -328,10 +321,7 @@ class SatOracle:
         # decided verdicts are structural facts; budget-outs are not (the
         # conflict count depends on the variable order this sub-graph's
         # encoding happened to produce), so they memoize per identity only
-        if struct_key is not None and verdict is not None:
-            self._remember(struct_key, verdict)
-        else:
-            self._remember(ident_key, verdict)
+        self._remember(ident_key if verdict is None else struct_key, verdict)
         return verdict
 
     def implies(
@@ -384,9 +374,9 @@ class SatOracle:
         context = self._context_for(a, cells)
         diff = context.diff_lits.get((a, b))
         if diff is None:
-            diff = context.encoder.fresh()
-            context.encoder.def_xor(
-                diff, context.encoder.lit(a), context.encoder.lit(b)
+            encoder = context.encoder
+            diff = encoder.solver_lit(
+                encoder.xor(encoder.bit_lit(a), encoder.bit_lit(b))
             )
             context.diff_lits[(a, b)] = diff
         assumptions = self._assumption_lits(context, known)

@@ -1,337 +1,179 @@
 """Tseitin encoding of RTL netlists into CNF.
 
 :class:`CircuitEncoder` binds a :class:`~repro.sat.solver.Solver` to a module
-snapshot and lazily encodes cells (or whole fanin cones) into clauses.  Every
-canonical bit gets one solver variable; constants use a shared always-true
-variable.  ``x`` constants are modeled as one shared unconstrained variable —
-a conservative choice that never lets the solver prove more than the circuit
-guarantees.
+snapshot and lazily encodes cells into clauses.  It is a
+:class:`~repro.ir.celllib.LoweringEmitter`: every cell is encoded by its
+registered :meth:`CellSpec.lower <repro.ir.celllib.CellSpec>`, the same
+decomposition the AIG mapper uses, so SAT answers, simulation and AIG
+evaluation share one semantics table.  The AND-graph surface the lowerings
+call (``and_``, ``or_``, ``xor``, ``mux``, ...) emits one Tseitin definition
+per gate instead of an AIG node.
 
-PMUX uses the same priority semantics as the simulator and the AIG mapper,
-so SAT answers, simulation and AIG evaluation always agree.
+Internally the encoder works in AIGER-style literals, because lowerings
+negate with ``^ 1``: solver variable ``v`` has literals ``2v``/``2v + 1``
+and literal 0/1 is constant false/true, which becomes one solver variable
+pinned false when a clause mentions it.  :meth:`lit` converts to the
+signed solver literals assumptions are written in.  ``x`` constants are
+modeled as one shared unconstrained variable — a conservative choice that
+never lets the solver prove more than the circuit guarantees.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..ir.cells import CellType
+from ..ir import celllib
 from ..ir.module import Cell, SigMap
-from ..ir.signals import SigBit, State
-from ..ir.walker import NetIndex
+from ..ir.signals import BIT0, BIT1, SigBit
 from .solver import Solver
 
+FALSE_LIT = 0
+TRUE_LIT = 1
 
-class CircuitEncoder:
+
+class CircuitEncoder(celllib.LoweringEmitter):
     """Incremental netlist-to-CNF encoder over one solver instance."""
 
     def __init__(self, solver: Solver, sigmap: Optional[SigMap] = None):
         self.solver = solver
         self.sigmap = sigmap if sigmap is not None else SigMap()
-        self._bitvar: Dict[SigBit, int] = {}
-        self._true_lit: Optional[int] = None
-        self._x_lit: Optional[int] = None
+        #: canonical bit -> AIGER literal; constants are pre-bound, and
+        #: the x constant gets one shared variable on first use
+        self._lits: Dict[SigBit, int] = {BIT0: FALSE_LIT, BIT1: TRUE_LIT}
+        self._false_var: Optional[int] = None
         self._encoded: Set[int] = set()  # id(cell) of already-encoded cells
+
+    @property
+    def aig(self) -> "CircuitEncoder":
+        return self
 
     # -- literals ---------------------------------------------------------------
 
-    def true_lit(self) -> int:
-        if self._true_lit is None:
-            self._true_lit = self.solver.new_var()
-            self.solver.add_clause([self._true_lit])
-        return self._true_lit
+    def bit_lit(self, bit: SigBit) -> int:
+        """The AIGER literal of a bit (a fresh variable for unseen bits)."""
+        cbit = self.sigmap.map_bit(bit)
+        lit = self._lits.get(cbit)
+        if lit is None:
+            lit = self._lits[cbit] = self._fresh_lit()
+        return lit
+
+    def solver_lit(self, lit: int) -> int:
+        """The signed solver literal of an AIGER literal."""
+        var = lit >> 1
+        if var == 0:
+            if self._false_var is None:
+                self._false_var = self.solver.new_var()
+                self.solver.add_clause([-self._false_var])
+            var = self._false_var
+        return -var if lit & 1 else var
 
     def lit(self, bit: SigBit) -> int:
         """The solver literal for a (canonicalised) bit."""
-        cbit = self.sigmap.map_bit(bit)
-        if cbit.is_const:
-            if cbit.state is State.S1:
-                return self.true_lit()
-            if cbit.state is State.S0:
-                return -self.true_lit()
-            if self._x_lit is None:
-                self._x_lit = self.solver.new_var()
-            return self._x_lit
-        var = self._bitvar.get(cbit)
-        if var is None:
-            var = self.solver.new_var()
-            self._bitvar[cbit] = var
-        return var
+        return self.solver_lit(self.bit_lit(bit))
 
-    def lits(self, bits: Iterable[SigBit]) -> List[int]:
-        return [self.lit(b) for b in bits]
+    def port_lits(self, cell: Cell, port: str) -> List[int]:
+        return [self.bit_lit(bit) for bit in cell.connections[port]]
 
-    def fresh(self) -> int:
-        return self.solver.new_var()
+    def set_output(self, cell: Cell, port: str, lits: List[int]) -> None:
+        """Bind each output bit to its computed literal.  A bit that
+        already has one — a constant, or a bit an incremental oracle
+        context met as a free input before its driver — is constrained
+        equal to it instead."""
+        for bit, lit in zip(cell.connections[port], lits):
+            cbit = self.sigmap.map_bit(bit)
+            bound = self._lits.get(cbit)
+            if bound is None:
+                self._lits[cbit] = lit
+            elif bound != lit:
+                self._clauses((bound ^ 1, lit), (bound, lit ^ 1))
 
-    # -- gate definitions ----------------------------------------------------------
+    # -- AND-graph surface: one Tseitin definition per gate -----------------------
 
-    def _add(self, lits: List[int]) -> None:
-        self.solver.add_clause(lits)
+    def _clauses(self, *clauses: Sequence[int]) -> None:
+        add, conv = self.solver.add_clause, self.solver_lit
+        for clause in clauses:
+            add([conv(lit) for lit in clause])
 
-    def def_and(self, y: int, a: int, b: int) -> None:
-        self._add([-a, -b, y])
-        self._add([a, -y])
-        self._add([b, -y])
+    def _fresh_lit(self) -> int:
+        """The positive literal of a fresh solver variable."""
+        return 2 * self.solver.new_var()
 
-    def def_or(self, y: int, a: int, b: int) -> None:
-        self._add([a, b, -y])
-        self._add([-a, y])
-        self._add([-b, y])
-
-    def def_xor(self, y: int, a: int, b: int) -> None:
-        self._add([-a, -b, -y])
-        self._add([a, b, -y])
-        self._add([-a, b, y])
-        self._add([a, -b, y])
-
-    def def_not(self, y: int, a: int) -> None:
-        self._add([a, y])
-        self._add([-a, -y])
-
-    def def_equal(self, y: int, a: int) -> None:
-        """Constrain y == a."""
-        self._add([-a, y])
-        self._add([a, -y])
-
-    def def_mux(self, y: int, a: int, b: int, s: int) -> None:
-        """y = s ? b : a"""
-        self._add([s, -a, y])
-        self._add([s, a, -y])
-        self._add([-s, -b, y])
-        self._add([-s, b, -y])
-
-    def def_maj(self, y: int, a: int, b: int, c: int) -> None:
-        """y = majority(a, b, c) — the full-adder carry."""
-        self._add([-a, -b, y])
-        self._add([-a, -c, y])
-        self._add([-b, -c, y])
-        self._add([a, b, -y])
-        self._add([a, c, -y])
-        self._add([b, c, -y])
-
-    def def_wide_and(self, y: int, terms: Sequence[int]) -> None:
-        """y = AND(terms); empty conjunction is true."""
-        if not terms:
-            self.def_not(y, -self.true_lit())
-            return
-        for t in terms:
-            self._add([t, -y])
-        self._add([y] + [-t for t in terms])
-
-    def def_wide_or(self, y: int, terms: Sequence[int]) -> None:
-        if not terms:
-            self._add([-y])
-            return
-        for t in terms:
-            self._add([-t, y])
-        self._add([-y] + list(terms))
-
-    def xor3(self, a: int, b: int, c: int) -> int:
-        t = self.fresh()
-        self.def_xor(t, a, b)
-        y = self.fresh()
-        self.def_xor(y, t, c)
+    def and_(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a == FALSE_LIT or a == b ^ 1:
+            return FALSE_LIT
+        if a == TRUE_LIT or a == b:
+            return b
+        y = self._fresh_lit()
+        self._clauses((a ^ 1, b ^ 1, y), (a, y ^ 1), (b, y ^ 1))
         return y
+
+    def or_(self, a: int, b: int) -> int:
+        return self.and_(a ^ 1, b ^ 1) ^ 1
+
+    def xor(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a <= TRUE_LIT:
+            return b ^ a
+        if a >> 1 == b >> 1:
+            return (a ^ b) & 1
+        y = self._fresh_lit()
+        self._clauses(
+            (a ^ 1, b ^ 1, y ^ 1), (a, b, y ^ 1), (a ^ 1, b, y), (a, b ^ 1, y)
+        )
+        return y
+
+    def xnor(self, a: int, b: int) -> int:
+        return self.xor(a, b) ^ 1
+
+    def mux(self, a: int, b: int, s: int) -> int:
+        """``s ? b : a``."""
+        if s <= TRUE_LIT:
+            return b if s else a
+        if a == b:
+            return a
+        y = self._fresh_lit()
+        self._clauses(
+            (s, a ^ 1, y), (s, a, y ^ 1), (s ^ 1, b ^ 1, y), (s ^ 1, b, y ^ 1)
+        )
+        return y
+
+    def and_reduce(self, lits: Sequence[int]) -> int:
+        """Wide conjunction; the empty conjunction is true."""
+        unique = set(lits)
+        unique.discard(TRUE_LIT)
+        if FALSE_LIT in unique or any(t ^ 1 in unique for t in unique):
+            return FALSE_LIT
+        terms = sorted(unique)
+        if not terms:
+            return TRUE_LIT
+        if len(terms) == 1:
+            return terms[0]
+        y = self._fresh_lit()
+        self._clauses(
+            [y] + [t ^ 1 for t in terms], *((t, y ^ 1) for t in terms)
+        )
+        return y
+
+    def or_reduce(self, lits: Sequence[int]) -> int:
+        return self.and_reduce([lit ^ 1 for lit in lits]) ^ 1
+
+    def xor_reduce(self, lits: Sequence[int]) -> int:
+        acc = FALSE_LIT
+        for lit in lits:
+            acc = self.xor(acc, lit)
+        return acc
 
     # -- cell encoding ---------------------------------------------------------------
 
     def encode_cell(self, cell: Cell) -> None:
-        """Add the cell's CNF definition (idempotent per encoder)."""
+        """Add the cell's CNF definition (idempotent per encoder).  Flip-flops
+        have no lowering: ``Q`` stays a free variable (sequential boundary)."""
         if id(cell) in self._encoded:
             return
         self._encoded.add(id(cell))
-        t = cell.type
-        if t is CellType.DFF:
-            return  # sequential boundary: Q stays a free variable
-
-        conn = cell.connections
-        if t is CellType.NOT:
-            for abit, ybit in zip(conn["A"], conn["Y"]):
-                self.def_not(self.lit(ybit), self.lit(abit))
-        elif t in (CellType.AND, CellType.OR, CellType.XOR, CellType.XNOR,
-                   CellType.NAND, CellType.NOR):
-            for abit, bbit, ybit in zip(conn["A"], conn["B"], conn["Y"]):
-                a, b, y = self.lit(abit), self.lit(bbit), self.lit(ybit)
-                if t is CellType.AND:
-                    self.def_and(y, a, b)
-                elif t is CellType.OR:
-                    self.def_or(y, a, b)
-                elif t is CellType.XOR:
-                    self.def_xor(y, a, b)
-                elif t is CellType.XNOR:
-                    self.def_xor(-y, a, b)
-                elif t is CellType.NAND:
-                    self.def_and(-y, a, b)
-                else:  # NOR
-                    self.def_or(-y, a, b)
-        elif t is CellType.MUX:
-            s = self.lit(conn["S"][0])
-            for abit, bbit, ybit in zip(conn["A"], conn["B"], conn["Y"]):
-                self.def_mux(self.lit(ybit), self.lit(abit), self.lit(bbit), s)
-        elif t is CellType.PMUX:
-            self._encode_pmux(cell)
-        elif t is CellType.EQ:
-            self._encode_eq(self.lit(conn["Y"][0]), conn["A"], conn["B"])
-        elif t is CellType.NE:
-            self._encode_eq(-self.lit(conn["Y"][0]), conn["A"], conn["B"])
-        elif t is CellType.LT:
-            self._encode_lt(self.lit(conn["Y"][0]), conn["A"], conn["B"])
-        elif t is CellType.LE:
-            self._encode_lt(-self.lit(conn["Y"][0]), conn["B"], conn["A"])
-        elif t is CellType.ADD:
-            self._encode_add(conn["Y"], conn["A"], conn["B"], -self.true_lit())
-        elif t is CellType.SUB:
-            self._encode_add(
-                conn["Y"],
-                conn["A"],
-                conn["B"],
-                self.true_lit(),
-                invert_b=True,
-            )
-        elif t in (CellType.SHL, CellType.SHR):
-            self._encode_shift(cell, left=t is CellType.SHL)
-        elif t is CellType.REDUCE_AND:
-            self.def_wide_and(self.lit(conn["Y"][0]), self.lits(conn["A"]))
-        elif t in (CellType.REDUCE_OR, CellType.REDUCE_BOOL):
-            self.def_wide_or(self.lit(conn["Y"][0]), self.lits(conn["A"]))
-        elif t is CellType.REDUCE_XOR:
-            acc = -self.true_lit()
-            for abit in conn["A"]:
-                nxt = self.fresh()
-                self.def_xor(nxt, acc, self.lit(abit))
-                acc = nxt
-            self.def_equal(self.lit(conn["Y"][0]), acc)
-        elif t is CellType.LOGIC_NOT:
-            self.def_wide_or(-self.lit(conn["Y"][0]), self.lits(conn["A"]))
-        elif t in (CellType.LOGIC_AND, CellType.LOGIC_OR):
-            a_any, b_any = self.fresh(), self.fresh()
-            self.def_wide_or(a_any, self.lits(conn["A"]))
-            self.def_wide_or(b_any, self.lits(conn["B"]))
-            y = self.lit(conn["Y"][0])
-            if t is CellType.LOGIC_AND:
-                self.def_and(y, a_any, b_any)
-            else:
-                self.def_or(y, a_any, b_any)
-        else:
-            raise NotImplementedError(f"no CNF encoding for cell type {t}")
-
-    def _encode_pmux(self, cell: Cell) -> None:
-        conn = cell.connections
-        width = cell.width
-        # priority chain, lowest select index wins (matches simulator/aigmap)
-        current = self.lits(conn["A"])
-        b_lits = self.lits(conn["B"])
-        s_lits = self.lits(conn["S"])
-        for i in range(cell.n - 1, -1, -1):
-            branch = b_lits[i * width:(i + 1) * width]
-            nxt = []
-            for cur, br in zip(current, branch):
-                y = self.fresh()
-                self.def_mux(y, cur, br, s_lits[i])
-                nxt.append(y)
-            current = nxt
-        for y_lit, ybit in zip(current, conn["Y"]):
-            self.def_equal(self.lit(ybit), y_lit)
-
-    def _encode_eq(self, y: int, a_bits, b_bits) -> None:
-        terms = []
-        for abit, bbit in zip(a_bits, b_bits):
-            t = self.fresh()
-            self.def_xor(-t, self.lit(abit), self.lit(bbit))  # t = xnor
-            terms.append(t)
-        self.def_wide_and(y, terms)
-
-    def _encode_lt(self, y: int, a_bits, b_bits) -> None:
-        """y = (a < b) unsigned, LSB-to-MSB borrow chain."""
-        lt = -self.true_lit()
-        for abit, bbit in zip(a_bits, b_bits):
-            a, b = self.lit(abit), self.lit(bbit)
-            eq = self.fresh()
-            self.def_xor(-eq, a, b)
-            keep = self.fresh()
-            self.def_and(keep, eq, lt)
-            new_term = self.fresh()
-            self.def_and(new_term, -a, b)
-            nxt = self.fresh()
-            self.def_or(nxt, new_term, keep)
-            lt = nxt
-        self.def_equal(y, lt)
-
-    def _encode_add(self, y_bits, a_bits, b_bits, carry: int, invert_b=False) -> None:
-        for abit, bbit, ybit in zip(a_bits, b_bits, y_bits):
-            a = self.lit(abit)
-            b = self.lit(bbit)
-            if invert_b:
-                b = -b
-            s = self.xor3(a, b, carry)
-            self.def_equal(self.lit(ybit), s)
-            cout = self.fresh()
-            self.def_maj(cout, a, b, carry)
-            carry = cout
-
-    def _encode_shift(self, cell: Cell, left: bool) -> None:
-        conn = cell.connections
-        width = cell.width
-        current = self.lits(conn["A"])
-        false_lit = -self.true_lit()
-        for j, sbit in enumerate(conn["B"]):
-            amount = 1 << j
-            if amount >= width:
-                shifted = [false_lit] * width
-            elif left:
-                shifted = [false_lit] * amount + current[: width - amount]
-            else:
-                shifted = current[amount:] + [false_lit] * amount
-            s = self.lit(sbit)
-            nxt = []
-            for cur, sh in zip(current, shifted):
-                y = self.fresh()
-                self.def_mux(y, cur, sh, s)
-                nxt.append(y)
-            current = nxt
-        for y_lit, ybit in zip(current, conn["Y"]):
-            self.def_equal(self.lit(ybit), y_lit)
-
-    # -- cone encoding ---------------------------------------------------------------
-
-    def encode_cone(
-        self,
-        index: NetIndex,
-        bits: Iterable[SigBit],
-        within: Optional[Set[str]] = None,
-    ) -> None:
-        """Encode the combinational fanin cone of ``bits``.
-
-        ``within`` restricts encoding to the named cells (the sub-graph of
-        the redundancy pass); drivers outside the set are left as free
-        variables.
-        """
-        worklist = [index.sigmap.map_bit(b) for b in bits]
-        visited: Set[SigBit] = set(worklist)
-        while worklist:
-            bit = worklist.pop()
-            cell = index.comb_driver(bit)
-            if cell is None:
-                continue
-            if within is not None and cell.name not in within:
-                continue
-            if id(cell) not in self._encoded:
-                self.encode_cell(cell)
-                for fbit in index.cell_fanin_bits(cell):
-                    if fbit not in visited:
-                        visited.add(fbit)
-                        worklist.append(fbit)
-
-
-def encode_module(
-    solver: Solver, module, index: Optional[NetIndex] = None
-) -> CircuitEncoder:
-    """Encode every combinational cell of a module; returns the encoder."""
-    if index is None:
-        index = NetIndex(module)
-    encoder = CircuitEncoder(solver, index.sigmap)
-    for cell in module.cells.values():
-        if cell.is_combinational:
-            encoder.encode_cell(cell)
-    return encoder
+        lower = celllib.spec_for(cell.type).lower
+        if lower is not None:
+            lower(self, cell)

@@ -69,7 +69,7 @@ class TestMergeCap:
     def test_merge_enforces_max_entries(self):
         """Regression: ``merge`` never evicted, so repeated warm-start
         merges grew the cache unboundedly past ``max_entries``."""
-        cache = ResultCache(max_entries=8, structural=True)
+        cache = ResultCache(max_entries=8)
         snapshot = {("sim", f"sig-{i}", ()): i for i in range(100)}
         added = cache.merge(snapshot)
         assert added == 100
@@ -79,7 +79,7 @@ class TestMergeCap:
         assert cache.lookup(("sim", "sig-99", ()))[0] is True
 
     def test_repeated_merges_stay_bounded(self):
-        cache = ResultCache(max_entries=16, structural=True)
+        cache = ResultCache(max_entries=16)
         for round_ in range(10):
             cache.merge({
                 ("sim", f"r{round_}-{i}", ()): i for i in range(16)
@@ -87,7 +87,7 @@ class TestMergeCap:
             assert len(cache) <= cache.max_entries
 
     def test_merge_below_cap_never_evicts(self):
-        cache = ResultCache(max_entries=100, structural=True)
+        cache = ResultCache(max_entries=100)
         cache.store(("sim", "mine", ()), 1)
         cache.merge({("sim", f"s{i}", ()): i for i in range(10)})
         assert len(cache) == 11
@@ -101,7 +101,9 @@ class TestConcurrentExport:
         ``RuntimeError: dictionary changed size during iteration``."""
         import threading
 
-        cache = ResultCache(structural=True)
+        # bounded like the merge sibling: the race needs concurrent
+        # inserts, not a cache every export has to copy 200k entries of
+        cache = ResultCache(max_entries=4096)
         stop = threading.Event()
         errors = []
 
@@ -131,7 +133,7 @@ class TestConcurrentExport:
     def test_merge_during_concurrent_stores(self):
         import threading
 
-        cache = ResultCache(max_entries=4096, structural=True)
+        cache = ResultCache(max_entries=4096)
         stop = threading.Event()
         errors = []
 
@@ -161,7 +163,7 @@ class TestConcurrentExport:
 
 class TestExportMerge:
     def test_structural_cache_exports_and_merges(self):
-        cache = ResultCache(structural=True)
+        cache = ResultCache()
         cache.store(("sim", "sig-a", ()), True)
         cache.store(("infer", "sig-b", ()), (False, None))
         snapshot = cache.export()
@@ -169,7 +171,7 @@ class TestExportMerge:
             ("sim", "sig-a", ()): True,
             ("infer", "sig-b", ()): (False, None),
         }
-        other = ResultCache(structural=True)
+        other = ResultCache()
         other.store(("sim", "sig-a", ()), True)  # pre-existing entry wins
         added = other.merge(snapshot)
         assert added == 1
@@ -177,16 +179,11 @@ class TestExportMerge:
         assert other.counters["merged"] == 1
 
     def test_export_excludes_receiver_known_keys(self):
-        cache = ResultCache(structural=True)
+        cache = ResultCache()
         cache.store(("sim", "sig-a", ()), True)
         cache.store(("sim", "sig-b", ()), False)
         delta = cache.export(exclude={("sim", "sig-a", ())})
         assert delta == {("sim", "sig-b", ()): False}
-
-    def test_identity_cache_exports_nothing(self):
-        cache = ResultCache(structural=False)
-        cache.store(("sim", "k"), True)
-        assert cache.export() == {}
 
 
 class TestTransparency:
@@ -197,16 +194,6 @@ class TestTransparency:
             off = Session(
                 random_module(seed, width=4, n_units=3),
                 options=SmartlyOptions(use_result_cache=False),
-            ).run(flow)
-            assert on.optimized_area == off.optimized_area, (seed, flow)
-
-    @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
-    def test_areas_identical_structural_keys_on_and_off(self, flow):
-        for seed in (301, 302):
-            on = Session(random_module(seed, width=4, n_units=3)).run(flow)
-            off = Session(
-                random_module(seed, width=4, n_units=3),
-                options=SmartlyOptions(structural_keys=False),
             ).run(flow)
             assert on.optimized_area == off.optimized_area, (seed, flow)
 
@@ -222,10 +209,10 @@ class TestTransparency:
 
 
 class TestStructuralSharing:
-    """Renamed clones share entries only under structural keys."""
+    """A renamed clone replays the entries its isomorphic base left."""
 
     @staticmethod
-    def _clone_run_counters(structural):
+    def _clone_run_counters(primed):
         from repro.api import Design
         from repro.ir.struct_hash import renamed_copy
 
@@ -233,31 +220,25 @@ class TestStructuralSharing:
         clone = renamed_copy(base, prefix="z", name="clone")
         design = Design(base)
         design.add_module(clone)
-        session = Session(
-            design, options=SmartlyOptions(structural_keys=structural)
-        )
-        session.run("smartly", module="base")
+        session = Session(design)
+        if primed:
+            session.run("smartly", module="base")
         before = dict(session._result_cache.counters)
         report = session.run("smartly", module="clone")
         after = session._result_cache.counters
+        misses = sum(
+            value - before.get(key, 0)
+            for key, value in after.items() if key.endswith("_misses")
+        )
+        return report, misses
 
-        def delta(suffix):
-            return sum(
-                value - before.get(key, 0)
-                for key, value in after.items() if key.endswith(suffix)
-            )
-
-        return report, delta("_hits"), delta("_misses")
-
-    def test_structural_keys_share_across_renamed_clone_modules(self):
-        s_report, s_hits, s_misses = self._clone_run_counters(True)
-        i_report, i_hits, i_misses = self._clone_run_counters(False)
-        # both modes optimize the clone to the same area ...
-        assert s_report.optimized_area == i_report.optimized_area
-        # ... but structural keys answer clone queries from the base
-        # module's entries: strictly fewer misses, strictly more hits
-        assert s_misses < i_misses, (s_misses, i_misses)
-        assert s_hits > i_hits, (s_hits, i_hits)
+    def test_cache_shares_across_renamed_clone_modules(self):
+        primed_report, primed_misses = self._clone_run_counters(True)
+        fresh_report, fresh_misses = self._clone_run_counters(False)
+        # the base run's entries answer the clone's queries: strictly
+        # fewer misses than the same clone in a fresh session, same area
+        assert primed_misses < fresh_misses, (primed_misses, fresh_misses)
+        assert primed_report.optimized_area == fresh_report.optimized_area
 
 
 class TestReuse:

@@ -91,15 +91,6 @@ def test_verdicts_survive_export_merge():
     assert replay.equivalent and replay.method == "cached"
 
 
-def test_identity_mode_cache_is_ignored():
-    cache = ResultCache(structural=False)
-    gold, gate = _sum_module("left"), _sum_module("right")
-    check_equivalence(gold, gate, random_vectors=0, cache=cache)
-    result = check_equivalence(gold, gate, random_vectors=0, cache=cache)
-    assert result.method == "sat"  # no cec entries in identity mode
-    assert len(cache) == 0
-
-
 def test_budget_outcome_not_cached():
     cache = ResultCache()
     gold, gate = _sum_module("left"), _sum_module("right")

@@ -66,15 +66,6 @@ def test_replay_warm_starts_across_sessions():
     assert set(hier.replayed) >= {"leaf0_0", "leaf0_1"}, hier.replayed
 
 
-def test_identity_mode_never_replays():
-    from repro.core.smartly import SmartlyOptions
-
-    design = small_soc()
-    session = Session(design, options=SmartlyOptions(structural_keys=False))
-    hier = session.run_hierarchy("smartly")
-    assert hier.replayed == {}
-
-
 def test_port_rename_falls_back_to_full_run():
     """Equal name-free signatures but different port names: replay would
     break parent bindings, so it must fall back (reason "ports")."""

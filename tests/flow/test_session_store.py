@@ -5,15 +5,15 @@ every generation earlier sessions persisted and writes its own delta back
 as one new generation at close.  The observable contract: a *second,
 cold* session pointed at the same directory replays suite jobs straight
 from the ``suite_job`` cache — byte-identical reports, zero passes run —
-and a store that does not apply (identity-keyed sessions, foreign keying
-schemes) silently degrades to a cold start instead of failing.
+and a store that does not apply (a foreign keying scheme) silently
+degrades to a cold start instead of failing.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, SmartlyOptions, suite_cases
+from repro.api import Session, suite_cases
 from repro.core.store import CacheStore
 from repro.equiv.differential import random_module
 from repro.workloads import build_case
@@ -141,22 +141,6 @@ class TestFlushSemantics:
 
 
 class TestStoreCompatibility:
-    def test_identity_keyed_session_ignores_store(self, tmp_path):
-        store_dir = tmp_path / "store"
-        # seed the store with structural entries first
-        with Session(store_path=store_dir) as writer:
-            writer.run_suite(
-                {"m": random_module(9, width=4, n_units=2)}, ("smartly",)
-            )
-        assert CacheStore(store_dir).generations()
-        options = SmartlyOptions(structural_keys=False)
-        with Session(store_path=store_dir, options=options) as identity:
-            assert identity._store is not None
-            assert len(identity._result_cache) == 0  # nothing loaded
-            assert identity.flush_store() == 0
-            totals = identity._cache_totals()
-        assert totals.get("store_incompatible_mode") == 1
-
     def test_store_counters_surface_in_cache_stats(self, tmp_path):
         store_dir = tmp_path / "store"
         with Session(store_path=store_dir) as first:

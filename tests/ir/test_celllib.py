@@ -2,9 +2,10 @@
 
 Every combinational :class:`~repro.ir.celllib.CellSpec` carries three
 independent semantics — Kleene ternary evaluation, bit-parallel mask
-evaluation, and AIG lowering.  A registry entry is only correct if all
-three agree, so for each registered spec we build a one-cell module with
-random shapes and check the three against each other on random vectors.
+evaluation, and a lowering that both the AIG mapper and the SAT encoder
+consume.  A registry entry is only correct if all of them agree, so for
+each registered spec we build a one-cell module with random shapes and
+check them against each other on random vectors.
 """
 
 import random
@@ -15,6 +16,7 @@ from repro.aig import aig_map
 from repro.ir import CellType, Module, SigBit, State
 from repro.ir.celllib import all_specs, spec_for, spec_for_yosys
 from repro.ir.cells import PortDir
+from repro.sat import CircuitEncoder, Solver
 from repro.sim import Simulator
 
 COMB_SPECS = [spec for spec in all_specs() if spec.combinational]
@@ -113,6 +115,43 @@ def test_ternary_mask_and_aig_semantics_agree(spec):
                     f"{spec.ctype}: ternary disagrees with mask eval on "
                     f"y[{i}] vector {v} (width={width}, n={n})"
                 )
+
+
+@pytest.mark.parametrize(
+    "spec", COMB_SPECS, ids=[s.ctype.name for s in COMB_SPECS]
+)
+def test_sat_encoding_forces_mask_values(spec):
+    """Under input assumptions the Tseitin CNF must force every output bit
+    to its mask-evaluated value and refute the opposite value (for pmux
+    this includes multi-hot selects, i.e. the priority order)."""
+    nvec = 16
+    for trial in range(4):
+        rng = random.Random(f"{spec.ctype.name}/{trial}")
+        width, n = _random_shape(spec, rng)
+        module = _single_cell_module(spec, width, n)
+        sim = Simulator(module)
+        source_masks = {bit: rng.getrandbits(nvec) for bit in sim.source_bits()}
+        values = sim.run_masks(source_masks, nvec)
+
+        solver = Solver()
+        encoder = CircuitEncoder(solver, sim.index.sigmap)
+        encoder.encode_cell(module.cell("dut"))
+        out_bits = [
+            sim.index.sigmap.map_bit(SigBit(module.wire("y"), i))
+            for i in range(module.wire("y").width)
+        ]
+        for v in rng.sample(range(nvec), 6):
+            assumptions = [
+                encoder.lit(bit) if (m >> v) & 1 else -encoder.lit(bit)
+                for bit, m in source_masks.items()
+            ]
+            for i, bit in enumerate(out_bits):
+                y = encoder.lit(bit)
+                if not (values.get(bit, 0) >> v) & 1:
+                    y = -y
+                where = f"{spec.ctype}: y[{i}] vector {v} (width={width}, n={n})"
+                assert solver.solve(assumptions + [y]) is True, where
+                assert solver.solve(assumptions + [-y]) is False, where
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,8 @@
-"""CNF container and DIMACS round-trips."""
-
-import io
+"""The CNF container and its brute-force reference checks."""
 
 import pytest
 
-from repro.sat import CNF, dimacs_str, read_dimacs, write_dimacs
+from repro.sat import CNF
 
 
 def test_cnf_tracks_num_vars():
@@ -33,43 +31,3 @@ def test_brute_force_guard():
     with pytest.raises(ValueError):
         cnf.brute_force_satisfiable()
 
-
-def test_dimacs_write_format():
-    cnf = CNF(3)
-    cnf.add_clause([1, -2])
-    cnf.add_clause([3])
-    text = dimacs_str(cnf)
-    lines = text.splitlines()
-    assert lines[0] == "p cnf 3 2"
-    assert lines[1] == "1 -2 0"
-    assert lines[2] == "3 0"
-
-
-def test_dimacs_roundtrip():
-    cnf = CNF(4)
-    cnf.add_clause([1, -2, 3])
-    cnf.add_clause([-4])
-    back = read_dimacs(dimacs_str(cnf))
-    assert back.num_vars == 4
-    assert list(back.clauses) == [(1, -2, 3), (-4,)]
-
-
-def test_dimacs_reader_tolerates_comments_and_splits():
-    text = """c a comment
-p cnf 3 2
-1 2
--3 0
-2 0
-"""
-    cnf = read_dimacs(text)
-    assert cnf.clauses == [(1, 2, -3), (2,)]
-
-
-def test_dimacs_reader_from_file_object():
-    cnf = read_dimacs(io.StringIO("p cnf 1 1\n1 0\n"))
-    assert cnf.solve() is True
-
-
-def test_dimacs_bad_header():
-    with pytest.raises(ValueError):
-        read_dimacs("p sat 3 2\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import BIT0, BIT1, CellType, Circuit, NetIndex, SigBit, State
-from repro.sat import CircuitEncoder, Solver, encode_module
+from repro.sat import CircuitEncoder, Solver
 from repro.sim import Simulator
 from tests.conftest import random_circuit
 
@@ -124,12 +124,12 @@ def test_forcing_impossible_output_is_unsat(seed):
     assert solver.solve(assumptions + [-y_lit if observed else y_lit]) is False
 
 
-def test_encode_module_convenience():
+def test_encode_whole_module_is_satisfiable():
     c = Circuit("t")
     a = c.input("a", 4)
     c.output("y", c.add(a, 1))
-    encoder = encode_module(Solver(), c.module)
-    assert encoder.solver.solve() is True
+    _index, solver, _enc = _encode(c.module)
+    assert solver.solve() is True
 
 
 def test_encoding_idempotent():

@@ -92,8 +92,7 @@ def main(argv=None) -> int:
 
     headlines = {
         "structhash_cross_module_hit_rate_pct": artifact["benches"]
-            ["structhash"]["cross_module"]["structural"]
-            ["cross_hit_rate_pct"],
+            ["structhash"]["cross_module"]["cross_hit_rate_pct"],
         "structhash_warm_start_reduction_pct": artifact["benches"]
             ["structhash"]["warm_start"]["reduction_pct"],
         "incremental_rerun_reduction_pct": artifact["benches"]
