@@ -2,12 +2,20 @@
 
 ``check_equivalence(gold, gate)`` mirrors the paper's "all results passed
 equivalence checking": a fast random-simulation filter finds most
-non-equivalences; the SAT check on the miter then proves equivalence or
+non-equivalences; the SAT step on the miter then proves equivalence or
 produces a concrete counterexample assignment.
 
-The SAT step runs through a :class:`~repro.sat.oracle.SatOracle` — pass
-one in (``oracle=...``) to accumulate query/conflict counters across many
-checks, e.g. a fuzzing session or ``Session.run_suite(check=True)``.
+The SAT step is :meth:`~repro.sat.oracle.SatOracle.solve_miter`, which
+SAT-sweeps the shared miter AIG (:mod:`repro.aig.fraig`) instead of
+asking one monolithic question: gold and gate share most of their
+structure, so proving and merging their equivalent internal nodes
+bottom-up usually folds the miter to constant 0 after many small SAT
+queries.  Every merge rests on two UNSAT answers, so a proof is exact;
+a miter the sweep cannot fold gets one final query.  Pass an oracle in
+(``oracle=...``) to accumulate query/conflict counters across many
+checks, e.g. a fuzzing session or ``Session.run_suite(check=True)``:
+each miter counts one oracle query, every ``solve()`` of the sweep one
+solver call.
 
 Decided SAT verdicts can additionally persist in an exportable
 :class:`~repro.core.cache.ResultCache` (``cache=...``): the entry is keyed
@@ -22,12 +30,21 @@ cached non-equivalence carries no counterexample (``method="cached"``).
 Unlike the oracle's in-process verdict memo, these entries survive
 ``export()``/``merge()`` warm-starts across processes.
 
-Conflict-budget exhaustion is a first-class outcome: the returned
-:class:`EquivResult` has ``equivalent=False`` **and** ``undecided=True``
-(``method="budget"``), which is distinct from a proven non-equivalence
-(``undecided=False`` with a counterexample).  Callers that need a hard
-verdict should treat ``undecided`` results as failures, as
-:func:`assert_equivalent` does.
+Sweeping changes neither the cache key nor the verdicts: the key is
+still the digest of the miter itself, built before any sweep, and a
+sweep proof (including a miter that folds to 0 during the sweep)
+reports ``method="sat"``; ``"fold"`` stays reserved for miters that fold
+during construction.
+
+Conflict-budget exhaustion is a first-class outcome: ``max_conflicts``
+caps the conflicts of *all* the sweep's queries together, and running
+out returns an :class:`EquivResult` with ``equivalent=False`` **and**
+``undecided=True`` (``method="budget"``), which is distinct from a
+proven non-equivalence (``undecided=False`` with a counterexample).
+Callers that need a hard verdict should treat ``undecided`` results as
+failures, as :func:`assert_equivalent` does.  A proven non-equivalence
+always carries a counterexample, except a refutation replayed from the
+cache.
 """
 
 from __future__ import annotations
@@ -77,8 +94,8 @@ def check_equivalence(
 ) -> EquivResult:
     """Prove or refute combinational equivalence of two modules.
 
-    When ``max_conflicts`` is given and the solver cannot settle the
-    question within the budget, the result is *undecided*
+    When ``max_conflicts`` is given and the SAT sweep spends it all
+    before a verdict, the result is *undecided*
     (``EquivResult(False, method="budget", undecided=True)``) rather than
     a claim in either direction.  ``cache`` persists decided SAT verdicts
     under the miter's structural digest (see module docs).
@@ -116,10 +133,13 @@ def check_equivalence(
             return EquivResult(False, method="sim", counterexample=cex)
 
     # 2. SAT proof on the miter
-    if miter_lit >> 1 == 0:
-        # miter folded to a constant during construction
-        miter_is_true = miter_lit & 1 == 1
-        return EquivResult(not miter_is_true, method="fold")
+    if miter_lit == 0:
+        # miter folded to constant 0 during construction
+        return EquivResult(True, method="fold")
+    if miter_lit == 1:
+        # folded to constant 1: every assignment distinguishes the two
+        cex = {name: 0 for name in aig.input_names}
+        return EquivResult(False, method="fold", counterexample=cex)
     if oracle is None:
         oracle = SatOracle()
     conflicts_before = oracle.stats.conflicts

@@ -421,30 +421,38 @@ class SatOracle:
         miter_lit: int,
         max_conflicts: Optional[int] = None,
     ) -> Tuple[Optional[bool], Dict[int, bool]]:
-        """Solve one miter output of an AIG.
+        """Solve one miter output of an AIG by SAT sweeping.
 
         Returns ``(verdict, model)``: verdict True = the miter can fire
         (circuits differ — ``model`` maps AIG input variables 1..n to the
         distinguishing values), False = proven silent (equivalent), None =
-        conflict budget exhausted.  Counters accumulate on this oracle, so
-        a harness running many checks gets one session total.
+        conflict budget exhausted.
+
+        The miter is decided by :func:`repro.aig.fraig.sweep_miter`:
+        simulation-guided candidate pairs are proven equal by two UNSAT
+        queries each and merged, and a final query runs only if the
+        miter does not fold to constant 0.  A miter that already fires
+        on one of the sweep's own seeded simulation patterns returns that
+        pattern without any SAT call.  ``max_conflicts`` caps the
+        conflicts of all queries together (per-pair queries are further
+        capped by :data:`repro.aig.fraig.PAIR_CONFLICTS`; a pair that
+        hits that limit just stays unmerged).  Running out of the total
+        returns None, never a refutation.
+
+        Counters accumulate on this oracle, so a harness running many
+        checks gets one session total: ``queries`` rises by one per
+        miter, ``solver_calls`` by every ``solve()`` of the sweep, and
+        ``conflicts`` by their total.
         """
-        # local import: avoids a package cycle (aig.cnf imports sat.solver)
-        from ..aig.cnf import aig_lit_to_solver_lit, aig_to_solver
+        # local import: avoids a package cycle (aig.fraig imports sat.solver)
+        from ..aig.fraig import sweep_miter
 
         self.stats.queries += 1
-        solver, var_map = aig_to_solver(aig)
-        assumption = aig_lit_to_solver_lit(miter_lit, var_map, var_map[0])
-        before_conflicts = solver.stats.conflicts
-        verdict = solver.solve([assumption], max_conflicts=max_conflicts)
-        self.stats.solver_calls += 1
-        self.stats.conflicts += solver.stats.conflicts - before_conflicts
-        self.stats.learned_clauses += len(solver.learned)
-        model: Dict[int, bool] = {}
-        if verdict:
-            for var in range(1, aig.num_inputs + 1):
-                model[var] = bool(solver.model_value(var_map[var]))
-        return verdict, model
+        outcome = sweep_miter(aig, miter_lit, max_conflicts)
+        self.stats.solver_calls += outcome.solver_calls
+        self.stats.conflicts += outcome.conflicts
+        self.stats.learned_clauses += outcome.learned_clauses
+        return outcome.verdict, outcome.model
 
 
 __all__ = ["Decision", "OracleStats", "SatOracle", "signature_of"]

@@ -99,6 +99,18 @@ def random_circuit(
     return c.module
 
 
+def hard_equivalent_pair(width: int = 16) -> Tuple[Module, Module]:
+    """An equivalent pair whose miter needs real CDCL search: structural
+    hashing cannot fold ``(a - b) == 0`` against ``a == b``."""
+    c1 = Circuit("m")
+    a, b = c1.input("a", width), c1.input("b", width)
+    c1.output("y", c1.eq(c1.sub(a, b), 0))
+    c2 = Circuit("m")
+    a, b = c2.input("a", width), c2.input("b", width)
+    c2.output("y", c2.eq(a, b))
+    return c1.module, c2.module
+
+
 class _CircuitHelper:
     """Exposed via fixture so tests don't re-import helpers."""
 

@@ -11,7 +11,7 @@ from repro.equiv import (
 )
 from repro.ir import Circuit
 from repro.opt import run_baseline_opt
-from tests.conftest import random_circuit
+from tests.conftest import hard_equivalent_pair, random_circuit
 
 
 def _mux_pair():
@@ -56,6 +56,28 @@ def test_counterexample_is_valid():
         wname, idx = name.rsplit("[", 1)
         values[wname] = values.get(wname, 0) | (bit_value << int(idx[:-1]))
     assert Simulator(gold).run(values) != Simulator(bad).run(values)
+
+
+def test_miter_folding_to_one_still_carries_a_counterexample():
+    """Regression: with the simulation filter off, a miter that folds to
+    constant 1 at construction used to come back refuted with an empty
+    counterexample."""
+    from repro.sim import Simulator
+
+    def xor_with(const):
+        c = Circuit("m")
+        a = c.input("a", 2)
+        c.output("y", c.xor(a, c.const(const, 2)))
+        return c.module
+
+    gold, gate = xor_with(0b00), xor_with(0b11)
+    result = check_equivalence(gold, gate, random_vectors=0)
+    assert not result.equivalent and not result.undecided
+    assert result.method == "fold"
+    assert set(result.counterexample) == {"a[0]", "a[1]"}
+    values = {"a": result.counterexample["a[0]"]
+              | result.counterexample["a[1]"] << 1}
+    assert Simulator(gold).run(values) != Simulator(gate).run(values)
 
 
 def test_subtle_difference_needs_sat():
@@ -114,23 +136,11 @@ def test_optimized_random_circuits_stay_equivalent():
         assert_equivalent(gold, module)
 
 
-def _hard_pair(width=16):
-    """An equivalent pair whose miter needs real CDCL search: structural
-    hashing cannot fold ``(a - b) == 0`` against ``a == b``."""
-    c1 = Circuit("m")
-    a, b = c1.input("a", width), c1.input("b", width)
-    c1.output("y", c1.eq(c1.sub(a, b), 0))
-    c2 = Circuit("m")
-    a, b = c2.input("a", width), c2.input("b", width)
-    c2.output("y", c2.eq(a, b))
-    return c1.module, c2.module
-
-
 def test_budget_exhaustion_is_undecided_not_nonequivalent():
     """Regression: an exhausted conflict budget used to raise
     TimeoutError; it must surface as a distinct *undecided* result, never
     as a "not equivalent" claim (and never with a counterexample)."""
-    gold, gate = _hard_pair()
+    gold, gate = hard_equivalent_pair()
     result = check_equivalence(gold, gate, random_vectors=0, max_conflicts=1)
     if result.undecided:
         assert not result.equivalent
@@ -149,7 +159,7 @@ def test_budget_exhaustion_is_undecided_not_nonequivalent():
 
 
 def test_decided_within_budget_reports_method_sat():
-    gold, gate = _hard_pair(width=4)
+    gold, gate = hard_equivalent_pair(width=4)
     result = check_equivalence(gold, gate, random_vectors=0,
                                max_conflicts=100000)
     assert result.equivalent

@@ -225,7 +225,13 @@ def test_solve_miter_budget_and_model():
     oracle = SatOracle()
     verdict, model = oracle.solve_miter(aig, miter)
     assert verdict is False and model == {}  # equivalent: miter silent
-    assert oracle.stats.solver_calls == 1
+    # the sweep poses many pair queries, but the miter is one oracle query
+    first = oracle.stats.as_dict()
+    assert first["queries"] == 1
+    assert first["solver_calls"] >= 1
+    # and an identical call repeats the same work exactly
+    assert oracle.solve_miter(aig, miter) == (False, {})
+    assert oracle.stats.delta(first) == first
     # budget of one conflict cannot settle it
     verdict, model = oracle.solve_miter(aig, miter, max_conflicts=1)
     assert verdict is None
