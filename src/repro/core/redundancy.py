@@ -28,7 +28,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..ir.module import Module
 from ..ir.signals import SigBit, State
-from ..ir.walker import NetIndex
 from ..opt.pass_base import DirtySet, PassResult, register_pass
 from ..opt.opt_muxtree import OptMuxtree
 from ..sat.oracle import SatOracle

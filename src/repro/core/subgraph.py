@@ -10,17 +10,23 @@ group* — the fanin cones of the target and of the known path signals —
 and everything else, which is dismissed (the paper reports ~80% of gates
 removed, "greatly accelerating the inference of the SAT solver").
 Sequential cells are never crossed, keeping the sub-graph a DAG.
+
+The walk runs on the index's :class:`~repro.ir.walker.CanonicalView`:
+bits are small-int ids, each cell's canonical pins and each bit's driver
+and neighbour cells are memoized for the life of the view (a frozen
+window), so no query re-canonicalises the bits it has already seen.  Ids
+turn back into :class:`SigBit` objects only in the returned
+:class:`SubGraph`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Set, Tuple
 
-from ..ir.cells import CellType, input_ports, output_ports
 from ..ir.module import Cell
 from ..ir.signals import SigBit
-from ..ir.walker import NetIndex
+from ..ir.walker import CONST_IDS, CanonicalView, NetIndex
 
 
 @dataclass
@@ -60,34 +66,27 @@ def extract_subgraph(
     caps the raw neighbourhood before reduction so pathological fanout hubs
     cannot blow up the analysis.
     """
-    sigmap = index.sigmap
-    target = sigmap.map_bit(target)
+    view = index.canonical_view()
+    bits = view.bits
+    tid = view.bit_id(target)
 
     # 1. undirected BFS over cells, up to k cell hops from the target bit
     cells: Dict[str, Cell] = {}
-    frontier: List[SigBit] = [target]
-    seen_bits: Set[SigBit] = {target}
+    frontier: List[int] = [tid]
+    seen: Set[int] = {tid}
     for _depth in range(k):
-        next_frontier: List[SigBit] = []
-        for bit in frontier:
-            neighbours: List[Cell] = []
-            driver = index.comb_driver(bit)
-            if driver is not None:
-                neighbours.append(driver)
-            for reader, _port, _off in index.readers.get(bit, ()):  # noqa: B020
-                if reader.is_combinational:
-                    neighbours.append(reader)
-            for cell in neighbours:
+        next_frontier: List[int] = []
+        for bid in frontier:
+            for cell in view.neighbours(bid):
                 if cell.name in cells:
                     continue
                 if len(cells) >= max_gates:
                     break
                 cells[cell.name] = cell
-                for other in cell.input_bits() + cell.output_bits():
-                    cbit = sigmap.map_bit(other)
-                    if not cbit.is_const and cbit not in seen_bits:
-                        seen_bits.add(cbit)
-                        next_frontier.append(cbit)
+                for other in view.pins(cell):
+                    if other not in seen:
+                        seen.add(other)
+                        next_frontier.append(other)
             if len(cells) >= max_gates:
                 next_frontier = []
                 break
@@ -96,45 +95,45 @@ def extract_subgraph(
             break
 
     gates_before = len(cells)
+    known_ids = [(view.bit_id(bit), value) for bit, value in known.items()]
 
     # 2. Theorem II.1/II.2 reduction via support groups
-    kept = _reduce_by_support(index, cells, target, known)
+    kept = _reduce_by_support(view, cells, tid, known_ids)
 
     # 3. free inputs = sources of the kept sub-graph minus known bits
     kept_names = {cell.name for cell in kept}
-    input_bits: List[SigBit] = []
-    seen_inputs: Set[SigBit] = set()
+    input_ids: List[int] = []
+    seen_inputs: Set[int] = set()
     relevant_known: Dict[SigBit, bool] = {}
 
-    def classify(bit: SigBit) -> None:
-        cbit = sigmap.map_bit(bit)
-        if cbit.is_const or cbit in seen_inputs:
+    def classify(bid: int) -> None:
+        if bid < CONST_IDS or bid in seen_inputs:
             return
-        driver = index.comb_driver(cbit)
+        driver = view.driver(bid)
         if driver is not None and driver.name in kept_names:
             return  # internal signal
-        seen_inputs.add(cbit)
+        seen_inputs.add(bid)
+        cbit = bits[bid]
         if cbit in known:
             relevant_known[cbit] = known[cbit]
         else:
-            input_bits.append(cbit)
+            input_ids.append(bid)
 
     for cell in kept:
-        for bit in cell.input_bits():
-            classify(bit)
-    classify(target)
+        for bid in view.inputs(cell):
+            classify(bid)
+    classify(tid)
     # facts about internal signals also constrain the sub-graph
-    for bit, value in known.items():
-        cbit = sigmap.map_bit(bit)
-        if cbit in seen_bits and cbit not in seen_inputs:
-            driver = index.comb_driver(cbit)
+    for bid, value in known_ids:
+        if bid in seen and bid not in seen_inputs:
+            driver = view.driver(bid)
             if driver is not None and driver.name in kept_names:
-                relevant_known[cbit] = value
+                relevant_known[bits[bid]] = value
 
     return SubGraph(
-        target=target,
+        target=bits[tid],
         cells=kept,
-        inputs=input_bits,
+        inputs=[bits[bid] for bid in input_ids],
         known=relevant_known,
         gates_before=gates_before,
         gates_after=len(kept),
@@ -142,10 +141,10 @@ def extract_subgraph(
 
 
 def _reduce_by_support(
-    index: NetIndex,
+    view: CanonicalView,
     cells: Dict[str, Cell],
-    target: SigBit,
-    known: Dict[SigBit, bool],
+    tid: int,
+    known_ids: List[Tuple[int, bool]],
 ) -> List[Cell]:
     """Dismiss gates that cannot interact with the target (Theorem II.1).
 
@@ -164,50 +163,46 @@ def _reduce_by_support(
     The kept cells are returned in topological order (fanin before fanout)
     so simulation and inference can evaluate them in a single sweep.
     """
-    sigmap = index.sigmap
-
     # roots of the cones that matter: the target plus known internal bits
-    roots: List[SigBit] = [sigmap.map_bit(target)]
-    for bit in known:
-        cbit = sigmap.map_bit(bit)
-        driver = index.comb_driver(cbit)
+    roots: List[int] = [tid]
+    for bid, _value in known_ids:
+        driver = view.driver(bid)
         if driver is not None and driver.name in cells:
-            roots.append(cbit)
+            roots.append(bid)
 
     kept_names: Set[str] = set()
-    worklist: List[SigBit] = list(roots)
-    visited: Set[SigBit] = set(worklist)
+    worklist: List[int] = list(roots)
+    visited: Set[int] = set(worklist)
     while worklist:
-        bit = worklist.pop()
-        driver = index.comb_driver(bit)
+        driver = view.driver(worklist.pop())
         if driver is None or driver.name not in cells:
             continue
         if driver.name not in kept_names:
             kept_names.add(driver.name)
-            for fbit in (sigmap.map_bit(b) for b in driver.input_bits()):
-                if not fbit.is_const and fbit not in visited:
-                    visited.add(fbit)
-                    worklist.append(fbit)
+            for fbid in view.inputs(driver):
+                if fbid >= CONST_IDS and fbid not in visited:
+                    visited.add(fbid)
+                    worklist.append(fbid)
 
     # topological order over the kept cells
     order: List[Cell] = []
     state: Dict[str, int] = {}
 
     def visit(cell: Cell) -> None:
-        stack: List[Tuple[Cell, Iterable[SigBit]]] = [
-            (cell, iter(cell.input_bits()))
+        stack: List[Tuple[Cell, Iterator[int]]] = [
+            (cell, iter(view.inputs(cell)))
         ]
         state[cell.name] = 0
         while stack:
             current, it = stack[-1]
             advanced = False
-            for bit in it:
-                driver = index.comb_driver(sigmap.map_bit(bit))
+            for bid in it:
+                driver = view.driver(bid)
                 if driver is None or driver.name not in kept_names:
                     continue
                 if state.get(driver.name) is None:
                     state[driver.name] = 0
-                    stack.append((driver, iter(driver.input_bits())))
+                    stack.append((driver, iter(view.inputs(driver))))
                     advanced = True
                     break
             if not advanced:

@@ -23,6 +23,14 @@ pre-edit snapshot — exactly the stale-by-design semantics the muxtree
 passes rely on — and the buffer is applied (or the index rebuilt, when the
 edit burst is larger than the module) on exit.
 
+:meth:`NetIndex.canonical_view` numbers canonical bits with small ints and
+memoizes per-cell canonical pin tuples and per-bit drivers and neighbour
+cells, for hot walks that would otherwise canonicalise every bit of every
+cell on every query (sub-graph extraction).  It is built on first use and
+dropped whenever the index applies an edit or rebuilds; inside a frozen
+window it therefore lives as long as the window, and cells rewired there
+are re-read through their :attr:`~repro.ir.module.Cell.version`.
+
 Terminology (matches the paper):
 
 * the **drivers** of a bit are the cell output that produces it;
@@ -39,8 +47,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from . import module as module_mod
 from .cells import CellType, input_ports, output_ports
-from .module import Cell, Module, ModuleEdit, SigMap
-from .signals import SigBit, SigSpec
+from .module import Cell, Module, ModuleEdit
+from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
 
 
 class DriverConflictError(Exception):
@@ -69,6 +77,7 @@ class NetIndex:
         #: canonical bits observable at module outputs (alias-closed)
         self._output_bits: Set[SigBit] = set()
         self._topo_cache: Optional[List[Cell]] = None
+        self._view: Optional[CanonicalView] = None
         self._frozen = 0
         self._pending: List[ModuleEdit] = []
         #: generation-compaction bookkeeping for the live alias union-find
@@ -178,6 +187,7 @@ class NetIndex:
         self._extra_drivers = {}
         self._output_bits = set()
         self._topo_cache = None
+        self._view = None
         self._build()
         self._note_generation_reset()
 
@@ -197,6 +207,7 @@ class NetIndex:
             edge_cache.invalidate()
 
     def _apply(self, edit: ModuleEdit) -> None:
+        self._view = None
         kind = edit.kind
         if kind == module_mod.PORT_CHANGED:
             self._topo_cache = None
@@ -451,6 +462,17 @@ class NetIndex:
     def cell_fanout_bits(self, cell: Cell) -> List[SigBit]:
         return [self.sigmap.map_bit(b) for b in cell.output_bits()]
 
+    def canonical_view(self) -> "CanonicalView":
+        """The int-id view of this index, built on first use.
+
+        The view is dropped whenever the index applies an edit or
+        rebuilds, so one view serves every query of a frozen window (or
+        the whole life of a snapshot index).
+        """
+        if self._view is None:
+            self._view = CanonicalView(self)
+        return self._view
+
     # -- traversal -----------------------------------------------------------
 
     def topo_cells(self) -> List[Cell]:
@@ -559,3 +581,97 @@ class NetIndex:
 
 class CombLoopError(Exception):
     """The module contains a combinational cycle."""
+
+
+#: ids below this number are the constant bits 0, 1 and x
+CONST_IDS = 3
+
+#: a cell's view entry: (Cell.version read, input ids, non-constant pin ids)
+_CellIds = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+
+class CanonicalView:
+    """Small-int ids for the canonical bits of a :class:`NetIndex`.
+
+    Ids are handed out on first sight; :attr:`bits` maps them back.  Per
+    cell the view memoizes the ids of its input bits and of its
+    non-constant input-then-output bits, each in port order without
+    repeats, keyed on the cell object and re-read when its
+    :attr:`~repro.ir.module.Cell.version` moved (a rewire inside a frozen
+    window changes a cell's live connections but not the index maps).
+    Per bit it memoizes the combinational driver and the neighbour cells
+    (driver first, then combinational readers in ``index.readers``
+    order).  A driver lookup that raises :class:`DriverConflictError` is
+    not memoized, so it raises again on every query.
+
+    Obtain it through :meth:`NetIndex.canonical_view`, which owns its
+    invalidation.
+    """
+
+    __slots__ = ("index", "bits", "_ids", "_cells", "_drivers", "_neighbours")
+
+    def __init__(self, index: NetIndex):
+        self.index = index
+        #: id -> canonical bit
+        self.bits: List[SigBit] = [BIT0, BIT1, BITX]
+        self._ids: Dict[SigBit, int] = {BIT0: 0, BIT1: 1, BITX: 2}
+        self._cells: Dict[Cell, _CellIds] = {}
+        self._drivers: Dict[int, Optional[Cell]] = {}
+        self._neighbours: Dict[int, Tuple[Cell, ...]] = {}
+
+    def bit_id(self, bit: SigBit) -> int:
+        """The id of ``bit``'s canonical representative."""
+        cbit = self.index.sigmap.map_bit(bit)
+        bid = self._ids.get(cbit)
+        if bid is None:
+            bid = self._ids[cbit] = len(self.bits)
+            self.bits.append(cbit)
+        return bid
+
+    def _cell_entry(self, cell: Cell) -> _CellIds:
+        entry = self._cells.get(cell)
+        if entry is None or entry[0] != cell.version:
+            bit_id = self.bit_id
+            inputs = tuple(dict.fromkeys(map(bit_id, cell.input_bits())))
+            outputs = map(bit_id, cell.output_bits())
+            pins = tuple(
+                b for b in dict.fromkeys((*inputs, *outputs)) if b >= CONST_IDS
+            )
+            entry = self._cells[cell] = (cell.version, inputs, pins)
+        return entry
+
+    def inputs(self, cell: Cell) -> Tuple[int, ...]:
+        """Ids of ``cell``'s input bits, constants included: the driver
+        of a constant is looked up too, and raises while a cell output is
+        aliased onto it."""
+        return self._cell_entry(cell)[1]
+
+    def pins(self, cell: Cell) -> Tuple[int, ...]:
+        """Ids of ``cell``'s non-constant input, then output, bits."""
+        return self._cell_entry(cell)[2]
+
+    def driver(self, bid: int) -> Optional[Cell]:
+        """:meth:`NetIndex.comb_driver` of bit ``bid``."""
+        try:
+            return self._drivers[bid]
+        except KeyError:
+            pass
+        cell = self.index.comb_driver(self.bits[bid])
+        self._drivers[bid] = cell
+        return cell
+
+    def neighbours(self, bid: int) -> Tuple[Cell, ...]:
+        """The combinational cells one hop from bit ``bid``."""
+        try:
+            return self._neighbours[bid]
+        except KeyError:
+            pass
+        driver = self.driver(bid)
+        cells = [driver] if driver is not None else []
+        cells.extend(
+            reader
+            for reader, _port, _off in self.index.readers.get(self.bits[bid], ())
+            if reader.is_combinational
+        )
+        self._neighbours[bid] = result = tuple(cells)
+        return result

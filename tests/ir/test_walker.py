@@ -134,3 +134,35 @@ class TestCones:
         index = NetIndex(m)
         # `a` feeds both the and-gate and the mux A port
         assert index.fanout_count(a[0]) == 2
+
+
+class TestCanonicalView:
+    def test_ids_pins_and_drivers(self):
+        m, a, b, s, inner, y = _mux_chain()
+        index = NetIndex(m)
+        view = index.canonical_view()
+        mux_cell = next(m.cells_of_type(CellType.MUX))
+        assert [view.bits[bid] for bid in view.pins(mux_cell)] == [
+            index.canonical(bit)
+            for bit in mux_cell.input_bits() + mux_cell.output_bits()
+        ]
+        # an output-port alias numbers like the net it aliases
+        assert view.bit_id(SigBit(m.wire("y"), 0)) == view.bit_id(y[0])
+        and_cell = next(m.cells_of_type(CellType.AND))
+        assert view.driver(view.bit_id(inner[0])) is and_cell
+        assert view.neighbours(view.bit_id(inner[0])) == (and_cell, mux_cell)
+
+    def test_one_view_per_frozen_window(self):
+        m, a, b, s, inner, y = _mux_chain()
+        index = m.net_index()
+        mux_cell = next(m.cells_of_type(CellType.MUX))
+        with index.frozen():
+            view = index.canonical_view()
+            s_id = view.bit_id(s[0])
+            assert s_id in view.pins(mux_cell)
+            mux_cell.set_port("S", 1)  # buffered: the maps keep the snapshot
+            assert index.canonical_view() is view
+            assert s_id not in view.pins(mux_cell)
+            assert view.bit_id(SigSpec.coerce(1, 1)[0]) in view.inputs(mux_cell)
+        # the buffered edit was applied on exit, which drops the view
+        assert index.canonical_view() is not view
