@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from ..ir import celllib
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, State
-from ..ir.walker import NetIndex
+from ..ir.walker import NetIndex, current_index
 from .aig import AIG, FALSE_LIT, TRUE_LIT
 
 
@@ -42,9 +42,11 @@ class AigMapper(celllib.LoweringEmitter):
     ):
         """``aig``/``input_lits`` allow mapping several modules into one
         shared AIG (used by the miter builder): ``input_lits`` maps input
-        names like ``"a[3]"`` to preexisting AIG literals."""
+        names like ``"a[3]"`` to preexisting AIG literals.  Without an
+        ``index`` the mapper walks :func:`~repro.ir.walker.current_index`:
+        the module's live index when it has a usable one."""
         self.module = module
-        self.index = index if index is not None else NetIndex(module)
+        self.index = index if index is not None else current_index(module)
         self.aig = aig if aig is not None else AIG()
         self.preset_inputs = input_lits if input_lits is not None else {}
         self.bit_lit: Dict[SigBit, int] = {}
@@ -60,9 +62,10 @@ class AigMapper(celllib.LoweringEmitter):
                 spec.lower(self, cell)
         sigmap = self.index.sigmap
         for wire in self.module.outputs:
-            for i in range(wire.width):
-                bit = sigmap.map_bit(SigBit(wire, i))
-                self.aig.add_output(self.lit(bit), f"{wire.name}[{i}]")
+            for i, bit in enumerate(wire.bits):
+                self.aig.add_output(
+                    self.lit(sigmap.map_bit(bit)), f"{wire.name}[{i}]"
+                )
         for cell in self.module.cells.values():
             for pname in celllib.spec_for(cell.type).next_state_ports:
                 for i, bit in enumerate(cell.connections[pname]):
@@ -130,8 +133,8 @@ class AigMapper(celllib.LoweringEmitter):
 
         for wire in self.module.wires.values():
             if wire.port_input:
-                for i in range(wire.width):
-                    declare(SigBit(wire, i), f"{wire.name}[{i}]")
+                for i, bit in enumerate(wire.bits):
+                    declare(bit, f"{wire.name}[{i}]")
         for cell in self.module.cells.values():
             for pname in celllib.spec_for(cell.type).state_ports:
                 for i, bit in enumerate(cell.connections[pname]):
@@ -148,8 +151,8 @@ class AigMapper(celllib.LoweringEmitter):
                 for bit in cell.connections[pname]:
                     declare(bit, repr(bit))
         for wire in self.module.outputs:
-            for i in range(wire.width):
-                declare(SigBit(wire, i), f"{wire.name}[{i}]")
+            for i, bit in enumerate(wire.bits):
+                declare(bit, f"{wire.name}[{i}]")
 
 
 def aig_map(module: Module, index: Optional[NetIndex] = None) -> AIG:

@@ -20,8 +20,7 @@ from ..aig.aig import AIG
 from ..aig.aigmap import AigMapper
 from ..ir.cells import CellType
 from ..ir.module import Module
-from ..ir.signals import SigBit
-from ..ir.walker import NetIndex
+from ..ir.walker import NetIndex, current_index
 
 
 class PortMismatchError(Exception):
@@ -61,7 +60,10 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     Raises :class:`PortMismatchError` when I/O signatures differ.  Extra
     internal sources (undriven wires) in either module become independent
     miter inputs, which is conservative: equivalence then must hold for all
-    their values.
+    their values.  Each side is walked through
+    :func:`~repro.ir.walker.current_index` (its live index when it has a
+    usable one, else a snapshot); both give the same miter, so the
+    miter's structural digest does not depend on which one was used.
     """
     gold_ins, gold_outs = _io_signature(gold)
     gate_ins, gate_outs = _io_signature(gate)
@@ -71,8 +73,8 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
             f"out {gold_outs} vs {gate_outs}"
         )
 
-    gold_index = NetIndex(gold)
-    gate_index = NetIndex(gate)
+    gold_index = current_index(gold)
+    gate_index = current_index(gate)
 
     aig = AIG()
     shared: Dict[str, int] = {}

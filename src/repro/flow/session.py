@@ -650,8 +650,12 @@ class Session:
             )
         spec = resolve_flow(flow, options=self.options)
         mod = self._module(module)
-        original_area = self.baseline_area(mod.name)
         incremental = engine == "incremental"
+        if incremental:
+            # the flow keeps the live index anyway; built first, it also
+            # serves the baseline and final aigmap and the miter's gate side
+            mod.net_index()
+        original_area = self.baseline_area(mod.name)
         # design-scope bookkeeping requires an attached design listener
         track = incremental and not self._closed
         state_key = (mod.name, spec)

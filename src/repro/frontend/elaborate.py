@@ -20,11 +20,18 @@ Design notes / documented simplifications:
   here.  Cross-module checks (does the child exist, do widths match) are
   deferred to :func:`repro.ir.hierarchy.hierarchy`, since modules may be
   declared in any order.
+* A net bit has at most one driver among the ``assign`` statements and
+  ``always`` blocks (a combinational block drives every bit of each wire
+  it writes, unwritten bits with ``x``); a second one is a
+  :class:`FrontendError` naming the bit, since aliasing both drivers
+  would short them.  Instance bindings are not counted (their directions
+  are unknown here), and an ``assign`` may tie an input port, which is
+  how minimized repros pin inputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir.builder import Circuit
 from ..ir.cells import CellType
@@ -64,6 +71,8 @@ class Elaborator:
         self.module = self.circuit.module
         self.params: Dict[str, int] = {}
         self.lsb_of: Dict[str, int] = {}
+        #: net bit -> the statement driving it ("assign #2", ...)
+        self._driver_of: Dict[SigBit, str] = {}
         if overrides:
             self.params.update(overrides)
 
@@ -140,15 +149,16 @@ class Elaborator:
                 port_output=net.is_output,
             )
             self.lsb_of[net.name] = lsb
-        for assign in self.decl.assigns:
+        for number, assign in enumerate(self.decl.assigns, 1):
             target = self.eval_lvalue(assign.target)
             value = self.eval_expr(assign.value, width=len(target))
+            self._drive(target, f"assign #{number}")
             self.module.connect(target, value)
-        for block in self.decl.always_blocks:
+        for number, block in enumerate(self.decl.always_blocks, 1):
             if block.clock is None:
-                self._elaborate_comb(block)
+                self._elaborate_comb(block, f"always block #{number}")
             else:
-                self._elaborate_seq(block)
+                self._elaborate_seq(block, f"always block #{number}")
         for inst in self.decl.instances:
             connections = {}
             for port, expr in inst.bindings:
@@ -167,6 +177,20 @@ class Elaborator:
                 inst.module, name=inst.name, connections=connections
             )
         return self.module
+
+    def _drive(self, target: Iterable[SigBit], driver: str) -> None:
+        """Record ``driver`` as the one driver of every bit of ``target``."""
+        for bit in target:
+            first = self._driver_of.get(bit)
+            if first is not None:
+                wire = bit.wire
+                name = wire.name
+                if wire.width > 1:
+                    name += f"[{bit.offset + self.lsb_of.get(name, 0)}]"
+                raise FrontendError(
+                    f"net {name} has two drivers: {first} and {driver}"
+                )
+            self._driver_of[bit] = driver
 
     # -- lvalues ------------------------------------------------------------------
 
@@ -364,16 +388,17 @@ class Elaborator:
 
     # -- procedural blocks ------------------------------------------------------------
 
-    def _elaborate_comb(self, block: AlwaysBlock) -> None:
+    def _elaborate_comb(self, block: AlwaysBlock, driver: str) -> None:
         env: Dict[str, SigSpec] = {}
         writes: set = set()
         self._exec(block.stmt, env, writes, comb=True)
         for name in sorted(writes):
             wire = self.module.wires[name]
             value = env[name].extend(wire.width)
+            self._drive(wire.bits, driver)
             self.module.connect(SigSpec.from_wire(wire), value)
 
-    def _elaborate_seq(self, block: AlwaysBlock) -> None:
+    def _elaborate_seq(self, block: AlwaysBlock, driver: str) -> None:
         if block.clock not in self.module.wires:
             raise FrontendError(f"undeclared clock {block.clock!r}")
         clock = self.module.wires[block.clock]
@@ -383,6 +408,7 @@ class Elaborator:
         for name in sorted(writes):
             wire = self.module.wires[name]
             d_value = env[name].extend(wire.width)
+            self._drive(wire.bits, driver)
             self.module.add_cell(
                 CellType.DFF,
                 CLK=SigSpec.from_wire(clock)[0:1],

@@ -242,7 +242,7 @@ def _inline(flat: Module, inst_name: str, design: Design) -> None:
     for pname, spec in inst.connections.items():
         wire = child.wires[pname]
         copy = wire_map[id(wire)]
-        boundary = SigSpec(SigBit(copy, i) for i in range(wire.width))
+        boundary = SigSpec(copy.bits)
         if wire.port_input:
             flat.connect(boundary, spec)
         else:

@@ -139,7 +139,7 @@ class YosysJsonWriter:
         return [self._token(bit) for bit in spec]
 
     def _wire_tokens(self, wire) -> List[Union[int, str]]:
-        return [self._token(SigBit(wire, i)) for i in range(wire.width)]
+        return [self._token(bit) for bit in wire.bits]
 
     # -- whole designs -------------------------------------------------------
 

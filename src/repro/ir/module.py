@@ -533,12 +533,18 @@ class Module:
         )
 
 
+class DriverConflictError(Exception):
+    """A bit is driven by more than one cell output / connection."""
+
+
 class SigMap:
     """Union-find over bits that resolves alias connections to canonical bits.
 
     Mirrors Yosys ``SigMap``: after construction, :meth:`map_bit` returns the
     canonical representative of any bit — constants win over wires, and
     earlier-declared wires win over later ones, so results are deterministic.
+    Aliasing two different constants is a short circuit, not a merge:
+    :meth:`add` raises :class:`DriverConflictError` for it.
     """
 
     def __init__(self, module: Optional[Module] = None):
@@ -549,27 +555,40 @@ class SigMap:
                     self.add(lbit, rbit)
 
     def _find(self, bit: SigBit) -> SigBit:
-        root = bit
-        while root in self._parent:
-            root = self._parent[root]
+        """The canonical representative of ``bit`` (one dict probe when
+        ``bit`` is its own root)."""
+        get = self._parent.get
+        root = get(bit)
+        if root is None:
+            return bit
+        step = get(root)
+        if step is None:
+            return root
+        while step is not None:
+            root, step = step, get(step)
         # path compression
-        while bit in self._parent:
-            self._parent[bit], bit = root, self._parent[bit]
+        parent = self._parent
+        while bit is not root:
+            parent[bit], bit = root, parent[bit]
         return root
 
     def add(self, a: SigBit, b: SigBit) -> None:
         """Declare bits ``a`` and ``b`` to be the same net."""
         ra, rb = self._find(a), self._find(b)
-        if ra == rb:
+        if ra is rb:
             return
         # prefer constants as representatives, then keep rb (the driver side)
         if ra.is_const:
+            if rb.is_const:
+                raise DriverConflictError(
+                    f"aliasing {a!r} and {b!r} shorts constant {ra!r} to {rb!r}"
+                )
             self._parent[rb] = ra
         else:
             self._parent[ra] = rb
 
-    def map_bit(self, bit: SigBit) -> SigBit:
-        return self._find(bit)
+    # every layer maps bits through here; the alias saves a call per bit
+    map_bit = _find
 
     def __len__(self) -> int:
         """Number of union-find entries (bits with a non-trivial parent)."""
@@ -589,14 +608,14 @@ class SigMap:
         new_parent: Dict[SigBit, SigBit] = {}
         for bit in live:
             root = self._find(bit)
-            if root != bit:
+            if root is not bit:
                 new_parent[bit] = root
         dropped = len(self._parent) - len(new_parent)
         self._parent = new_parent
         return dropped
 
     def map_spec(self, spec: SigSpec) -> SigSpec:
-        return SigSpec(self._find(bit) for bit in spec)
+        return SigSpec(map(self._find, spec))
 
     def __call__(self, value: Union[SigBit, SigSpec]) -> Union[SigBit, SigSpec]:
         if isinstance(value, SigBit):

@@ -9,6 +9,18 @@ The IR follows the conventions of Yosys RTLIL:
 All multi-bit values are **LSB first**: ``spec[0]`` is bit 0.  Constants use
 three-valued logic (:class:`State`): ``0``, ``1`` and the unknown/don't-care
 value ``x``.
+
+Bits are interned: there is exactly one ``SigBit`` object per wire bit
+and per constant state, so ``SigBit`` keeps the default identity
+``__eq__``/``__hash__`` and every dict or set keyed by bits compares in C
+(Yosys compares its ``SigBit`` value type just as cheaply in C++).  Each
+:class:`Wire` builds the tuple of its bits in ``__init__`` and in
+``__setstate__``, never lazily on first access: the thread-isolated serve
+daemon runs jobs on two threads at once, and a lazy fill could hand them
+two objects for one bit.  The tuple stays out of the wire's pickled
+state, which is exactly its five public slots: pickling it would cycle
+back into ``SigBit(wire, i)`` before the wire's width is restored, and
+store generations written before interning carry no such field.
 """
 
 from __future__ import annotations
@@ -53,10 +65,13 @@ class Wire:
     """A named, fixed-width vector of nets inside a module.
 
     Wires are identity-hashed; names are unique within their module.  The
-    ``port_input``/``port_output`` flags mark module ports.
+    ``port_input``/``port_output`` flags mark module ports.  A wire owns
+    the interned :class:`SigBit` of each of its bits (see the module
+    docstring).
     """
 
-    __slots__ = ("name", "width", "port_input", "port_output", "attributes")
+    __slots__ = ("name", "width", "port_input", "port_output", "attributes",
+                 "_bits")
 
     def __init__(
         self,
@@ -74,13 +89,37 @@ class Wire:
         self.port_input = port_input
         self.port_output = port_output
         self.attributes: dict = {}
+        self._bits = _wire_bits(self)
+
+    def __getstate__(self):
+        # the default slots state minus the derived bit tuple: a wire
+        # pickles exactly as it did before bits were interned
+        return (None, {
+            "name": self.name,
+            "width": self.width,
+            "port_input": self.port_input,
+            "port_output": self.port_output,
+            "attributes": self.attributes,
+        })
+
+    def __setstate__(self, state) -> None:
+        for key, value in state[1].items():
+            setattr(self, key, value)
+        self._bits = _wire_bits(self)
 
     @property
     def is_port(self) -> bool:
         return self.port_input or self.port_output
 
+    @property
+    def bits(self) -> Tuple["SigBit", ...]:
+        """The wire's interned bits, LSB first."""
+        return self._bits
+
     def __getitem__(self, index) -> Union["SigBit", "SigSpec"]:
-        return SigSpec.from_wire(self)[index]
+        if isinstance(index, slice):
+            return SigSpec(self._bits[index])
+        return self._bits[index]
 
     def __len__(self) -> int:
         return self.width
@@ -93,30 +132,33 @@ class Wire:
 class SigBit:
     """A single-bit signal: one bit of a wire, or a constant :class:`State`.
 
-    ``SigBit`` is immutable and cheap to hash; constant bits are interned
-    (``BIT0``, ``BIT1``, ``BITX``).
+    ``SigBit`` is immutable and interned: ``SigBit(wire, i)`` returns the
+    one object its wire built for bit ``i`` (``wire[i]``, the same object
+    as ``SigSpec.from_wire(wire)[i]``), and ``SigBit(state=s)`` returns
+    ``BIT0``, ``BIT1`` or ``BITX``.  Two bits are equal exactly when they
+    are the same object, so equality and hashing are the default identity
+    ones.  The wire builds its bit tuple eagerly and keeps it out of its
+    pickled state (see the module docstring); unpickling a bit goes back
+    through ``SigBit(wire, i)`` and so lands on the interned object.
     """
 
-    __slots__ = ("wire", "offset", "state", "_hash")
+    __slots__ = ("wire", "offset", "state")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         wire: Optional[Wire] = None,
         offset: int = 0,
         state: Optional[State] = None,
-    ):
+    ) -> "SigBit":
         if (wire is None) == (state is None):
             raise ValueError("SigBit needs exactly one of wire or state")
-        if wire is not None and not (0 <= offset < wire.width):
+        if wire is None:
+            return _STATE_TO_BIT[state]
+        if not (0 <= offset < wire.width):
             raise IndexError(
                 f"bit offset {offset} out of range for {wire.name}[{wire.width}]"
             )
-        object.__setattr__(self, "wire", wire)
-        object.__setattr__(self, "offset", offset if wire is not None else 0)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(
-            self, "_hash", hash((id(wire), offset)) if wire is not None else hash(state)
-        )
+        return wire._bits[offset]
 
     def __setattr__(self, name, value):
         raise AttributeError("SigBit is immutable")
@@ -134,20 +176,11 @@ class SigBit:
             raise ValueError(f"{self!r} is not a constant bit")
         return self.state
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SigBit):
-            return NotImplemented
-        if self.state is not None or other.state is not None:
-            return self.state is other.state
-        return self.wire is other.wire and self.offset == other.offset
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
         # immutability blocks the default slots state protocol (setattr
-        # raises), so pickling goes back through the constructor; wire
-        # identity within one pickled graph is preserved by the pickle memo
+        # raises), so pickling goes back through the constructor, which
+        # returns the interned bit; wire identity within one pickled graph
+        # is preserved by the pickle memo
         return (SigBit, (self.wire, self.offset, self.state))
 
     def __repr__(self) -> str:
@@ -158,9 +191,23 @@ class SigBit:
         return f"<{self.wire.name}[{self.offset}]>"
 
 
-BIT0 = SigBit(state=State.S0)
-BIT1 = SigBit(state=State.S1)
-BITX = SigBit(state=State.Sx)
+def _new_bit(wire: Optional[Wire], offset: int, state: Optional[State]) -> SigBit:
+    """Allocate a bit object; only :class:`Wire` and the constants call
+    this, everyone else gets the interned object from ``SigBit(...)``."""
+    bit = object.__new__(SigBit)
+    object.__setattr__(bit, "wire", wire)
+    object.__setattr__(bit, "offset", offset)
+    object.__setattr__(bit, "state", state)
+    return bit
+
+
+def _wire_bits(wire: Wire) -> Tuple[SigBit, ...]:
+    return tuple(_new_bit(wire, i, None) for i in range(wire.width))
+
+
+BIT0 = _new_bit(None, 0, State.S0)
+BIT1 = _new_bit(None, 0, State.S1)
+BITX = _new_bit(None, 0, State.Sx)
 
 _STATE_TO_BIT = {State.S0: BIT0, State.S1: BIT1, State.Sx: BITX}
 
@@ -204,7 +251,7 @@ class SigSpec:
 
     @staticmethod
     def from_wire(wire: Wire) -> "SigSpec":
-        return SigSpec(SigBit(wire, i) for i in range(wire.width))
+        return SigSpec(wire._bits)
 
     @staticmethod
     def from_const(value: int, width: int) -> "SigSpec":

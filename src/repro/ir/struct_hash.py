@@ -434,9 +434,9 @@ def module_signature(
     """
     sigmap = SigMap(module) if module.connections else None
     roots = [
-        SigBit(wire, offset)
+        bit
         for wire in module.wires.values() if wire.port_output
-        for offset in range(wire.width)
+        for bit in wire.bits
     ]
     for inst in module.instances.values():
         roots.extend(inst.binding_bits())

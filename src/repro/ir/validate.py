@@ -4,7 +4,8 @@
 ``check_module`` returns the full list of problems as strings.  Checks:
 
 * every cell port is connected with the width its cell type demands,
-* no bit has two drivers (cell outputs and alias connections combined),
+* no bit has two drivers (cell outputs and alias connections combined;
+  aliasing two different constants counts as one),
 * module output wires are driven,
 * pmux select widths match branch counts,
 * the combinational part is acyclic.
@@ -44,10 +45,7 @@ def check_module(module: Module) -> List[str]:
     if index is not None:
         sigmap = index.sigmap
         for wire in module.outputs:
-            for offset in range(wire.width):
-                from .signals import SigBit
-
-                bit = sigmap.map_bit(SigBit(wire, offset))
+            for offset, bit in enumerate(map(sigmap.map_bit, wire.bits)):
                 if bit.is_const:
                     continue
                 if bit not in index.driver and not (

@@ -17,6 +17,10 @@ Two modes:
   the memoized topological order in place, so optimization passes share one
   index across the whole pipeline instead of rebuilding at every entry.
 
+Read-only walks of a whole module (aigmap, the CEC miter) take their
+index from :func:`current_index`: the live instance when the module has
+one outside a frozen window, else a snapshot.
+
 Live indexes additionally support :meth:`NetIndex.frozen`: inside the
 context, incoming edits are buffered and queries keep answering from the
 pre-edit snapshot — exactly the stale-by-design semantics the muxtree
@@ -47,12 +51,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from . import module as module_mod
 from .cells import CellType, input_ports, output_ports
-from .module import Cell, Module, ModuleEdit
+from .module import Cell, DriverConflictError, Module, ModuleEdit
 from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
-
-
-class DriverConflictError(Exception):
-    """A bit is driven by more than one cell output / connection."""
 
 
 #: a driver/reader record: (cell, port name, bit offset in that port)
@@ -94,10 +94,11 @@ class NetIndex:
             module.add_listener(self._on_edit)
 
     def _build(self) -> None:
+        map_bit = self.sigmap.map_bit
         for cell in self.module.cells.values():
             for pname in output_ports(cell.type):
                 for offset, bit in enumerate(cell.connections[pname]):
-                    cbit = self.sigmap.map_bit(bit)
+                    cbit = map_bit(bit)
                     if cbit.is_const:
                         raise DriverConflictError(
                             f"cell {cell.name!r} drives constant bit {cbit!r}"
@@ -111,13 +112,12 @@ class NetIndex:
                     self.driver[cbit] = (cell, pname, offset)
             for pname in input_ports(cell.type):
                 for offset, bit in enumerate(cell.connections[pname]):
-                    cbit = self.sigmap.map_bit(bit)
+                    cbit = map_bit(bit)
                     if cbit.is_const:
                         continue
                     self.readers.setdefault(cbit, []).append((cell, pname, offset))
         for wire in self.module.outputs:
-            for i in range(wire.width):
-                self._output_bits.add(self.sigmap.map_bit(SigBit(wire, i)))
+            self._output_bits.update(map(map_bit, wire.bits))
         for instance in self.module.instances.values():
             self._observe_instance(instance)
 
@@ -232,8 +232,7 @@ class NetIndex:
         elif kind == module_mod.WIRE_ADDED:
             wire = edit.wire
             if wire.port_output:
-                for i in range(wire.width):
-                    self._output_bits.add(self.sigmap.map_bit(SigBit(wire, i)))
+                self._output_bits.update(map(self.sigmap.map_bit, wire.bits))
         elif kind == module_mod.INSTANCE_ADDED:
             self._observe_instance(edit.instance)
         # INSTANCE_REMOVED keeps its binding bits observable: a bit may be
@@ -274,8 +273,7 @@ class NetIndex:
                 live.update(spec)
         for wire in self.module.wires.values():
             if wire.is_port:
-                for i in range(wire.width):
-                    live.add(SigBit(wire, i))
+                live.update(wire.bits)
         return live
 
     def _maybe_compact(self) -> None:
@@ -374,11 +372,11 @@ class NetIndex:
         """Union two alias classes and re-key their map entries."""
         ra = self.sigmap.map_bit(lbit)
         rb = self.sigmap.map_bit(rbit)
-        if ra == rb:
+        if ra is rb:
             return
         self.sigmap.add(ra, rb)
         root = self.sigmap.map_bit(ra)
-        loser = rb if root == ra else ra
+        loser = rb if root is ra else ra
         if root.is_const:
             # constants carry no reader lists (matches the snapshot builder);
             # a surviving driver entry becomes a visible conflict
@@ -581,6 +579,24 @@ class NetIndex:
 
 class CombLoopError(Exception):
     """The module contains a combinational cycle."""
+
+
+def current_index(module: Module) -> NetIndex:
+    """The index a read-only walk of the whole module should use.
+
+    That is the module's live index when it has one and the index is not
+    inside :meth:`NetIndex.frozen` (where it still answers from the
+    window's entry state), else a fresh snapshot.  aigmap and the CEC
+    miter take their index from here, so a job whose flow keeps a live
+    index builds no second one.  A live index with a visible driver
+    conflict raises :class:`DriverConflictError`, as a snapshot build
+    would.
+    """
+    index = module._net_index
+    if index is None or index._frozen:
+        return NetIndex(module)
+    index.check_consistent()
+    return index
 
 
 #: ids below this number are the constant bits 0, 1 and x

@@ -77,8 +77,8 @@ class OptClean(Pass):
                 worklist.extend(index.cell_fanin_bits(cell))
 
         for wire in module.outputs:
-            for i in range(wire.width):
-                mark_bit(index.sigmap.map_bit(SigBit(wire, i)))
+            for bit in wire.bits:
+                mark_bit(index.sigmap.map_bit(bit))
         for instance in module.instances.values():
             # instance bindings are observable at the boundary: parent logic
             # feeding a child input must survive even though no local cell

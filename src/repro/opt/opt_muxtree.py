@@ -181,8 +181,7 @@ def find_internal_edges(module: Module, index: NetIndex) -> Dict[str, Edge]:
     muxes = {c.name: c for c in module.cells.values() if c.is_mux}
     external: Set[SigBit] = set()
     for wire in module.outputs:
-        for i in range(wire.width):
-            external.add(sigmap.map_bit(SigBit(wire, i)))
+        external.update(map(sigmap.map_bit, wire.bits))
     for cell in module.cells.values():
         for pname in input_ports(cell.type):
             if cell.is_mux and pname in ("A", "B"):

@@ -52,8 +52,8 @@ class Simulator:
 
         for wire in self.module.wires.values():
             if wire.port_input:
-                for i in range(wire.width):
-                    visit(SigBit(wire, i))
+                for bit in wire.bits:
+                    visit(bit)
         for cell in self.module.cells.values():
             if cell.type is CellType.DFF:
                 for bit in cell.connections["Q"]:
@@ -62,8 +62,8 @@ class Simulator:
                 visit(bit)
         for wire in self.module.wires.values():
             if wire.port_output:
-                for i in range(wire.width):
-                    visit(SigBit(wire, i))
+                for bit in wire.bits:
+                    visit(bit)
         return sources
 
     # -- ternary simulation ------------------------------------------------------
@@ -123,8 +123,8 @@ class Simulator:
         assignment: Dict[SigBit, State] = {}
         for name, value in inputs.items():
             wire = self.module.wires[name]
-            for i in range(wire.width):
-                assignment[SigBit(wire, i)] = State.from_bool((value >> i) & 1 == 1)
+            for i, bit in enumerate(wire.bits):
+                assignment[bit] = State.from_bool((value >> i) & 1 == 1)
         for bit in self.source_bits():
             assignment.setdefault(bit, State.S0)
         values = self.run_states(assignment)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.aig import aig_map
+from repro.aig import AigMapper, aig_map
 from repro.api import (
     EventBus,
     EventLog,
@@ -14,9 +14,11 @@ from repro.api import (
     SmartlyOptions,
 )
 from repro.core.smartly import run_smartly
+from repro.equiv.miter import build_miter
 from repro.events import EventLog as TopLevelEventLog
 from repro.flow import render_table2, run_flow
-from repro.ir import Circuit
+from repro.ir import Circuit, NetIndex
+from repro.ir.walker import current_index
 from repro.opt import run_baseline_opt
 from repro.workloads import build_case
 
@@ -267,3 +269,72 @@ class TestOracleStatsInReports:
         assert report.pass_stats.get(
             "smartly.smartly_sat.sat_wallclock_us", 0
         ) > 0
+
+
+class TestOneIndexPerJob:
+    """aigmap and the miter walk the module's live NetIndex."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        original = NetIndex.__init__
+
+        def counting(self, module, *args, **kwargs):
+            built.append(module)
+            original(self, module, *args, **kwargs)
+
+        monkeypatch.setattr(NetIndex, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("flow", ["yosys", "smartly"])
+    def test_incremental_run_builds_one_index(self, builds, flow):
+        session = Session(build_case("ac97_ctrl"))
+        report = session.run(flow)
+        assert report.optimized_area < report.original_area
+        assert builds == [session.design.top]
+
+    def test_checked_run_builds_two(self, builds):
+        session = Session(build_case("ac97_ctrl"))
+        assert session.run("smartly", check=True).equivalence_checked
+        # the live index and a snapshot of the golden clone
+        assert len(builds) == 2 and builds[0] is session.design.top
+
+    def test_eager_run_keeps_its_snapshots(self, builds):
+        session = Session(build_case("ac97_ctrl"), engine="eager")
+        session.run("smartly")
+        # as many as before aigmap reused live indexes: the baseline and
+        # final aigmap plus the eager passes' own snapshots
+        assert len(builds) == 8
+        assert session.design.top._net_index is None
+
+    @pytest.mark.parametrize("case", ["ac97_ctrl", "wb_conmax"])
+    def test_aigmap_on_the_live_index_matches_a_snapshot(self, case):
+        session = Session(build_case(case))
+        session.run("smartly")
+        mod = session.design.top
+        mapper = AigMapper(mod)
+        assert mapper.index is mod.net_index()
+        live = mapper.run()
+        snapshot = aig_map(mod, NetIndex(mod))
+        assert live.num_ands == snapshot.num_ands
+        assert live.structural_digest() == snapshot.structural_digest()
+
+    def test_miter_digest_does_not_depend_on_the_live_index(self):
+        # the digest keys ("cec", digest) cache entries, so entries stored
+        # before the miter reused the live index must still hit
+        session = Session(build_case("ac97_ctrl"))
+        golden = session.design.top.clone()
+        session.run("smartly")
+        mod = session.design.top
+        assert current_index(mod) is mod.net_index()
+        live_aig, live_lit = build_miter(golden, mod)
+        clone_aig, clone_lit = build_miter(golden, mod.clone())
+        assert live_aig.structural_digest(live_lit) == \
+            clone_aig.structural_digest(clone_lit)
+
+    def test_frozen_live_index_is_not_reused(self):
+        mod = build_case("ac97_ctrl")
+        index = mod.net_index()
+        with index.frozen():
+            assert current_index(mod) is not index
+        assert current_index(mod) is index

@@ -301,6 +301,65 @@ class TestErrors:
             )
 
 
+class TestSingleDriver:
+    """A net bit takes one driver; a second one would be shorted to it."""
+
+    def test_two_constant_assigns_rejected(self):
+        with pytest.raises(FrontendError,
+                           match="net w has two drivers: assign #1 and assign #2"):
+            compile_top(
+                "module m(input a, output y); wire w;"
+                " assign w = 1'b0; assign w = 1'b1; assign y = a & w;"
+                " endmodule"
+            )
+
+    def test_two_input_assigns_rejected(self):
+        with pytest.raises(FrontendError,
+                           match=r"net w\[5\] has two drivers"):
+            compile_top(
+                "module m(input [7:4] a, b, output [7:4] y); wire [7:4] w;"
+                " assign w[7:5] = a[7:5]; assign w = b; assign y = w;"
+                " endmodule"
+            )
+
+    def test_assign_plus_always_rejected(self):
+        with pytest.raises(FrontendError,
+                           match="net y has two drivers: assign #1 and "
+                                 "always block #1"):
+            compile_top(
+                "module m(input a, b, output reg y); assign y = a;"
+                " always @* y = b; endmodule"
+            )
+
+    def test_two_always_blocks_rejected(self):
+        # each block drives every bit of a wire it writes: the
+        # combinational one fills q[1] with x, the clocked one holds q[0]
+        with pytest.raises(FrontendError,
+                           match=r"net q\[0\] has two drivers: always block #1"
+                                 " and always block #2"):
+            compile_top(
+                """
+                module m(input clk, input [1:0] a, output reg [1:0] q);
+                  always @* q[0] = a[0];
+                  always @(posedge clk) q[1] <= a[1];
+                endmodule
+                """
+            )
+
+    def test_one_assign_may_tie_an_input(self):
+        # minimized repros pin inputs this way (tests/fixtures/repros)
+        tied = sim(
+            "module m(input [1:0] a, output [1:0] y); assign a[1] = 1'b0;"
+            " assign y = a; endmodule"
+        )
+        assert tied.run({"a": 0b11})["y"] == 0b01
+        with pytest.raises(FrontendError, match=r"net a\[1\] has two drivers"):
+            compile_top(
+                "module m(input [1:0] a, output [1:0] y); assign a[1] = 1'b0;"
+                " assign a[1] = 1'b1; assign y = a; endmodule"
+            )
+
+
 class TestRoundTripWithOptimizer:
     def test_compiled_case_restructures(self):
         from repro.core import run_smartly

@@ -2,15 +2,18 @@
 
 import pytest
 
+from repro.api import Session
 from repro.ir import (
     BIT0,
     BIT1,
     CellType,
     Circuit,
+    DriverConflictError,
     Module,
     SigBit,
     SigSpec,
     SigMap,
+    check_module,
 )
 
 
@@ -116,6 +119,49 @@ class TestConnections:
         sigmap = SigMap()
         w = SigBit(Module("m").add_wire("w"), 0)
         assert sigmap.map_bit(w) == w
+
+
+def _shorted_module(short=True):
+    """``assign w = 1'b0; assign w = 1'b1; assign y = a & w;``"""
+    m = Module("m")
+    a = m.add_wire("a", port_input=True)
+    w = m.add_wire("w")
+    y = m.add_wire("y", port_output=True)
+    m.connect(w, 0)
+    if short:
+        m.connect(w, 1)
+    m.add_cell(CellType.AND, A=a, B=w, Y=y)
+    return m
+
+
+class TestConstantShort:
+    """Aliasing two different constants raises instead of merging them."""
+
+    def test_sigmap_refuses_to_merge_constants(self):
+        with pytest.raises(DriverConflictError, match="shorts constant"):
+            SigMap(_shorted_module())
+        sigmap = SigMap()
+        w = SigBit(Module("m").add_wire("w"), 0)
+        sigmap.add(w, BIT0)
+        sigmap.add(w, BIT0)  # the same constant again is fine
+        with pytest.raises(DriverConflictError):
+            sigmap.add(BIT1, w)
+        assert sigmap.map_bit(w) is BIT0 and sigmap.map_bit(BIT1) is BIT1
+
+    def test_check_module_reports_the_short(self):
+        problems = check_module(_shorted_module())
+        assert any("shorts constant" in problem for problem in problems)
+
+    def test_checked_run_refuses_the_short(self):
+        with pytest.raises(DriverConflictError):
+            Session(_shorted_module()).run("yosys", check=True)
+
+    def test_live_index_refuses_the_short(self):
+        m = _shorted_module(short=False)
+        index = m.net_index()
+        with pytest.raises(DriverConflictError):
+            m.connect(m.wires["w"], 1)
+        assert index.canonical(BIT1) is BIT1
 
 
 class TestClone:

@@ -1,9 +1,56 @@
 """Unit tests for State / Wire / SigBit / SigSpec."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ir import BIT0, BIT1, BITX, SigBit, SigSpec, State, Wire, concat, const_bit
+from repro.ir import (
+    BIT0,
+    BIT1,
+    BITX,
+    Module,
+    SigBit,
+    SigSpec,
+    State,
+    Wire,
+    concat,
+    const_bit,
+)
+from repro.workloads import build_case
+
+#: ``pickle.dumps(module, protocol=4)`` of a small module, written before
+#: bits were interned (wires ``a``/``b`` in, ``y`` out, ``t`` with an
+#: attribute; cell ``g = a & {b, b}`` drives ``t``; ``y`` aliases ``t``):
+#: store generations of that format must keep loading
+OLD_MODULE_PICKLE = (
+    b'\x80\x04\x95\xb8\x02\x00\x00\x00\x00\x00\x00\x8c\x0frepro.ir.module'
+    b'\x94\x8c\x06Module\x94\x93\x94)\x81\x94}\x94(\x8c\x04name\x94\x8c'
+    b'\x03old\x94\x8c\x05wires\x94}\x94(\x8c\x01a\x94\x8c\x10repro.ir.sig'
+    b'nals\x94\x8c\x04Wire\x94\x93\x94)\x81\x94N}\x94(h\x05h\t\x8c\x05wid'
+    b'th\x94K\x02\x8c\nport_input\x94\x88\x8c\x0bport_output\x94\x89\x8c'
+    b'\nattributes\x94}\x94u\x86\x94b\x8c\x01b\x94h\x0c)\x81\x94N}\x94(h'
+    b'\x05h\x15h\x0fK\x01h\x10\x88h\x11\x89h\x12}\x94u\x86\x94b\x8c\x01y'
+    b'\x94h\x0c)\x81\x94N}\x94(h\x05h\x1ah\x0fK\x02h\x10\x89h\x11\x88h'
+    b'\x12}\x94u\x86\x94b\x8c\x01t\x94h\x0c)\x81\x94N}\x94(h\x05h\x1fh'
+    b'\x0fK\x02h\x10\x89h\x11\x89h\x12}\x94\x8c\x03src\x94\x8c\x05x.v:3'
+    b'\x94su\x86\x94bu\x8c\x05cells\x94}\x94\x8c\x01g\x94h\x00\x8c\x04Cel'
+    b'l\x94\x93\x94)\x81\x94N}\x94(h\x05h(\x8c\x04type\x94\x8c\x0erepro.i'
+    b'r.cells\x94\x8c\x08CellType\x94\x93\x94\x8c\x03and\x94\x85\x94R\x94'
+    b'h\x0fK\x02\x8c\x01n\x94K\x01\x8c\x0bconnections\x94}\x94(\x8c\x01A'
+    b'\x94h\n\x8c\x07SigSpec\x94\x93\x94h\n\x8c\x06SigBit\x94\x93\x94h\rK'
+    b'\x00N\x87\x94R\x94h;h\rK\x01N\x87\x94R\x94\x86\x94\x85\x94R\x94\x8c'
+    b'\x01B\x94h9h;h\x16K\x00N\x87\x94R\x94h;h\x16K\x00N\x87\x94R\x94\x86'
+    b'\x94\x85\x94R\x94\x8c\x01Y\x94h9h;h K\x00N\x87\x94R\x94h;h K\x01N'
+    b'\x87\x94R\x94\x86\x94\x85\x94R\x94uh\x12}\x94\x8c\x07version\x94K'
+    b'\x03\x8c\x07_module\x94h\x03u\x86\x94bs\x8c\tinstances\x94}\x94h5]'
+    b'\x94h9h;h\x1bK\x00N\x87\x94R\x94h;h\x1bK\x01N\x87\x94R\x94\x86\x94'
+    b'\x85\x94R\x94h9h;h K\x00N\x87\x94R\x94h;h K\x01N\x87\x94R\x94\x86'
+    b'\x94\x85\x94R\x94\x86\x94a\x8c\r_name_counter\x94K\x00\x8c\n_listen'
+    b'ers\x94]\x94\x8c\n_net_index\x94N\x8c\x0b_edge_cache\x94Nub.'
+)
 
 
 class TestState:
@@ -80,6 +127,109 @@ class TestSigBit:
         assert BIT1.const_value() is State.S1
         with pytest.raises(ValueError):
             SigBit(Wire("a"), 0).const_value()
+
+
+def _assert_interned(module):
+    """Every bit the module mentions is the interned bit of one of its
+    own wires (or an interned constant)."""
+    specs = [spec for cell in module.cells.values()
+             for spec in cell.connections.values()]
+    specs.extend(spec for pair in module.connections for spec in pair)
+    assert specs
+    for spec in specs:
+        for bit in spec:
+            if bit.is_const:
+                assert bit in (BIT0, BIT1, BITX)
+                continue
+            assert module.wires[bit.wire.name] is bit.wire
+            assert SigBit(bit.wire, bit.offset) is bit
+            assert bit.wire.bits[bit.offset] is bit
+
+
+class TestInterning:
+    def test_one_object_per_bit(self):
+        w = Wire("a", 4)
+        spec = SigSpec.from_wire(w)
+        for i in range(4):
+            assert SigBit(w, i) is w[i] is spec[i] is w.bits[i]
+        assert w[-1] is w[3]
+        assert w[1:3] == SigSpec([w[1], w[2]])
+        assert SigBit(state=State.S0) is BIT0
+        assert SigBit(state=State.S1) is BIT1
+        assert SigBit(state=State.Sx) is BITX
+
+    def test_equality_is_identity(self):
+        assert "__eq__" not in vars(SigBit) and "__hash__" not in vars(SigBit)
+        assert not hasattr(BIT0, "_hash")
+        w, other = Wire("a", 2), Wire("a", 2)
+        assert w[0] == SigBit(w, 0) and hash(w[0]) == hash(SigBit(w, 0))
+        assert w[0] != other[0] and w[0] != w[1]
+
+    def test_threads_get_one_object_per_bit(self):
+        # the thread-isolated serve daemon runs jobs on two threads at
+        # once; a bit tuple filled lazily on first access could hand two
+        # racing threads two objects for one bit
+        wires = [Wire(f"w{i}", 64) for i in range(32)]
+        seen = []
+
+        def take_bits():
+            seen.append([[SigBit(w, i) for i in range(w.width)] for w in wires])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=take_bits) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        for bits_per_wire in seen:
+            for w, bits in zip(wires, bits_per_wire):
+                assert all(bit is w[i] for i, bit in enumerate(bits))
+
+    def test_wire_pickles_only_its_public_slots(self):
+        w = Wire("a", 3, port_input=True)
+        w.attributes["src"] = "x.v:1"
+        assert w.__reduce_ex__(4)[2] == (None, {
+            "name": "a", "width": 3, "port_input": True,
+            "port_output": False, "attributes": {"src": "x.v:1"},
+        })
+        copy = pickle.loads(pickle.dumps(w, protocol=4))
+        assert copy.width == 3 and copy.attributes == {"src": "x.v:1"}
+        assert SigBit(copy, 2) is copy[2] and copy[2].wire is copy
+
+    def test_bit_pickle_lands_on_the_interned_bit(self):
+        w = Wire("a", 2)
+        w2, bit, const = pickle.loads(pickle.dumps((w, w[1], BIT1)))
+        assert bit is w2[1] and const is BIT1
+
+    @pytest.mark.parametrize("how", ["clone", "pickle"])
+    def test_copies_keep_bits_interned(self, how):
+        module = build_case("ac97_ctrl")
+        if how == "clone":
+            copy = module.clone()
+        else:
+            copy = pickle.loads(pickle.dumps(module, protocol=4))
+        _assert_interned(copy)
+        assert not set(map(id, copy.wires.values())) & set(
+            map(id, module.wires.values()))
+
+    def test_module_pickled_before_interning_loads(self):
+        module = pickle.loads(OLD_MODULE_PICKLE)
+        assert isinstance(module, Module)
+        _assert_interned(module)
+        a, b, t, y = (module.wires[name] for name in "abty")
+        gate = module.cells["g"]
+        assert gate.connections["A"] == SigSpec.from_wire(a)
+        assert gate.connections["B"] == SigSpec([b[0], b[0]])
+        assert gate.connections["Y"] == SigSpec.from_wire(t)
+        assert module.connections == [(SigSpec.from_wire(y), SigSpec.from_wire(t))]
+        assert t.attributes == {"src": "x.v:3"} and a.port_input
+        _assert_interned(pickle.loads(pickle.dumps(module, protocol=4)))
 
 
 class TestSigSpec:
