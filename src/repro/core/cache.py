@@ -20,6 +20,13 @@ oracle's verdict cache safe across pass generations (see
 applies verbatim here.  The reference path for this keying is no cache
 at all (``SmartlyOptions(use_result_cache=False)``).
 
+A cache may read through a *parent*: a read-only mapping (another
+cache's :meth:`export`, or the live :meth:`view` of a shared one) that
+:meth:`lookup` consults on a miss.  That is how a job session warm-starts
+without copying the cache it starts from: it reads the parent, stores
+what it learns in its own entries, and :meth:`export` hands back exactly
+that.
+
 Beyond the per-sub-graph rungs, the cache carries whole-artifact
 kinds keyed by module- or miter-level signatures: ``suite_job``
 (name-stripped :class:`~repro.flow.session.RunReport` replays — see
@@ -45,7 +52,9 @@ must not grow with session lifetime.
 from __future__ import annotations
 
 import threading
-from typing import Any, Container, Dict, Iterable, Mapping, Optional, Tuple
+from itertools import islice
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..ir.struct_hash import StructKeyMemo
 
@@ -62,11 +71,23 @@ class ResultCache:
     :class:`~repro.flow.session.RunReport` pass stats), and sessions
     surface the lifetime totals as :attr:`~repro.flow.session.RunReport.
     cache_stats`.
+
+    ``parent`` is an optional read-only mapping consulted on a miss (a
+    hit there counts as a hit); :meth:`store` never writes it, and
+    :meth:`export` and ``len()`` cover only this cache's own entries.
     """
 
-    def __init__(self, max_entries: int = 200_000):
+    def __init__(
+        self,
+        max_entries: int = 200_000,
+        parent: Optional[Mapping[Tuple, Any]] = None,
+    ):
         self.max_entries = max_entries
+        self.parent = parent
         self._entries: Dict[Tuple, Any] = {}
+        #: entries ever appended (a store of a new key, or a merge); the
+        #: watermark :meth:`export` counts back from
+        self._appended = 0
         self.counters: Dict[str, int] = {}
         self._struct_memo = StructKeyMemo()
         #: guards mutation sweeps and snapshot iteration: thread-suite
@@ -88,6 +109,23 @@ class ResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def appended(self) -> int:
+        """How many entries this cache has ever appended; pass it back
+        as ``export(since=...)`` to get only what came after."""
+        return self._appended
+
+    def view(self) -> Mapping[Tuple, Any]:
+        """A live read-only view of this cache's own entries, fit to be
+        another cache's ``parent`` without copying anything."""
+        return MappingProxyType(self._entries)
+
+    def totals(self) -> Dict[str, int]:
+        """The counters plus the own-entry population (``entries``)."""
+        totals = dict(self.counters)
+        totals["entries"] = len(self._entries)
+        return totals
 
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -114,8 +152,11 @@ class ResultCache:
         return (kind, signature, extra)
 
     def lookup(self, key: Tuple) -> Tuple[bool, Any]:
-        """``(hit, value)``; counts a ``{kind}_hits``/``_misses`` event."""
+        """``(hit, value)``; counts a ``{kind}_hits``/``_misses`` event.
+        A miss in the own entries falls through to the ``parent``."""
         value = self._entries.get(key, _MISS)
+        if value is _MISS and self.parent is not None:
+            value = self.parent.get(key, _MISS)
         kind = key[0]
         if value is _MISS:
             self._bump(f"{kind}_misses")
@@ -143,28 +184,35 @@ class ResultCache:
         with self._lock:
             if len(self._entries) >= self.max_entries:
                 self._evict_to_half()
+            if key not in self._entries:
+                self._appended += 1
             self._entries[key] = value
 
     # -- snapshot / warm-start -------------------------------------------------
 
-    def export(self, exclude: Optional[Container[Tuple]] = None) -> Dict[Tuple, Any]:
-        """Snapshot the signature-keyed entries for another process.
+    def export(self, since: int = 0) -> Dict[Tuple, Any]:
+        """Snapshot the own signature-keyed entries for another process.
 
         Keys are pure data (``(kind, digest, extra)`` tuples) and the
         memoized values are plain outcomes — no live IR objects — so the
         snapshot pickles cheaply and stays meaningful in any process.
-        ``exclude`` drops keys already known to the receiver (workers use
-        it to return just their delta).
+        ``since`` is an earlier :attr:`appended` reading: only entries
+        appended after it are exported.  Eviction drops only the oldest
+        entries, so those are the newest survivors, and the walk costs
+        what it returns.
         """
         # snapshot the items under the lock: concurrent thread-suite
         # workers store()/merge() into the shared session cache, and an
         # unlocked iteration raced their inserts (RuntimeError:
         # dictionary changed size during iteration)
         with self._lock:
-            items = list(self._entries.items())
-        if not exclude:
-            return dict(items)
-        return {key: value for key, value in items if key not in exclude}
+            count = min(self._appended - since, len(self._entries))
+            if count <= 0:
+                return {}
+            if count == len(self._entries):
+                return dict(self._entries)
+            newest = list(islice(reversed(self._entries.items()), count))
+        return dict(reversed(newest))
 
     def merge(self, entries: Mapping[Tuple, Any]) -> int:
         """Adopt a snapshot's entries (existing keys win; returns #added).
@@ -183,6 +231,7 @@ class ResultCache:
                 if key not in self._entries:
                     self._entries[key] = value
                     added += 1
+            self._appended += added
             if len(self._entries) > self.max_entries:
                 self._evict_to_half()
         if added:

@@ -40,12 +40,31 @@ of them:
   ``"inject"`` field when the server allows it
   (``allow_fault_injection=True`` / ``--allow-fault-injection``).
 
+Every job session reads through the shared cache instead of copying
+it: a thread-isolated job reads the live cache (its cost does not grow
+with the cache), a process-isolated one a snapshot shipped with its work
+order, and each merges back only the entries it learned.
+
+**Source front door.**  The daemon remembers, for its lifetime, the
+module signature of every ``run`` source it has compiled, keyed by
+``(blake2b(source), top, format)``.  A byte-identical re-submission
+whose ``suite_job`` entry is in the shared cache is answered by the
+daemon itself — no compile, no signature, no session, no worker — with
+the same ``result`` line a full-path replay gives (``front_door_hits``
+in ``stats``).  Everything else takes the full path: unknown sources,
+cache misses (another flow or check flag, a dropped entry), ``hier``
+jobs and requests carrying ``inject``.  The memo is bounded and never
+persisted: the store carries no frontend fingerprint, so a changed
+frontend could compile the same text differently.
+
 With ``store_path=`` the shared cache is backed by the on-disk
 :class:`~repro.core.store.CacheStore`: the daemon warm-starts from every
 generation previous daemons persisted, and checkpoints its own delta on
 ``flush`` and at shutdown — jobs the service proved once are replayed
 from the ``suite_job`` cache forever after, across restarts and machines
-sharing the directory.
+sharing the directory.  A checkpoint whose write fails answers an
+``error`` line (``store_errors`` in ``stats``) and leaves its delta
+pending for the next one; the daemon keeps serving.
 
 **Request protocol** — one JSON object per line; every request may carry
 an ``id`` (echoed verbatim on every related response so interleaved
@@ -88,19 +107,21 @@ from).  End-of-input drains and checkpoints exactly like ``shutdown``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 from ..core import faults
 from ..core.cache import ResultCache
 from ..core.smartly import SmartlyOptions
-from ..core.store import DEFAULT_KEEP_GENERATIONS, CacheStore
+from ..core.store import DEFAULT_KEEP_GENERATIONS, CacheStore, StoreError
 from ..events import JOB_CANCELLED, JOB_RETRIED
-from .spec import FlowScriptError
+from .session import _replay_suite_job, _suite_job_key
+from .spec import FlowScriptError, resolve_flow
 from .workers import (
     DIED,
     ERROR,
@@ -122,6 +143,9 @@ DEFAULT_PROCESS_WORKERS = 2
 #: first retry backoff; doubles per attempt
 DEFAULT_RETRY_BACKOFF_S = 0.05
 
+#: bound of the source front door's memo (oldest half evicted when full)
+FRONT_DOOR_MAX_ENTRIES = 4096
+
 
 def _client_key(request: Dict[str, Any]) -> str:
     """The admission-quota bucket of one request (``"client"`` field)."""
@@ -129,10 +153,30 @@ def _client_key(request: Dict[str, Any]) -> str:
     return str(client) if client not in (None, "") else "anon"
 
 
+def _source_key(request: Dict[str, Any]) -> Optional[Tuple]:
+    """The front-door memo key of a ``run`` request —
+    ``(blake2b(source), top, format)`` — or None when the request cannot
+    use the front door (another op, or fields the full path rejects)."""
+    source = request.get("source")
+    top = request.get("top")
+    fmt = request.get("format", "auto")
+    if (
+        request.get("op") != "run"
+        or not isinstance(source, str)
+        or not isinstance(top, (str, type(None)))
+        or not isinstance(fmt, str)
+    ):
+        return None
+    digest = hashlib.blake2b(
+        source.encode("utf-8", "surrogatepass"), digest_size=16
+    ).digest()
+    return (digest, top, fmt)
+
+
 class FlowServer:
     """Shared state of one serve daemon: the warm cache, its optional
-    on-disk store, the worker pool, and the robustness knobs every job
-    runs under.
+    on-disk store, the source front door's memo, the worker pool, and
+    the robustness knobs every job runs under.
 
     The server object is transport-free — :meth:`serve_lines` drives it
     from any iterable of request lines and any response writer, which is
@@ -187,17 +231,23 @@ class FlowServer:
         self._cache = ResultCache()
         self._store: Optional[CacheStore] = None
         self._keep_generations = keep_generations
-        self._known: set = set()
+        #: the shared cache's ``appended`` watermark at the last
+        #: successful checkpoint (or the load)
+        self._flushed = 0
         if store_path is not None:
             self._store = CacheStore(store_path)
             loaded = self._store.load()
             if loaded:
                 self._cache.merge(loaded)
-            self._known = set(loaded)
-        #: serializes merges of job deltas with snapshot exports; the
-        #: ResultCache is itself iteration-safe, but pairing "export then
-        #: count on it" sequences keeps per-job replay flags coherent
+            self._flushed = self._cache.appended
+        #: serializes merges of job deltas with a checkpoint's watermark
+        #: read and export, so the watermark covers exactly the delta
         self._merge_lock = threading.Lock()
+        #: the source front door: (blake2b(source), top, format) ->
+        #: (top module name, module signature), insertion-ordered for
+        #: oldest-half eviction
+        self._sources: Dict[Tuple, Tuple[str, Any]] = {}
+        self._sources_lock = threading.Lock()
         self.jobs_run = 0
         self._counters: Dict[str, int] = {}
         self._counters_lock = threading.Lock()
@@ -230,11 +280,13 @@ class FlowServer:
         """
         if self._store is None:
             return 0
-        delta = self._cache.export(exclude=self._known)
+        with self._merge_lock:
+            mark = self._cache.appended
+            delta = self._cache.export(since=self._flushed)
         if not delta:
             return 0
-        path = self._store.save(delta)
-        self._known |= set(delta)
+        path = self._store.save(delta)  # StoreError: the delta stays pending
+        self._flushed = mark
         try:
             faults.trip("store-corrupt-generation", injected)
         except faults.InjectedFault:
@@ -244,9 +296,23 @@ class FlowServer:
         self._store.gc(keep_generations=self._keep_generations)
         return len(delta)
 
+    def _checkpoint(
+        self, emit: Writer, rid: Any, injected: Optional[str] = None
+    ) -> Optional[int]:
+        """:meth:`flush`, with a failed store write answered as an
+        ``error`` line and counted (``store_errors``) instead of raised:
+        the daemon keeps serving and the delta waits for the next
+        checkpoint.  Returns the flushed count, or None on failure."""
+        try:
+            return self.flush(injected)
+        except StoreError as exc:
+            self._bump("store_errors")
+            emit({"type": "error", "id": rid,
+                  "error": f"StoreError: {exc}"})
+            return None
+
     def stats(self) -> Dict[str, Any]:
-        totals: Dict[str, Any] = dict(self._cache.counters)
-        totals["entries"] = len(self._cache)
+        totals: Dict[str, Any] = self._cache.totals()
         totals["jobs_run"] = self.jobs_run
         totals["isolation"] = self.isolation
         with self._counters_lock:
@@ -321,15 +387,73 @@ class FlowServer:
         Exceptions are the caller's to convert into ``error`` responses."""
         injected = self._validated_inject(request)
         timeout = self._job_timeout(request)
+        source_key = _source_key(request)
+        if source_key is not None and injected is None:
+            replay = self._front_door(request, source_key)
+            if replay is not None:
+                return replay
         if self.isolation == "process":
-            return self._execute_process(request, emit, injected, timeout)
-        return self._execute_thread(request, emit, injected)
+            return self._execute_process(
+                request, emit, injected, timeout, source_key
+            )
+        return self._execute_thread(request, emit, injected, source_key)
+
+    def _front_door(
+        self, request: Dict[str, Any], source_key: Tuple
+    ) -> Optional[Dict[str, Any]]:
+        """Answer a byte-identical re-submission from the shared cache:
+        the remembered signature builds the ``suite_job`` key, and a hit
+        replays through the same helper a job session uses.  None sends
+        the request down the full path."""
+        known = self._sources.get(source_key)
+        if known is None:
+            return None
+        name, signature = known
+        spec = resolve_flow(request.get("flow", "smartly"),
+                            options=self.options)
+        key = _suite_job_key(
+            signature, spec, request.get("check", False), self.engine,
+            self.options,
+        )
+        # a private cache reading through the shared one counts this
+        # lookup exactly as a job session's would
+        cache = ResultCache(parent=self._cache.view())
+        report = _replay_suite_job(cache, key, name, cache.totals)
+        if report is None:
+            return None
+        self._bump("front_door_hits")
+        with self._counters_lock:
+            self.jobs_run += 1
+        return {
+            "type": "result", "id": request.get("id"), "attempts": 1,
+            "isolation": self.isolation, "op": "run", "flow": spec.label,
+            "replayed": True, "report": report.to_dict(),
+        }
+
+    def _remember(
+        self, source_key: Optional[Tuple], payload: Dict[str, Any]
+    ) -> None:
+        """Strip the job's module signature from its payload and keep it
+        for the front door (oldest half evicted at the cap)."""
+        signature = payload.pop("signature", None)
+        if source_key is None or signature is None:
+            return
+        with self._sources_lock:
+            if (
+                source_key not in self._sources
+                and len(self._sources) >= FRONT_DOOR_MAX_ENTRIES
+            ):
+                drop = len(self._sources) - FRONT_DOOR_MAX_ENTRIES // 2
+                for stale in list(self._sources)[:drop]:
+                    del self._sources[stale]
+            self._sources[source_key] = signature
 
     def _execute_thread(
         self,
         request: Dict[str, Any],
         emit: Writer,
         injected: Optional[str],
+        source_key: Optional[Tuple],
     ) -> Dict[str, Any]:
         """The in-process path: the historic thread-isolation execution
         (no preemption, so crash/hang faults are refused rather than
@@ -340,11 +464,11 @@ class FlowServer:
                 f"(a thread-isolated daemon would die with its job)"
             )
         rid = request.get("id")
-        snapshot = self._cache.export()
         payload, delta = run_job(
             request, options=self.options, engine=self.engine,
-            snapshot=snapshot, emit_event=emit,
+            snapshot=self._cache.view(), emit_event=emit,
         )
+        self._remember(source_key, payload)
         self._merge_delta(delta, injected)
         with self._counters_lock:
             self.jobs_run += 1
@@ -359,6 +483,7 @@ class FlowServer:
         emit: Writer,
         injected: Optional[str],
         timeout: Optional[float],
+        source_key: Optional[Tuple],
     ) -> Dict[str, Any]:
         """The supervised path: ship the job to a worker subprocess,
         enforce the wall-clock budget, and retry retryable failures
@@ -382,6 +507,7 @@ class FlowServer:
                 attempt=attempts,
             )
             if outcome.kind == RESULT:
+                self._remember(source_key, outcome.payload)
                 self._merge_delta(outcome.delta, injected)
                 with self._counters_lock:
                     self.jobs_run += 1
@@ -447,6 +573,7 @@ class FlowServer:
                 write(payload)
 
         shutdown = False
+        shutdown_id = None
         drain_s = self.drain_timeout_s
         state = threading.Lock()
         pending: Dict[Future, Dict[str, Any]] = {}
@@ -542,9 +669,10 @@ class FlowServer:
                         emit({"type": "error", "id": rid,
                               "error": str(exc)})
                         continue
-                    emit({"type": "flushed", "id": rid,
-                          "entries": self.flush(injected),
-                          "in_flight": reap()})
+                    flushed = self._checkpoint(emit, rid, injected)
+                    if flushed is not None:
+                        emit({"type": "flushed", "id": rid,
+                              "entries": flushed, "in_flight": reap()})
                 elif op == "shutdown":
                     shutdown = True
                     if "drain_s" in request:
@@ -559,6 +687,7 @@ class FlowServer:
                                            "or null"})
                             shutdown = False
                             continue
+                    shutdown_id = rid
                     break
                 else:
                     emit({"type": "error", "id": rid,
@@ -567,11 +696,11 @@ class FlowServer:
         finally:
             self._draining.clear()
             pool.shutdown(wait=False)
-        flushed = self.flush()
+        flushed = self._checkpoint(emit, shutdown_id)
         emit({
             "type": "bye",
             "jobs_run": self.jobs_run,
-            "flushed_entries": flushed,
+            "flushed_entries": flushed or 0,
             "cache_entries": len(self._cache),
             "cancelled": cancelled,
         })
@@ -733,6 +862,7 @@ def serve_socket(
 __all__ = [
     "DEFAULT_PROCESS_WORKERS",
     "DEFAULT_QUEUE_LIMIT",
+    "FRONT_DOOR_MAX_ENTRIES",
     "FlowServer",
     "Writer",
     "serve_socket",

@@ -182,9 +182,10 @@ class RunReport:
     #: session-lifetime cache totals at the end of this run (not per-run
     #: deltas — those are the ``rcache_*``/``oracle_*`` pass stats): the
     #: session :class:`~repro.core.cache.ResultCache` counters (per-kind
-    #: hits/misses, per-entry eviction counts, warm-start merges) plus
-    #: its population as ``entries``, and the accumulated SAT-oracle
-    #: counters of every run so far as ``oracle_*`` entries
+    #: hits/misses, per-entry eviction counts, store-load merges) plus
+    #: its own population as ``entries`` (a job session reading through
+    #: a snapshot counts only what it learned), and the accumulated
+    #: SAT-oracle counters of every run so far as ``oracle_*`` entries
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -216,10 +217,10 @@ class SuiteReport(Mapping):
 
     results: Dict[str, Dict[str, RunReport]]
     runtime_s: float = 0.0
-    #: suite-level cache totals: the per-kind hit/miss/eviction/merge
-    #: counters summed over every job's (private, snapshot-seeded) cache,
-    #: plus ``entries`` — the owning session's cache population after all
-    #: worker deltas merged back (see :meth:`Session.run_suite`)
+    #: suite-level cache totals: the per-kind hit/miss/eviction
+    #: counters summed over every job's (private, snapshot-reading)
+    #: cache, plus ``entries`` — the owning session's cache population
+    #: after all worker deltas merged back (see :meth:`Session.run_suite`)
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
     def __getitem__(self, case: str) -> Dict[str, RunReport]:
@@ -434,15 +435,16 @@ class Session:
             store_keep_generations if store_keep_generations is not None
             else DEFAULT_KEEP_GENERATIONS
         )
-        #: keys already persisted (or loaded): flush_store exports only
-        #: what lies beyond them, so each flush is one delta generation
-        self._store_known: set = set()
+        #: the cache's ``appended`` watermark at the last successful save
+        #: (or the load): flush_store exports only what came after it, so
+        #: each flush is one delta generation
+        self._store_flushed = 0
         if store_path is not None:
             self._store = CacheStore(store_path)
             loaded = self._store.load()
             if loaded:
                 self._result_cache.merge(loaded)
-            self._store_known = set(loaded)
+            self._store_flushed = self._result_cache.appended
         #: SAT-oracle counters accumulated over every run so far; the
         #: session-lifetime side of :attr:`RunReport.cache_stats` (the
         #: oracles themselves live on per-(module, flow) pass objects)
@@ -540,29 +542,34 @@ class Session:
         """
         if self._store is None:
             return 0
-        delta = self._result_cache.export(exclude=self._store_known)
+        # read the watermark first: an entry appended during the export
+        # is at worst written twice, never skipped
+        mark = self._result_cache.appended
+        delta = self._result_cache.export(since=self._store_flushed)
         if not delta:
             return 0
         self._store.save(delta)
-        self._store_known |= set(delta)
+        self._store_flushed = mark
         self._store.gc(keep_generations=self._store_keep)
         return len(delta)
 
-    def export_cache(self, exclude=None) -> Dict[Tuple, Any]:
-        """Snapshot this session's structural-cache entries (pure data,
-        picklable).  ``exclude`` drops
-        keys the receiver already holds, so workers return just their
-        delta.  The public face of the warm-start plumbing
-        :meth:`run_suite`, the serve daemon and its process-isolated
-        workers ride (see :meth:`~repro.core.cache.ResultCache.export`).
-        """
-        return self._result_cache.export(exclude=exclude)
+    def export_cache(self) -> Dict[Tuple, Any]:
+        """Snapshot this session's own structural-cache entries (pure
+        data, picklable) — for a session reading through a snapshot,
+        exactly what it learned.  The public face of the warm-start
+        plumbing :meth:`run_suite`, the serve daemon and its
+        process-isolated workers ride (see
+        :meth:`~repro.core.cache.ResultCache.export`)."""
+        return self._result_cache.export()
 
-    def merge_cache(self, entries: Mapping[Tuple, Any]) -> int:
-        """Adopt another session's :meth:`export_cache` snapshot
-        (existing keys win; returns the number of entries added) — how
-        serve workers and suite jobs warm-start from a shared cache."""
-        return self._result_cache.merge(entries)
+    def read_through(self, entries: Mapping[Tuple, Any]) -> None:
+        """Warm-start from ``entries`` without copying them: cache misses
+        fall through to this read-only mapping — another session's
+        :meth:`export_cache`, or the live
+        :meth:`~repro.core.cache.ResultCache.view` of a shared cache —
+        while everything this session learns stays in its own entries.
+        How serve jobs and suite jobs start from a shared cache."""
+        self._result_cache.parent = entries
 
     def __enter__(self) -> "Session":
         return self
@@ -590,8 +597,7 @@ class Session:
 
     def _cache_totals(self) -> Dict[str, int]:
         """Session-lifetime cache counters (see :attr:`RunReport.cache_stats`)."""
-        totals = dict(self._result_cache.counters)
-        totals["entries"] = len(self._result_cache)
+        totals = self._result_cache.totals()
         for key, value in self._oracle_totals.items():
             totals[f"oracle_{key}"] = value
         if self._store is not None:
@@ -1049,16 +1055,16 @@ class Session:
           per-pass events from inside workers are not forwarded, only the
           ``case_started``/``case_finished`` milestones.
 
-        ``warm_start`` (default on) seeds every job's result cache with a
-        snapshot of this session's structural-signature entries
-        (:meth:`~repro.core.cache.ResultCache.export`) and merges each
-        job's delta back afterwards — so process workers no longer start
-        cold, jobs of one suite share sub-graph outcomes with the
-        sessions runs that preceded them, and a second suite benefits
-        from the first.  The snapshot is taken once before any job
-        starts, which keeps every job's cache traffic deterministic
-        regardless of scheduling.  Suite-wide totals come back as
-        :attr:`SuiteReport.cache_stats`.
+        ``warm_start`` (default on) lets every job's result cache read
+        through a snapshot of this session's structural-signature
+        entries (:meth:`~repro.core.cache.ResultCache.export`, see
+        :meth:`read_through`) and merges each job's delta back afterwards
+        — so process workers no longer start cold, jobs of one suite
+        share sub-graph outcomes with the sessions runs that preceded
+        them, and a second suite benefits from the first.  The snapshot
+        is taken once before any job starts, which keeps every job's
+        cache traffic deterministic regardless of scheduling.  Suite-wide
+        totals come back as :attr:`SuiteReport.cache_stats`.
         """
         specs = [resolve_flow(flow, options=self.options) for flow in flows]
         labels = [spec.label for spec in specs]
@@ -1125,16 +1131,14 @@ class Session:
             with Session(module, options=self.options, events=self.events,
                          engine=self.engine) as sub:
                 sub._baselines[module.name] = baseline
-                if snapshot:
-                    sub.merge_cache(snapshot)
-                report = _run_suite_job(
+                if snapshot is not None:
+                    sub.read_through(snapshot)
+                report, _signature = _run_suite_job(
                     sub, module, spec, check, self.engine,
                     memoize=snapshot is not None,
                 )
                 if snapshot is not None:
-                    self._result_cache.merge(
-                        sub.export_cache(exclude=snapshot)
-                    )
+                    self._result_cache.merge(sub.export_cache())
             self.events.emit(
                 "case_finished",
                 case=case_name,
@@ -1262,6 +1266,44 @@ def _options_fingerprint(options: Optional[SmartlyOptions]) -> Optional[Tuple]:
     return tuple(sorted(vars(options).items()))
 
 
+def _suite_job_key(
+    signature: Any,
+    spec: FlowSpec,
+    check: bool,
+    engine: str,
+    options: Optional[SmartlyOptions],
+) -> Tuple:
+    """The ``suite_job`` cache key of one module (by its structural
+    signature) run through one flow configuration."""
+    return (
+        "suite_job",
+        signature,
+        (str(spec), spec.label, bool(check), engine,
+         _options_fingerprint(options)),
+    )
+
+
+def _replay_suite_job(
+    cache: ResultCache,
+    key: Tuple,
+    case_name: str,
+    totals: Callable[[], Dict[str, int]],
+) -> Optional[RunReport]:
+    """The stored report of ``key`` re-stamped for ``case_name``, or None
+    on a miss.  ``totals`` gives the report's ``cache_stats`` after the
+    lookup counted its hit."""
+    start = time.perf_counter()
+    hit, stored = cache.lookup(key)
+    if not hit:
+        return None
+    return replace(
+        stored,
+        case_name=case_name,
+        runtime_s=time.perf_counter() - start,
+        cache_stats=totals(),
+    )
+
+
 def _run_suite_job(
     session: "Session",
     module: Module,
@@ -1269,8 +1311,10 @@ def _run_suite_job(
     check: bool,
     engine: str,
     memoize: bool,
-) -> RunReport:
-    """One suite job, with whole-job structural replay.
+) -> Tuple[RunReport, Any]:
+    """One suite job, with whole-job structural replay; returns the
+    report and the module signature its ``suite_job`` key used (None
+    without ``memoize``).
 
     Suite jobs optimize a private clone and return only the report, so
     when the warm-start snapshot already holds the report of a
@@ -1286,29 +1330,23 @@ def _run_suite_job(
     must actually mutate its module.
     """
     cache = session._result_cache
-    key = None
+    signature = key = None
     if memoize:
-        key = (
-            "suite_job",
-            module_signature(module),
-            (str(spec), spec.label, bool(check), engine,
-             _options_fingerprint(session.options)),
+        signature = module_signature(module)
+        key = _suite_job_key(
+            signature, spec, check, engine, session.options
         )
-        start = time.perf_counter()
-        hit, stored = cache.lookup(key)
-        if hit:
-            return replace(
-                stored,
-                case_name=module.name,
-                runtime_s=time.perf_counter() - start,
-                cache_stats=session._cache_totals(),
-            )
+        replayed = _replay_suite_job(
+            cache, key, module.name, session._cache_totals
+        )
+        if replayed is not None:
+            return replayed, signature
     report = session.run(spec, check=check)
     if key is not None:
         # strip instance-local fields so the stored value is pure and
         # name-free (the replay fills them back in for its own module)
         cache.store(key, replace(report, case_name="", cache_stats={}))
-    return report
+    return report, signature
 
 
 def _suite_process_job(
@@ -1323,23 +1361,20 @@ def _suite_process_job(
     """Top-level worker for ``executor="process"`` (must be picklable).
 
     A pickled Module *is* already a private copy, so no extra clone is
-    needed; factories build fresh modules inside the worker.  ``snapshot``
-    warm-starts the worker session's result cache with the parent's
-    structural-signature entries; the second return value is the worker's
-    delta (entries it computed beyond the snapshot), merged back by the
-    parent so the next suite starts warmer still.
+    needed; factories build fresh modules inside the worker.  The worker
+    session reads through ``snapshot``, the parent's structural-signature
+    entries; the second return value is the worker's delta (the entries
+    it computed itself), merged back by the parent so the next suite
+    starts warmer still.
     """
     module = source() if callable(source) else source
     session = Session(module, options=options, engine=engine)
-    if snapshot:
-        session.merge_cache(snapshot)
-    report = _run_suite_job(
+    if snapshot is not None:
+        session.read_through(snapshot)
+    report, _signature = _run_suite_job(
         session, module, spec, check, engine, memoize=snapshot is not None,
     )
-    delta = (
-        session.export_cache(exclude=snapshot)
-        if snapshot is not None else {}
-    )
+    delta = session.export_cache() if snapshot is not None else {}
     return report, delta
 
 

@@ -11,8 +11,9 @@ daemon, each executing one job at a time.
   options, the engine, and a snapshot of the shared structural cache —
   over a private :mod:`multiprocessing` pipe; the worker streams
   ``event`` payloads back while the flow runs and finishes with the
-  result payload plus its cache *delta* (entries it learned beyond the
-  snapshot), which the daemon merges into the shared cache.
+  result payload (carrying the module signature the daemon's source
+  front door remembers) plus its cache *delta* (entries it learned
+  beyond the snapshot), which the daemon merges into the shared cache.
 * A worker that dies mid-job — killed, crashed, OOM-ed — surfaces as a
   :data:`DIED` outcome, never an exception storm: the supervisor reaps
   the corpse and spawns a replacement lazily for the next job, and the
@@ -45,7 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core import faults
 from ..core.smartly import SmartlyOptions
@@ -88,17 +89,22 @@ def run_job(
     *,
     options: Optional[SmartlyOptions] = None,
     engine: str = "incremental",
-    snapshot: Optional[Dict[Tuple, Any]] = None,
+    snapshot: Optional[Mapping[Tuple, Any]] = None,
     emit_event: Optional[EventSink] = None,
 ) -> Tuple[Dict[str, Any], Dict[Tuple, Any]]:
     """Execute one ``run``/``hier`` request in a private warm-started
     session; returns ``(payload, delta)``.
 
     This is the isolation-agnostic job body: the thread path calls it
-    in-process, worker subprocesses call it behind the pipe.  ``payload``
-    carries ``op``/``flow``/``replayed``/``report``; ``delta`` is the
-    structural-cache entries learned beyond ``snapshot`` (what the
-    daemon merges back into its shared cache).
+    in-process against a live view of the shared cache, worker
+    subprocesses call it behind the pipe against a pickled snapshot.
+    The session reads through ``snapshot`` (see
+    :meth:`~repro.flow.session.Session.read_through`).  ``payload``
+    carries ``op``/``flow``/``replayed``/``report``, and for a ``run``
+    job ``signature`` — ``(top module name, module signature)``, which
+    the daemon keeps for its source front door and strips from the
+    ``result`` line; ``delta`` is the structural-cache entries the job
+    learned (what the daemon merges back into its shared cache).
     """
     rid = request.get("id")
     op = request["op"]
@@ -117,10 +123,11 @@ def run_job(
                 {"type": "event", "id": rid, **event.to_dict()}
             )
         )
+    extra: Dict[str, Any] = {}
     with Session(design, options=options, events=bus,
                  engine=engine) as session:
-        if snapshot:
-            session.merge_cache(snapshot)
+        if snapshot is not None:
+            session.read_through(snapshot)
         if op == "hier":
             report = session.run_hierarchy(spec, top=top, check=check)
             payload = report.to_dict()
@@ -128,7 +135,7 @@ def run_job(
             job_replayed = bool(replayed) and not report.replay_fallbacks
         else:
             module = design.top
-            report = _run_suite_job(
+            report, signature = _run_suite_job(
                 session, module, spec, check, engine,
                 memoize=True,
             )
@@ -139,10 +146,11 @@ def run_job(
             job_replayed = (
                 session._result_cache.counters.get("suite_job_hits", 0) > 0
             )
-        delta = session.export_cache(exclude=snapshot)
+            extra["signature"] = (module.name, signature)
+        delta = session.export_cache()
     return (
         {"op": op, "flow": spec.label, "replayed": job_replayed,
-         "report": payload},
+         "report": payload, **extra},
         delta,
     )
 

@@ -120,10 +120,10 @@ class TestConcurrentExport:
         for thread in threads:
             thread.start()
         try:
-            known = {("sim", "w-0", ())}
             for _ in range(300):
+                mark = cache.appended
                 cache.export()
-                cache.export(exclude=known)
+                cache.export(since=mark)
         finally:
             stop.set()
             for thread in threads:
@@ -181,9 +181,127 @@ class TestExportMerge:
     def test_export_excludes_receiver_known_keys(self):
         cache = ResultCache()
         cache.store(("sim", "sig-a", ()), True)
+        known = cache.appended  # the receiver holds everything so far
         cache.store(("sim", "sig-b", ()), False)
-        delta = cache.export(exclude={("sim", "sig-a", ())})
+        delta = cache.export(since=known)
         assert delta == {("sim", "sig-b", ()): False}
+
+
+class TestWatermark:
+    """``export(since=)`` returns what was appended after a reading of
+    ``appended``: new keys stored or merged, never rewrites."""
+
+    def test_appended_counts_new_keys_and_merges_only(self):
+        cache = ResultCache()
+        cache.store(("sim", "a", ()), 1)
+        cache.store(("sim", "a", ()), 1)  # a rewrite appends nothing
+        assert cache.appended == 1
+        cache.merge({("sim", "a", ()): 1, ("sim", "b", ()): 2})
+        assert cache.appended == 2
+        assert cache.export(since=1) == {("sim", "b", ()): 2}
+        assert cache.export(since=cache.appended) == {}
+
+    def test_since_keeps_insertion_order(self):
+        cache = ResultCache()
+        for i in range(10):
+            cache.store(("sim", i, ()), i)
+        assert list(cache.export(since=6)) == [("sim", i, ()) for i in
+                                               range(6, 10)]
+
+    def test_since_survives_eviction(self):
+        # eviction drops only the oldest entries, so whatever survives
+        # of the appends after the watermark is still the newest suffix
+        cache = ResultCache(max_entries=4)
+        cache.store(("sim", "old", ()), 0)
+        mark = cache.appended
+        for i in range(6):
+            cache.store(("sim", i, ()), i)
+        delta = cache.export(since=mark)
+        assert delta == cache.export()
+        assert ("sim", "old", ()) not in delta
+        assert ("sim", 5, ()) in delta
+
+
+class TestReadThrough:
+    """A cache with a ``parent`` reads it on a miss and owns only what it
+    stores itself."""
+
+    def test_miss_falls_through_to_parent_and_counts_as_hit(self):
+        parent = ResultCache()
+        parent.store(("sim", "p", ()), "from-parent")
+        child = ResultCache(parent=parent.view())
+        assert child.lookup(("sim", "p", ())) == (True, "from-parent")
+        assert child.lookup(("sim", "q", ())) == (False, None)
+        assert child.counters == {"sim_hits": 1, "sim_misses": 1}
+        assert "sim_hits" not in parent.counters
+
+    def test_store_writes_only_the_child(self):
+        parent = ResultCache()
+        child = ResultCache(parent=parent.view())
+        child.store(("sim", "mine", ()), 1)
+        assert len(parent) == 0
+        assert parent.lookup(("sim", "mine", ()))[0] is False
+
+    def test_export_and_len_exclude_the_parent(self):
+        snapshot = {("sim", f"s{i}", ()): i for i in range(5)}
+        child = ResultCache(parent=snapshot)
+        child.store(("infer", "new", ()), (False, None))
+        assert len(child) == 1
+        assert child.export() == {("infer", "new", ()): (False, None)}
+        assert child.totals()["entries"] == 1
+
+    def test_view_is_live_and_read_only(self):
+        parent = ResultCache()
+        view = parent.view()
+        parent.store(("sim", "late", ()), True)
+        assert view.get(("sim", "late", ())) is True
+        with pytest.raises(TypeError):
+            view[("sim", "x", ())] = False
+
+
+class TestReadThroughSuites:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_per_job_counters_are_deterministic(self, executor):
+        """Every suite job reads through one frozen snapshot, so its hit
+        and miss counters do not depend on scheduling."""
+        from repro.ir.struct_hash import renamed_copy
+
+        def per_job_counters():
+            session = Session()
+            session.run_suite(
+                {"warm": random_module(311, width=4, n_units=3)},
+                max_workers=1,
+            )
+            cases = {
+                "a": random_module(312, width=4, n_units=3),
+                "b": random_module(313, width=4, n_units=3),
+                "clone": renamed_copy(
+                    random_module(311, width=4, n_units=3), prefix="z",
+                    name="clone",
+                ),
+            }
+            suite = session.run_suite(
+                cases, ("smartly", "yosys"), max_workers=2,
+                executor=executor,
+            )
+            return {
+                (case, flow): {
+                    key: value for key, value in report.cache_stats.items()
+                    if key.endswith(("_hits", "_misses"))
+                }
+                for case, per_flow in suite.results.items()
+                for flow, report in per_flow.items()
+            }, suite
+
+        first, suite = per_job_counters()
+        second, _ = per_job_counters()
+        assert first == second
+        # the clone replays its twin's job through the snapshot; its own
+        # cache learned nothing, and no job merges a snapshot any more
+        clone = suite["clone"]["smartly"].cache_stats
+        assert clone["suite_job_hits"] == 1 and clone["entries"] == 0
+        assert not any("merged" in report.cache_stats
+                       for report in suite.reports())
 
 
 class TestTransparency:

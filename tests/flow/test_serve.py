@@ -287,6 +287,247 @@ class TestStoreBackedServe:
         server = FlowServer(store_path=store_dir, max_workers=1)
         assert server.stats().get("store_loaded_files", 0) >= 1
 
+    def test_failed_store_write_answers_error_and_keeps_serving(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.store as store_mod
+
+        def disk_full(path, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_mod, "_atomic_write", disk_full)
+        server = FlowServer(store_path=tmp_path / "store", max_workers=1)
+
+        def lines():
+            yield request(op="run", id="j", source=MUX_SOURCE, events=False)
+            deadline = time.monotonic() + 60
+            while server.jobs_run < 1:
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.01)
+            yield request(op="flush", id="f")
+            yield request(op="ping", id="p")
+            yield request(op="shutdown", id="s")
+
+        responses, stopped = drive(server, lines())
+        assert stopped is True
+        errors = {r["id"]: r for r in by_type(responses, "error")}
+        assert errors["f"]["error"].startswith("StoreError: ")
+        assert "No space left on device" in errors["f"]["error"]
+        assert errors["s"]["error"].startswith("StoreError: ")
+        assert by_type(responses, "flushed") == []
+        assert [r["id"] for r in by_type(responses, "pong")] == ["p"]
+        (bye,) = by_type(responses, "bye")
+        assert bye["flushed_entries"] == 0 and bye["jobs_run"] == 1
+        assert server.stats()["store_errors"] == 2
+
+        # the unpersisted delta is still pending for the next checkpoint
+        monkeypatch.undo()
+        assert server.flush() > 0
+        assert server.flush() == 0
+
+
+def run_request(rid, source=MUX_SOURCE, **extra):
+    return request(op="run", id=rid, source=source, events=False, **extra)
+
+
+def without_runtime(result):
+    """A ``result`` line minus the one field every replay re-stamps."""
+    report = {k: v for k, v in result["report"].items() if k != "runtime_s"}
+    return {**result, "report": report}
+
+
+def direct_area(source, flow="smartly", top=None, check=False):
+    return Session(compile_verilog(source, top=top)).run(
+        flow, check=check
+    ).optimized_area
+
+
+@pytest.fixture()
+def compile_calls(monkeypatch):
+    """Count the daemon process's own source compiles (thread-isolated
+    jobs compile in-process; process-isolated ones in their worker)."""
+    import repro.flow.workers as workers_mod
+
+    calls = []
+    real = workers_mod.compile_source
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workers_mod, "compile_source", counting)
+    return calls
+
+
+def serve_and_stats(server, lines):
+    """Drive one session to completion; returns (results by id, stats)
+    with the stats taken before the worker pool is retired."""
+    try:
+        responses, _ = drive(server, lines)
+        stats = server.stats()
+    finally:
+        server.close()
+    errors = by_type(responses, "error")
+    assert not errors, errors
+    return {r["id"]: r for r in by_type(responses, "result")}, stats
+
+
+@pytest.mark.parametrize("isolation", ["thread", "process"])
+class TestFrontDoor:
+    """A byte-identical ``run`` re-submission is answered from the
+    shared cache without compiling; everything else takes the full
+    path and computes what a direct run computes."""
+
+    def test_resubmission_skips_the_job(self, isolation, tmp_path,
+                                        compile_calls):
+        store_dir = tmp_path / "store"
+        server = FlowServer(store_path=store_dir, max_workers=1,
+                            isolation=isolation)
+        results, stats = serve_and_stats(server, [
+            run_request("cold"),
+            run_request("again"),
+            request(op="shutdown"),
+        ])
+        assert results["cold"]["replayed"] is False
+        assert results["again"]["replayed"] is True
+        assert stats["front_door_hits"] == 1
+        assert stats["jobs_run"] == 2
+        if isolation == "thread":
+            assert len(compile_calls) == 1
+        else:
+            assert stats["pool_jobs_completed"] == 1
+
+        # a fresh daemon warm-started from this one's cache replays the
+        # same source down the full path: the same line, bar the timing
+        fresh = FlowServer(store_path=store_dir, max_workers=1,
+                           isolation=isolation)
+        replays, fresh_stats = serve_and_stats(fresh, [
+            run_request("again"),
+        ])
+        assert "front_door_hits" not in fresh_stats
+        assert replays["again"]["replayed"] is True
+        assert without_runtime(replays["again"]) == without_runtime(
+            results["again"]
+        )
+
+    def test_other_requests_take_the_full_path(self, isolation,
+                                               compile_calls):
+        other = MUX_SOURCE.replace("2'b01: y = b;", "2'b01: y = a & b;")
+        renamed = MUX_SOURCE.replace("module m(", "module m_copy(")
+        server = FlowServer(max_workers=1, isolation=isolation,
+                            allow_fault_injection=True)
+        lines = [
+            run_request("base"),
+            run_request("yosys", flow="yosys"),
+            run_request("checked", check=True),
+            run_request("injected", inject="merge-error"),
+            run_request("top", source=HIER_SOURCE, top="top"),
+            run_request("leaf", source=HIER_SOURCE, top="leaf"),
+            request(op="hier", id="hier", source=HIER_SOURCE, top="top",
+                    events=False),
+            run_request("poisoned", source=other, inject="merge-error"),
+            run_request("dropped", source=other),
+            run_request("renamed", source=renamed),
+        ]
+        results, stats = serve_and_stats(server, lines)
+        assert "front_door_hits" not in stats
+        assert stats["merge_errors"] == 2
+        if isolation == "thread":
+            assert len(compile_calls) == len(lines)
+        else:
+            assert stats["pool_jobs_completed"] == len(lines)
+
+        def area(rid):
+            return results[rid]["report"]["optimized_area"]
+
+        assert results["yosys"]["flow"] == "yosys"
+        assert area("yosys") == direct_area(MUX_SOURCE, flow="yosys")
+        assert results["checked"]["report"]["equivalence_checked"] is True
+        assert area("checked") == direct_area(MUX_SOURCE, check=True)
+        assert results["injected"]["replayed"] is True
+        assert area("injected") == area("base")
+        assert area("top") == direct_area(HIER_SOURCE, top="top")
+        assert area("leaf") == direct_area(HIER_SOURCE, top="leaf")
+        assert results["leaf"]["report"]["case_name"] == "leaf"
+        assert results["hier"]["op"] == "hier"
+        assert area("dropped") == direct_area(other)
+        assert results["dropped"]["replayed"] is False
+        # a renamed copy is another text, so it misses the front door,
+        # but its signature still finds the base's suite_job entry
+        assert results["renamed"]["replayed"] is True
+        assert results["renamed"]["report"]["case_name"] == "m_copy"
+        assert area("renamed") == area("base")
+
+    def test_memo_is_bounded(self, isolation, monkeypatch, compile_calls):
+        import repro.flow.serve as serve_mod
+
+        monkeypatch.setattr(serve_mod, "FRONT_DOOR_MAX_ENTRIES", 2)
+        sources = [MUX_SOURCE.replace("module m(", f"module m{i}(")
+                   for i in range(3)]
+        server = FlowServer(max_workers=1, isolation=isolation)
+        results, stats = serve_and_stats(server, [
+            *(run_request(f"s{i}", source=src)
+              for i, src in enumerate(sources)),
+            run_request("first-again", source=sources[0]),
+            run_request("last-again", source=sources[2]),
+        ])
+        assert len(server._sources) <= 2
+        # the oldest source was evicted: full path, same answer; the
+        # newest is still remembered
+        assert stats["front_door_hits"] == 1
+        if isolation == "thread":
+            assert len(compile_calls) == 4
+        else:
+            assert stats["pool_jobs_completed"] == 4
+        assert results["first-again"]["replayed"] is True
+        assert (results["first-again"]["report"]["optimized_area"]
+                == results["s0"]["report"]["optimized_area"])
+
+
+class TestConcurrentFrontDoor:
+    def test_concurrent_jobs_and_flushes_lose_nothing(self, tmp_path):
+        """Jobs racing on the memo, the live shared cache and the
+        checkpoint watermark: every job answers correctly, and every
+        entry of the shared cache reaches the store."""
+        from repro.core.store import CacheStore
+        from repro.equiv.differential import random_module
+        from repro.ir.verilog_writer import verilog_str
+
+        sources = [verilog_str(random_module(seed, width=4, n_units=3))
+                   for seed in (401, 402, 403, 404)]
+        expected = [direct_area(source) for source in sources]
+        store_dir = tmp_path / "store"
+        server = FlowServer(store_path=store_dir, max_workers=4,
+                            drain_timeout_s=120)
+
+        def lines():
+            deadline = time.monotonic() + 120
+            for round_ in range(4):
+                for index, source in enumerate(sources):
+                    yield run_request(f"r{round_}-{index}", source)
+                # checkpoint while the rest of this round still merges
+                while server.jobs_run <= 4 * round_:
+                    assert time.monotonic() < deadline, "jobs stalled"
+                    time.sleep(0.001)
+                yield request(op="flush", id=f"f{round_}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            responses, _ = drive(server, lines())
+        finally:
+            sys.setswitchinterval(interval)
+        (bye,) = by_type(responses, "bye")
+        assert bye["cancelled"] == []
+        assert by_type(responses, "error") == []
+        results = by_type(responses, "result")
+        assert len(results) == 16 and server.jobs_run == 16
+        for result in results:
+            index = int(result["id"].split("-")[1])
+            assert result["report"]["optimized_area"] == expected[index]
+        persisted = CacheStore(store_dir).load()
+        assert set(server._cache.export()) <= set(persisted)
+
 
 class TestAdmissionControl:
     """Overload must shed with ``busy``, never queue unboundedly."""

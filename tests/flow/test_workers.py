@@ -11,6 +11,7 @@ watchdog kills a hung worker at the budget.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -93,6 +94,43 @@ class TestRunJobBody:
         assert replay["replayed"] is True
         assert functional(replay["report"]) == functional(payload["report"])
         assert replay_delta == {}, "a full replay learns nothing new"
+
+
+class TestThreadJobReadsLiveCache:
+    def test_job_cost_does_not_grow_with_the_shared_cache(self,
+                                                          monkeypatch):
+        """A thread-isolated serve job reads the live shared cache: no
+        export or merge during the job sees more than the job learned,
+        however large the shared cache is."""
+        from repro.api import FlowServer
+        from repro.core.cache import ResultCache
+
+        synthetic = 50_000
+        server = FlowServer(max_workers=1)
+        server._cache.merge(
+            {("sim", f"synthetic-{i}", ()): i for i in range(synthetic)}
+        )
+        seen = []
+        real_export, real_merge = ResultCache.export, ResultCache.merge
+
+        def export(self, *args, **kwargs):
+            entries = real_export(self, *args, **kwargs)
+            seen.append(("export", len(entries)))
+            return entries
+
+        def merge(self, entries):
+            seen.append(("merge", len(entries)))
+            return real_merge(self, entries)
+
+        monkeypatch.setattr(ResultCache, "export", export)
+        monkeypatch.setattr(ResultCache, "merge", merge)
+        responses = []
+        server.serve_lines([json.dumps(job())], responses.append)
+        assert [r["type"] for r in responses][-1] == "bye"
+        learned = len(server._cache) - synthetic
+        assert learned > 0
+        assert seen, "the job's delta must still merge back"
+        assert max(size for _kind, size in seen) <= learned, seen
 
 
 class TestWorkerPool:
