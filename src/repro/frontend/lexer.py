@@ -1,15 +1,24 @@
 """Tokenizer for the synthesizable Verilog subset.
 
-Handles identifiers, decimal and based literals (``8'hFF``, ``3'b01z``),
-operators (including two-character forms), punctuation, and both comment
-styles.  Line/column positions are tracked for error messages.
+One compiled master pattern, a named group per lexeme class, scans the
+source.  Its alternatives are tried in this order: whitespace
+``[ \\t\\r]``, then newline; ``//``, then ``/* */`` comments; a based
+literal (``8'hFF``, ``3'b01z``), then a decimal number (underscores
+stripped); an identifier or keyword, then an escaped identifier (``\\``
+up to the next whitespace character, backslash dropped); operators,
+longest first, then punctuation.  Simple identifiers
+(``[A-Za-z_$][A-Za-z0-9_$]*``) and numbers are ASCII only, as IEEE 1364
+defines them: any other non-ASCII character outside a comment or an
+escaped identifier is an ``unexpected character`` error.  Positions come
+from match offsets: the line is a running newline count and the column
+``offset - line_start + 1``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, Optional
 
 
 class FrontendError(Exception):
@@ -40,15 +49,47 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "!", "~", "&", "|", "^", "<", ">", "=", "?",
 ]
 
-_PUNCT = set("()[]{}:;,.#@")
+_PUNCT = "()[]{}:;,.#@"
+
+#: ``(group, pattern)`` in precedence order; the error groups match only
+#: where the well-formed alternative before them failed
+_LEXEMES = (
+    ("ws", r"[ \t\r]+"),
+    ("nl", r"\n"),
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*[\s\S]*?\*/"),
+    ("open_comment", r"/\*"),
+    ("based", r"(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_?]+"),
+    ("empty_based", r"(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH]"),
+    ("bad_based", r"(?:[0-9][0-9_]*)?'"),
+    ("number", r"[0-9][0-9_]*"),
+    ("ident", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("escaped", r"\\\S*"),
+    ("op", "|".join(map(re.escape, _OPERATORS))),
+    ("punct", "[" + re.escape(_PUNCT) + "]"),
+    ("junk", r"[\s\S]"),
+)
+_MASTER = re.compile("|".join(f"(?P<{name}>{regex})" for name, regex in _LEXEMES))
+
+#: groups whose whole match is the token text
+_VERBATIM = {"op": TokKind.OP, "punct": TokKind.PUNCT, "based": TokKind.BASED_NUMBER}
+_ERRORS = {"open_comment": "unterminated block comment",
+           "bad_based": "bad based literal", "empty_based": "empty based literal"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokKind
-    text: str
-    line: int
-    col: int
+    """One lexeme with its 1-based source position."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: TokKind, text: str, line: int, col: int) -> None:
+        self.kind, self.text, self.line, self.col = kind, text, line, col
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.col) == (
+            other.kind, other.text, other.line, other.col)
 
     def __repr__(self) -> str:
         return f"{self.kind.value}({self.text!r}@{self.line}:{self.col})"
@@ -57,122 +98,74 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize a full source text; raises :class:`FrontendError` on junk."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
+    ident, keyword = TokKind.IDENT, TokKind.KEYWORD
     line = 1
-    col = 1
-    n = len(source)
-
-    def error(message: str) -> FrontendError:
-        return FrontendError(f"lex error at {line}:{col}: {message}")
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r":
-            i += 1
-            col += 1
+    line_start = 0
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        if group == "ws":
             continue
-        if ch == "\n":
-            i += 1
+        if group == "ident":
+            text = match.group()
+            append(Token(keyword if text in KEYWORDS else ident, text, line,
+                         match.start() - line_start + 1))
+        elif group in _VERBATIM:
+            append(Token(_VERBATIM[group], match.group(), line,
+                         match.start() - line_start + 1))
+        elif group == "nl":
             line += 1
-            col = 1
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for c in source[i:end]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            col += 2
-            continue
-        start_line, start_col = line, col
-        # based literal: [size]'[sbodh]digits
-        if ch.isdigit() or ch == "'":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "_"):
-                j += 1
-            if j < n and source[j] == "'":
-                k = j + 1
-                if k < n and source[k] in "sS":
-                    k += 1
-                if k >= n or source[k] not in "bBoOdDhH":
-                    raise error("bad based literal")
-                k += 1
-                body_start = k
-                while k < n and (source[k].isalnum() or source[k] in "_?"):
-                    k += 1
-                if k == body_start:
-                    raise error("empty based literal")
-                text = source[i:k]
-                tokens.append(Token(TokKind.BASED_NUMBER, text, start_line, start_col))
-                col += k - i
-                i = k
-                continue
-            text = source[i:j].replace("_", "")
-            tokens.append(Token(TokKind.NUMBER, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        # identifier / keyword
-        if ch.isalpha() or ch in "_$\\":
-            j = i
-            if ch == "\\":  # escaped identifier: up to whitespace
-                j += 1
-                while j < n and not source[j].isspace():
-                    j += 1
-                text = source[i + 1:j]
-                tokens.append(Token(TokKind.IDENT, text, start_line, start_col))
-            else:
-                while j < n and (source[j].isalnum() or source[j] in "_$"):
-                    j += 1
-                text = source[i:j]
-                kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-                tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        # operators
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokKind.OP, op, start_line, start_col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokKind.PUNCT, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise error(f"unexpected character {ch!r}")
-    tokens.append(Token(TokKind.EOF, "", line, col))
+            line_start = match.end()
+        elif group == "number":
+            append(Token(TokKind.NUMBER, match.group().replace("_", ""), line,
+                         match.start() - line_start + 1))
+        elif group == "block_comment":
+            text = match.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+        elif group == "escaped":
+            append(Token(ident, match.group()[1:], line,
+                         match.start() - line_start + 1))
+        elif group != "line_comment":
+            message = (_ERRORS.get(group)
+                       or f"unexpected character {match.group()!r}")
+            raise FrontendError(
+                f"lex error at {line}:{match.start() - line_start + 1}: {message}"
+            )
+    tokens.append(Token(TokKind.EOF, "", line, len(source) - line_start + 1))
     return tokens
+
+
+#: the digits each base allows, lower-cased, underscores stripped
+_BASE_DIGITS = {
+    "b": frozenset("01xz?"),
+    "o": frozenset("01234567xz?"),
+    "h": frozenset("0123456789abcdefxz?"),
+    "d": frozenset("0123456789"),
+}
 
 
 def parse_based_literal(text: str) -> "tuple[Optional[int], str]":
     """Split ``8'b01xz`` into (size or None, MSB-first digit pattern).
 
     The pattern uses binary digits plus ``x``/``z``/``?``; other bases are
-    expanded to binary.
+    expanded to binary.  A zero size, a base the lexer would not accept, no
+    digits, or a digit the base does not allow is a
+    :class:`FrontendError` naming the literal.
     """
     size_part, _tick, rest = text.partition("'")
-    size = int(size_part) if size_part else None
+    size = int(size_part.replace("_", "")) if size_part else None
+    if size == 0:
+        raise FrontendError(f"zero-width literal {text!r}")
     rest = rest.lstrip("sS")
-    base = rest[0].lower()
+    base = rest[:1].lower()
     digits = rest[1:].replace("_", "").lower()
+    if base == "d" and any(d in "xz?" for d in digits):
+        raise FrontendError(f"x/z digits not allowed in decimal: {text!r}")
+    if not digits or not _BASE_DIGITS.get(base, frozenset()).issuperset(digits):
+        raise FrontendError(f"bad digits for base {base!r} in {text!r}")
     if base == "b":
         bits = digits
     elif base == "o":
@@ -183,14 +176,10 @@ def parse_based_literal(text: str) -> "tuple[Optional[int], str]":
         bits = "".join(
             "xxxx" if d in "xz?" else format(int(d, 16), "04b") for d in digits
         )
-    elif base == "d":
-        if any(d in "xz?" for d in digits):
-            raise FrontendError(f"x/z digits not allowed in decimal: {text!r}")
+    else:
         value = int(digits)
         width = size if size is not None else max(1, value.bit_length())
         bits = format(value, f"0{width}b")
-    else:  # pragma: no cover - lexer guarantees the base letter
-        raise FrontendError(f"bad base in {text!r}")
     bits = bits.replace("?", "z")
     if size is not None:
         if len(bits) < size:

@@ -6,11 +6,18 @@ Supported constructs: module headers (1995 and ANSI-2001 port styles),
 @(posedge clk)``, ``begin/end``, ``if/else``, ``case``/``casez`` with
 ``default``, blocking and nonblocking assignments, and the expression
 grammar with standard precedence.
+
+Tokens come from the master pattern of :mod:`repro.frontend.lexer`
+(simple identifiers and numbers are ASCII only), so error positions are
+its offset-derived ``line:col``.  ``check``, ``accept`` and ``expect``
+compare one per-token symbol (the text of an operator, punctuation or
+keyword token, else ``None``), so an escaped ``\\module`` never matches
+``check("module")``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .ast import (
     AlwaysBlock,
@@ -38,6 +45,10 @@ from .ast import (
     Unary,
 )
 from .lexer import FrontendError, TokKind, Token, parse_based_literal, tokenize
+
+#: token kinds whose text the parser matches literally (a tuple, so ``in``
+#: compares by identity instead of calling ``Enum.__hash__``)
+_SYMBOL_KINDS = (TokKind.OP, TokKind.PUNCT, TokKind.KEYWORD)
 
 #: binary operator precedence (higher binds tighter)
 _BINARY_PRECEDENCE = {
@@ -71,13 +82,16 @@ class Parser:
 
     def __init__(self, source: str):
         self.tokens = tokenize(source)
+        self.symbols: List[Optional[str]] = [
+            tok.text if tok.kind in _SYMBOL_KINDS else None for tok in self.tokens
+        ]
         self.pos = 0
+        self.current: Token = self.tokens[0]
+        self.symbol: Optional[str] = self.symbols[0]
+        #: the current module's declared nets by name
+        self._nets: Dict[str, NetDecl] = {}
 
     # -- token helpers --------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
 
     def error(self, message: str) -> FrontendError:
         tok = self.current
@@ -89,14 +103,12 @@ class Parser:
         tok = self.current
         if tok.kind is not TokKind.EOF:
             self.pos += 1
+            self.current = self.tokens[self.pos]
+            self.symbol = self.symbols[self.pos]
         return tok
 
     def check(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind in (
-            TokKind.OP,
-            TokKind.PUNCT,
-            TokKind.KEYWORD,
-        )
+        return self.symbol == text
 
     def accept(self, text: str) -> bool:
         if self.check(text):
@@ -128,6 +140,7 @@ class Parser:
     def parse_module(self) -> ModuleDecl:
         self.expect("module")
         module = ModuleDecl(name=self.expect_ident())
+        self._nets = {}
         if self.accept("#"):
             self._parse_param_port_list(module)
         if self.accept("("):
@@ -168,16 +181,11 @@ class Parser:
                 while True:
                     name = self.expect_ident()
                     module.ports.append(name)
-                    module.nets.append(
-                        NetDecl(
-                            name,
-                            kind,
-                            msb,
-                            lsb,
-                            is_input=direction == "input",
-                            is_output=direction == "output",
-                        )
-                    )
+                    decl = NetDecl(name, kind, msb, lsb,
+                                   is_input=direction == "input",
+                                   is_output=direction == "output")
+                    module.nets.append(decl)
+                    self._nets.setdefault(name, decl)  # the first one wins
                     if not self.accept(","):
                         return
                     if self.check("input") or self.check("output"):
@@ -274,11 +282,10 @@ class Parser:
         return inst
 
     def _find_or_add_net(self, module: ModuleDecl, name: str, kind: str) -> NetDecl:
-        for net in module.nets:
-            if net.name == name:
-                return net
-        decl = NetDecl(name, kind)
-        module.nets.append(decl)
+        decl = self._nets.get(name)
+        if decl is None:
+            decl = self._nets[name] = NetDecl(name, kind)
+            module.nets.append(decl)
         return decl
 
     def _parse_optional_range(self):
@@ -385,22 +392,20 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> Expr:
         left = self._parse_unary()
         while True:
-            tok = self.current
-            if tok.kind is not TokKind.OP:
-                break
-            precedence = _BINARY_PRECEDENCE.get(tok.text)
+            op = self.symbol
+            precedence = _BINARY_PRECEDENCE.get(op)
             if precedence is None or precedence < min_precedence:
                 break
             self.advance()
             right = self._parse_binary(precedence + 1)
-            left = Binary(tok.text, left, right)
+            left = Binary(op, left, right)
         return left
 
     def _parse_unary(self) -> Expr:
-        tok = self.current
-        if tok.kind is TokKind.OP and tok.text in _UNARY_OPS:
+        op = self.symbol
+        if op in _UNARY_OPS:
             self.advance()
-            return Unary(tok.text, self._parse_unary())
+            return Unary(op, self._parse_unary())
         return self.parse_primary()
 
     def parse_primary(self, lvalue: bool = False) -> Expr:

@@ -51,6 +51,7 @@ from typing import (
     Tuple,
 )
 
+from . import cells
 from .cells import CellType, PortDir, port_spec
 from .signals import State
 from ..sim.ternary import (
@@ -145,11 +146,11 @@ class CellSpec:
 
     @property
     def input_ports(self) -> Tuple[str, ...]:
-        return tuple(n for n, d, _w in self.ports if d is PortDir.IN)
+        return cells.input_ports(self.ctype)
 
     @property
     def output_ports(self) -> Tuple[str, ...]:
-        return tuple(n for n, d, _w in self.ports if d is PortDir.OUT)
+        return cells.output_ports(self.ctype)
 
     @property
     def out_port(self) -> str:
@@ -158,17 +159,7 @@ class CellSpec:
 
     def expected_width(self, port: str, width: int, n: int = 1) -> int:
         """Resolve a port's width expression against the cell parameters."""
-        for name, _direction, expr in self.ports:
-            if name != port:
-                continue
-            if expr == "W":
-                return width
-            if expr == "N":
-                return n
-            if expr == "W*N":
-                return width * n
-            return int(expr)
-        raise KeyError(f"cell type {self.ctype} has no port {port!r}")
+        return cells.expected_width(self.ctype, port, width, n)
 
     def infer_shape(self, ports: Mapping[str, int]) -> Tuple[int, int]:
         """Infer ``(width, n)`` from the connection widths in ``ports``.

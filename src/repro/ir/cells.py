@@ -190,24 +190,32 @@ def port_spec(ctype: CellType) -> Tuple[Tuple[str, PortDir, object], ...]:
     return _PORT_SPECS[ctype]
 
 
+#: built once per cell type: input and output port names in spec order,
+#: and each port's width expression
+_INPUT_PORTS = {t: tuple(n for n, d, _w in spec if d is PortDir.IN)
+                for t, spec in _PORT_SPECS.items()}
+_OUTPUT_PORTS = {t: tuple(n for n, d, _w in spec if d is PortDir.OUT)
+                 for t, spec in _PORT_SPECS.items()}
+_PORT_WIDTHS = {t: {n: w for n, _d, w in spec} for t, spec in _PORT_SPECS.items()}
+
+
 def input_ports(ctype: CellType) -> Tuple[str, ...]:
-    return tuple(n for n, d, _w in _PORT_SPECS[ctype] if d is PortDir.IN)
+    return _INPUT_PORTS[ctype]
 
 
 def output_ports(ctype: CellType) -> Tuple[str, ...]:
-    return tuple(n for n, d, _w in _PORT_SPECS[ctype] if d is PortDir.OUT)
+    return _OUTPUT_PORTS[ctype]
 
 
 def expected_width(ctype: CellType, port: str, width: int, n: int = 1) -> int:
     """Resolve a port's width expression against the cell parameters."""
-    for name, _direction, expr in _PORT_SPECS[ctype]:
-        if name != port:
-            continue
-        if expr == "W":
-            return width
-        if expr == "N":
-            return n
-        if expr == "W*N":
-            return width * n
-        return int(expr)  # literal
-    raise KeyError(f"cell {ctype} has no port {port!r}")
+    expr = _PORT_WIDTHS[ctype].get(port)
+    if expr == "W":
+        return width
+    if expr == "N":
+        return n
+    if expr == "W*N":
+        return width * n
+    if expr is None:
+        raise KeyError(f"cell {ctype} has no port {port!r}")
+    return int(expr)  # literal

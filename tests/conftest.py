@@ -21,7 +21,9 @@ def pytest_addoption(parser):
         type=int,
         default=0,
         help="run N extra random differential-fuzz seeds beyond the fixed "
-        "CI corpus (tests/fuzz/test_differential.py)",
+        "CI corpus (tests/fuzz/test_differential.py), and N batches of "
+        "1,000 random strings through the tokenizer differential "
+        "(tests/frontend/test_lexer_reference.py)",
     )
     parser.addoption(
         "--fuzz-artifacts",

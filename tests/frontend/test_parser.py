@@ -37,6 +37,21 @@ class TestModuleHeaders:
         assert decls["a"].is_input and decls["y"].is_output
         assert decls["y"].kind == "reg"
 
+    def test_body_redeclaration_of_ansi_port_is_one_net(self):
+        m = parse_module(
+            "module m(input a, output q); reg q; always @* q = a; endmodule"
+        )
+        assert [n.name for n in m.nets] == ["a", "q"]
+        assert m.nets[1].kind == "reg" and m.nets[1].is_output
+
+    def test_escaped_keyword_is_an_identifier(self):
+        m = parse_module(
+            "module m(input a, output y); wire \\module ; "
+            "assign \\module = a; assign y = \\module ; endmodule"
+        )
+        assert [n.name for n in m.nets] == ["a", "y", "module"]
+        assert len(m.assigns) == 2
+
     def test_1995_ports(self):
         m = parse_module(
             """
