@@ -50,12 +50,17 @@ class AigMapper(celllib.LoweringEmitter):
         self.aig = aig if aig is not None else AIG()
         self.preset_inputs = input_lits if input_lits is not None else {}
         self.bit_lit: Dict[SigBit, int] = {}
+        self._sources: Optional[Dict[SigBit, str]] = None
 
     # -- public API -------------------------------------------------------------
 
     def run(self) -> AIG:
         """Map the whole module and register outputs; returns the AIG."""
-        self._declare_inputs()
+        for cbit, name in self.sources().items():
+            preset = self.preset_inputs.get(name)
+            self.bit_lit[cbit] = (
+                preset if preset is not None else self.aig.add_input(name)
+            )
         for cell in self.index.topo_cells():
             spec = celllib.spec_for(cell.type)
             if spec.lower is not None:
@@ -114,22 +119,26 @@ class AigMapper(celllib.LoweringEmitter):
     def true_lit(self) -> int:
         return TRUE_LIT
 
-    # -- internals ---------------------------------------------------------------
+    # -- sources -----------------------------------------------------------------
 
-    def _declare_inputs(self) -> None:
+    def sources(self) -> Dict[SigBit, str]:
+        """``{canonical bit: AIG input name}`` of every source the mapper
+        declares, in order: port inputs (``a[3]``), state outputs
+        (``q.Q[0]``), undriven instance bindings (``u1.x[0]``), then other
+        undriven bits a cell or an output reads, named by canonical bit
+        (``<u[0]>``; the offset after the last ``[`` keeps names apart)."""
+        if self._sources is not None:
+            return self._sources
         sigmap = self.index.sigmap
-        declared = set()
+        comb_driver = self.index.comb_driver
+        found: Dict[SigBit, str] = {}
 
-        def declare(bit: SigBit, name: str) -> None:
+        def declare(bit: SigBit, name: Optional[str] = None) -> None:
             cbit = sigmap.map_bit(bit)
-            if cbit.is_const or cbit in declared:
+            if cbit.is_const or cbit in found:
                 return
-            if self.index.comb_driver(cbit) is None:
-                declared.add(cbit)
-                preset = self.preset_inputs.get(name)
-                self.bit_lit[cbit] = (
-                    preset if preset is not None else self.aig.add_input(name)
-                )
+            if comb_driver(cbit) is None:
+                found[cbit] = name or f"<{cbit.wire.name}[{cbit.offset}]>"
 
         for wire in self.module.wires.values():
             if wire.port_input:
@@ -149,10 +158,12 @@ class AigMapper(celllib.LoweringEmitter):
         for cell in self.module.cells.values():
             for pname in celllib.spec_for(cell.type).input_ports:
                 for bit in cell.connections[pname]:
-                    declare(bit, repr(bit))
+                    declare(bit)
         for wire in self.module.outputs:
-            for i, bit in enumerate(wire.bits):
-                declare(bit, f"{wire.name}[{i}]")
+            for bit in wire.bits:
+                declare(bit)
+        self._sources = found
+        return found
 
 
 def aig_map(module: Module, index: Optional[NetIndex] = None) -> AIG:

@@ -90,6 +90,8 @@ class ResultCache:
         self._appended = 0
         self.counters: Dict[str, int] = {}
         self._struct_memo = StructKeyMemo()
+        #: ``(sub-graph, sigmap, signature)`` of the last :meth:`key_for`
+        self._last_signed: Tuple[Any, Any, str] = (None, None, "")
         #: guards mutation sweeps and snapshot iteration: thread-suite
         #: workers merge deltas into the shared session cache while the
         #: owner may be exporting a snapshot for the next job (or the
@@ -144,11 +146,18 @@ class ResultCache:
         thresholds).  The sub-graph contributes its canonical name-free
         signature (``sigmap`` resolves raw connection bits exactly like
         the analyses do).
+
+        The rungs of one query (resolve, infer, sim, sat) key the same
+        :class:`~repro.core.subgraph.SubGraph`, a snapshot of that query:
+        its signature is computed on the first key and reused.
         """
-        signature = self._struct_memo.signature(
-            subgraph.cells, subgraph.target, subgraph.known,
-            inputs=subgraph.inputs, sigmap=sigmap,
-        )
+        last, last_sigmap, signature = self._last_signed
+        if last is not subgraph or last_sigmap is not sigmap:
+            signature = self._struct_memo.signature(
+                subgraph.cells, subgraph.target, subgraph.known,
+                inputs=subgraph.inputs, sigmap=sigmap,
+            )
+            self._last_signed = (subgraph, sigmap, signature)
         return (kind, signature, extra)
 
     def lookup(self, key: Tuple) -> Tuple[bool, Any]:

@@ -12,19 +12,20 @@ removed, "greatly accelerating the inference of the SAT solver").
 Sequential cells are never crossed, keeping the sub-graph a DAG.
 
 The walk runs on the index's :class:`~repro.ir.walker.CanonicalView`:
-bits are small-int ids, each cell's canonical pins and each bit's driver
-and neighbour cells are memoized for the life of the view (a frozen
-window), so no query re-canonicalises the bits it has already seen.  Ids
-turn back into :class:`SigBit` objects only in the returned
-:class:`SubGraph`.
+bits are small-int ids, each cell's canonical pins and adjacent cells and
+each bit's driver and neighbour cells are memoized for the life of the
+view (a frozen window), so no query re-canonicalises the bits, or
+re-expands the cells, it has already seen.  Ids turn back into
+:class:`SigBit` objects only in the returned :class:`SubGraph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..ir.module import Cell
+from ..ir.module import Cell, DriverConflictError
 from ..ir.signals import SigBit
 from ..ir.walker import CONST_IDS, CanonicalView, NetIndex
 
@@ -65,34 +66,29 @@ def extract_subgraph(
     ``known`` holds the path facts (canonical bit -> value).  ``max_gates``
     caps the raw neighbourhood before reduction so pathological fanout hubs
     cannot blow up the analysis.
+
+    Step 1 walks the *ball* cell to cell: layer 1 is the target bit's
+    neighbour cells, layer j+1 the :meth:`CanonicalView.adjacent` cells of
+    layer j not yet in the ball, for ``k`` layers.  A cell is within
+    ``k`` hops exactly when the undirected bit-level BFS reaches it, and
+    the later steps read only ball membership, so the result is the
+    BFS's.  The ordered BFS itself runs when the ball exceeds
+    ``max_gates`` (the cap cuts in BFS order) or a lookup raises
+    :class:`DriverConflictError` (past the cap, only the BFS may raise).
     """
     view = index.canonical_view()
     bits = view.bits
     tid = view.bit_id(target)
 
-    # 1. undirected BFS over cells, up to k cell hops from the target bit
-    cells: Dict[str, Cell] = {}
-    frontier: List[int] = [tid]
-    seen: Set[int] = {tid}
-    for _depth in range(k):
-        next_frontier: List[int] = []
-        for bid in frontier:
-            for cell in view.neighbours(bid):
-                if cell.name in cells:
-                    continue
-                if len(cells) >= max_gates:
-                    break
-                cells[cell.name] = cell
-                for other in view.pins(cell):
-                    if other not in seen:
-                        seen.add(other)
-                        next_frontier.append(other)
-            if len(cells) >= max_gates:
-                next_frontier = []
-                break
-        frontier = next_frontier
-        if not frontier:
-            break
+    # 1. the cells within k hops of the target bit; ``seen`` (the bits the
+    # BFS reached) is None after the cell walk, see the facts loop below
+    try:
+        cells = _cell_ball(view, tid, k, max_gates)
+    except DriverConflictError:
+        cells = None
+    seen: Optional[Set[int]] = None
+    if cells is None:
+        cells, seen = _bit_ball(view, tid, k, max_gates)
 
     gates_before = len(cells)
     known_ids = [(view.bit_id(bit), value) for bit, value in known.items()]
@@ -125,10 +121,15 @@ def extract_subgraph(
     classify(tid)
     # facts about internal signals also constrain the sub-graph
     for bid, value in known_ids:
-        if bid in seen and bid not in seen_inputs:
-            driver = view.driver(bid)
-            if driver is not None and driver.name in kept_names:
-                relevant_known[bits[bid]] = value
+        driver = view.driver(bid)
+        if bid in seen_inputs or driver is None or driver.name not in kept_names:
+            continue
+        # the BFS reached the target and every pin of a ball cell; the kept
+        # driver's pins settle it unless a frozen-window rewire moved the bit
+        if seen is None and bid != tid and bid not in view.pins(driver):
+            seen = {tid}.union(*map(view.pins, cells.values()))
+        if seen is None or bid in seen:
+            relevant_known[bits[bid]] = value
 
     return SubGraph(
         target=bits[tid],
@@ -138,6 +139,58 @@ def extract_subgraph(
         gates_before=gates_before,
         gates_after=len(kept),
     )
+
+
+def _cell_ball(
+    view: CanonicalView, tid: int, k: int, max_gates: int
+) -> Optional[Dict[str, Cell]]:
+    """The cells within ``k`` cell hops of bit ``tid``, by name, walked
+    layer by layer over :meth:`CanonicalView.adjacent`; None when there
+    are more than ``max_gates`` of them."""
+    ball: Dict[str, Cell] = {}
+    reached: Iterable[Cell] = view.neighbours(tid)
+    for depth in range(k):
+        layer: List[Cell] = []
+        for cell in reached:
+            if cell.name not in ball:
+                ball[cell.name] = cell
+                layer.append(cell)
+        if len(ball) > max_gates:
+            return None
+        if depth + 1 < k:
+            reached = chain.from_iterable(map(view.adjacent, layer))
+    return ball
+
+
+def _bit_ball(
+    view: CanonicalView, tid: int, k: int, max_gates: int
+) -> Tuple[Dict[str, Cell], Set[int]]:
+    """The undirected bit-level BFS over cells, up to ``k`` cell hops from
+    bit ``tid``, cut at ``max_gates`` cells in BFS order; also returns the
+    bits it reached."""
+    cells: Dict[str, Cell] = {}
+    frontier: List[int] = [tid]
+    seen: Set[int] = {tid}
+    for _depth in range(k):
+        next_frontier: List[int] = []
+        for bid in frontier:
+            for cell in view.neighbours(bid):
+                if cell.name in cells:
+                    continue
+                if len(cells) >= max_gates:
+                    break
+                cells[cell.name] = cell
+                for other in view.pins(cell):
+                    if other not in seen:
+                        seen.add(other)
+                        next_frontier.append(other)
+            if len(cells) >= max_gates:
+                next_frontier = []
+                break
+        frontier = next_frontier
+        if not frontier:
+            break
+    return cells, seen
 
 
 def _reduce_by_support(

@@ -14,13 +14,12 @@ keep registers in place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..aig.aig import AIG
 from ..aig.aigmap import AigMapper
-from ..ir.cells import CellType
 from ..ir.module import Module
-from ..ir.walker import NetIndex, current_index
+from ..ir.walker import current_index
 
 
 class PortMismatchError(Exception):
@@ -33,34 +32,14 @@ def _io_signature(module: Module) -> Tuple[Dict[str, int], Dict[str, int]]:
     return ins, outs
 
 
-def _input_bit_names(module: Module, index: NetIndex) -> List[str]:
-    """Names of all source bits as AigMapper will declare them."""
-    names: List[str] = []
-    for wire in module.inputs:
-        names.extend(f"{wire.name}[{i}]" for i in range(wire.width))
-    for cell in module.cells.values():
-        if cell.type is CellType.DFF:
-            names.extend(f"{cell.name}.Q[{i}]" for i in range(cell.width))
-    # undriven instance binding bits (child-output nets) must be *shared*
-    # miter inputs, or identical parent logic reading them would compare
-    # two independent free variables and spuriously differ
-    sigmap = index.sigmap
-    for instance in module.instances.values():
-        for pname in sorted(instance.connections):
-            for i, bit in enumerate(instance.connections[pname]):
-                cbit = sigmap.map_bit(bit)
-                if not cbit.is_const and index.comb_driver(cbit) is None:
-                    names.append(f"{instance.name}.{pname}[{i}]")
-    return names
-
-
 def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
     """Build the miter AIG.  Returns ``(aig, miter_output_literal)``.
 
     Raises :class:`PortMismatchError` when I/O signatures differ.  Extra
-    internal sources (undriven wires) in either module become independent
-    miter inputs, which is conservative: equivalence then must hold for all
-    their values.  Each side is walked through
+    internal sources (undriven wires) are miter inputs named by their
+    canonical bit, shared when both modules have the bit; a bit undriven
+    in only one module is an input of its own, which is conservative:
+    equivalence then must hold for all its values.  Each side is walked through
     :func:`~repro.ir.walker.current_index` (its live index when it has a
     usable one, else a snapshot); both give the same miter, so the
     miter's structural digest does not depend on which one was used.
@@ -78,16 +57,19 @@ def build_miter(gold: Module, gate: Module) -> Tuple[AIG, int]:
 
     aig = AIG()
     shared: Dict[str, int] = {}
-    for name in _input_bit_names(gold, gold_index) + _input_bit_names(gate, gate_index):
-        if name not in shared:
-            shared[name] = aig.add_input(name)
-
     gold_mapper = AigMapper(gold, gold_index, aig=aig, input_lits=shared)
+    gate_mapper = AigMapper(gate, gate_index, aig=aig, input_lits=shared)
+    # every source either mapper declares must exist before the first AND
+    # node, shared by name
+    for mapper in (gold_mapper, gate_mapper):
+        for name in mapper.sources().values():
+            if name not in shared:
+                shared[name] = aig.add_input(name)
+
     gold_mapper.run()
     gold_outputs = {name: lit for name, lit in aig.outputs}
     aig.outputs.clear()
 
-    gate_mapper = AigMapper(gate, gate_index, aig=aig, input_lits=shared)
     gate_mapper.run()
     gate_outputs = {name: lit for name, lit in aig.outputs}
     aig.outputs.clear()

@@ -2,7 +2,8 @@
 
 One compiled master pattern, a named group per lexeme class, scans the
 source.  Its alternatives are tried in this order: whitespace
-``[ \\t\\r]``, then newline; ``//``, then ``/* */`` comments; a based
+``[ \\t\\r\\f]`` (a form feed is white space, IEEE 1364-2005 §3.2; a
+vertical tab is not), then newline; ``//``, then ``/* */`` comments; a based
 literal (``8'hFF``, ``3'b01z``), then a decimal number (underscores
 stripped); an identifier or keyword, then an escaped identifier (``\\``
 up to the next whitespace character, backslash dropped); operators,
@@ -54,7 +55,7 @@ _PUNCT = "()[]{}:;,.#@"
 #: ``(group, pattern)`` in precedence order; the error groups match only
 #: where the well-formed alternative before them failed
 _LEXEMES = (
-    ("ws", r"[ \t\r]+"),
+    ("ws", r"[ \t\r\f]+"),
     ("nl", r"\n"),
     ("line_comment", r"//[^\n]*"),
     ("block_comment", r"/\*[\s\S]*?\*/"),

@@ -410,13 +410,18 @@ class Parser:
 
     def parse_primary(self, lvalue: bool = False) -> Expr:
         tok = self.current
-        if tok.kind is TokKind.NUMBER:
+        if tok.kind is TokKind.NUMBER or tok.kind is TokKind.BASED_NUMBER:
             self.advance()
-            value = int(tok.text)
-            return Number(pattern=format(value, "b"), width=None)
-        if tok.kind is TokKind.BASED_NUMBER:
-            self.advance()
-            size, bits = parse_based_literal(tok.text)
+            try:
+                if tok.kind is TokKind.NUMBER:
+                    return Number(pattern=format(int(tok.text), "b"), width=None)
+                size, bits = parse_based_literal(tok.text)
+            except ValueError:
+                # more digits than int() converts (a process-wide limit)
+                raise FrontendError(
+                    f"parse error at {tok.line}:{tok.col}: decimal literal "
+                    f"{tok.text[:12]}... ({len(tok.text)} characters) is too long"
+                ) from None
             return Number(pattern=bits, width=size)
         if tok.kind is TokKind.IDENT:
             self.advance()

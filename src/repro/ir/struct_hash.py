@@ -65,9 +65,9 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cells import input_ports, output_ports
+from .cells import CellType, input_ports, output_ports
 from .module import Cell, Instance, Module, SigMap
-from .signals import SigBit, SigSpec
+from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
 
 #: a structural signature: hex BLAKE2b-128 digest of the canonical encoding
 StructSignature = str
@@ -85,6 +85,12 @@ SCHEME_FINGERPRINT = "structural/blake2b-16/wl3/v1"
 #: operand encoding: ("c", state) | ("i", input index) | ("d", cell, port, off)
 _Operand = Tuple
 
+#: the operands of the three constant bits, and each cell type's name
+_CONST_OPERANDS: Dict[SigBit, _Operand] = {
+    bit: ("c", str(bit.state)) for bit in (BIT0, BIT1, BITX)
+}
+_TYPE_NAMES: Dict[CellType, str] = {ctype: str(ctype) for ctype in CellType}
+
 
 def _identity_map(bit: SigBit) -> SigBit:
     return bit
@@ -97,10 +103,14 @@ class _Canon:
     labels are assigned in deterministic first-visit order by
     :meth:`label_cone`, and :meth:`encode` renders encodings against the
     final label assignment (two phases, so a cell's encoding may
-    reference cells labeled after it without recursion).
+    reference cells labeled after it without recursion).  ``table`` is
+    the ``canonical bit -> operand`` map :meth:`encode` builds once the
+    labeling is done: the three constants, every input label and every
+    driven bit, so each port bit encodes with one lookup.
     """
 
-    __slots__ = ("driven", "mapb", "cell_label", "input_label", "order")
+    __slots__ = ("driven", "mapb", "cell_label", "input_label", "order",
+                 "table")
 
     def __init__(
         self,
@@ -112,31 +122,38 @@ class _Canon:
         self.cell_label: Dict[int, int] = {}
         self.input_label: Dict[SigBit, int] = {}
         self.order: List[Cell] = []
+        self.table: Dict[SigBit, _Operand] = {}
 
     def label_cone(self, root: SigBit) -> None:
         """Assign labels over ``root``'s fanin cone, first-visit order."""
-        stack = [self.mapb(root)]
+        mapb = self.mapb
+        driven = self.driven
+        cell_label = self.cell_label
+        input_label = self.input_label
+        stack = [mapb(root)]
         while stack:
             bit = stack.pop()
-            if bit.is_const:
+            if bit.state is not None:  # a constant
                 continue
-            entry = self.driven.get(bit)
+            entry = driven.get(bit)
             if entry is None:
-                if bit not in self.input_label:
-                    self.input_label[bit] = len(self.input_label)
+                if bit not in input_label:
+                    input_label[bit] = len(input_label)
                 continue
             cell = entry[0]
-            if id(cell) in self.cell_label:
+            if id(cell) in cell_label:
                 continue
-            self.cell_label[id(cell)] = len(self.cell_label)
+            cell_label[id(cell)] = len(cell_label)
             self.order.append(cell)
+            connections = cell.connections
             kids = [
-                self.mapb(b)
+                mapb(b)
                 for port in input_ports(cell.type)
-                for b in cell.connections[port]
+                for b in connections[port]
             ]
             # reversed push: pop order == declared port order, LSB first
-            stack.extend(reversed(kids))
+            kids.reverse()
+            stack.extend(kids)
 
     def label_cell(self, cell: Cell) -> None:
         """Label a cell whose outputs the driven map cannot reach (every
@@ -150,35 +167,45 @@ class _Canon:
                 self.label_cone(self.mapb(bit))
 
     def operand(self, bit: SigBit) -> _Operand:
-        """The canonical encoding of one (already canonical) bit."""
-        if bit.is_const:
-            return ("c", str(bit.state))
-        entry = self.driven.get(bit)
-        if entry is not None and id(entry[0]) in self.cell_label:
-            return ("d", self.cell_label[id(entry[0])], entry[1], entry[2])
-        index = self.input_label.get(bit)
-        if index is None:
+        """The canonical encoding of one (already canonical) bit; valid
+        once :meth:`encode` has built the table."""
+        operand = self.table.get(bit)
+        if operand is None:
             # a boundary bit outside every labeled cone (defensive: the
             # labeling phase routes every sub-graph bit through a cone)
             index = self.input_label[bit] = len(self.input_label)
-        return ("i", index)
+            operand = self.table[bit] = ("i", index)
+        return operand
 
     def encode(self) -> Tuple:
-        """All labeled cells' encodings, in label order."""
+        """Build :attr:`table`, then all labeled cells' encodings, in label
+        order."""
+        table = self.table
+        table.update(_CONST_OPERANDS)
+        for bit, index in self.input_label.items():
+            table[bit] = ("i", index)
+        cell_label = self.cell_label
+        for bit, (cell, port, offset) in self.driven.items():
+            label = cell_label.get(id(cell))
+            if label is not None:
+                table[bit] = ("d", label, port, offset)
         mapb = self.mapb
-        return tuple(
-            (
-                str(cell.type),
-                cell.width,
-                cell.n,
-                tuple(
-                    (port, tuple(self.operand(mapb(b))
-                                 for b in cell.connections[port]))
-                    for port in input_ports(cell.type)
-                ),
+        lookup = table.get
+        operand = self.operand
+        encoded = []
+        for cell in self.order:
+            connections = cell.connections
+            ports = []
+            for port in input_ports(cell.type):
+                operands = []
+                for b in connections[port]:
+                    cbit = mapb(b)
+                    operands.append(lookup(cbit) or operand(cbit))
+                ports.append((port, tuple(operands)))
+            encoded.append(
+                (_TYPE_NAMES[cell.type], cell.width, cell.n, tuple(ports))
             )
-            for cell in self.order
-        )
+        return tuple(encoded)
 
 
 def _driven_map(
@@ -224,13 +251,13 @@ def _merkle_fingerprints(
                 continue
             pending = False
             parts: List[Tuple] = [
-                (str(current.type), current.width, current.n)
+                (_TYPE_NAMES[current.type], current.width, current.n)
             ]
             for port in input_ports(current.type):
                 for bit in current.connections[port]:
                     cbit = mapb(bit)
                     if cbit.is_const:
-                        parts.append(("c", str(cbit.state)))
+                        parts.append(_CONST_OPERANDS[cbit])
                         continue
                     entry = driven.get(cbit)
                     if entry is None:
@@ -474,8 +501,9 @@ class StructKeyMemo:
     facts-independent, so the polarity variants the traversal and the
     oracle's two-polarity protocol generate pay only a sorted fold.
 
-    Cached entries are pure — the core digest plus a ``bit → operand
-    encoding`` table over the labeled boundary/driven bits — so the memo
+    Cached entries are pure — the core digest plus the canonicalization's
+    ``bit → operand encoding`` table (the constants and the labeled
+    boundary/driven bits, see :class:`_Canon`) — so the memo
     pins no :class:`Cell` objects, no :class:`~repro.ir.module.SigMap`
     snapshot and no closures; a fact bit missing from the table (only
     possible for callers that pass facts outside the sub-graph) falls
@@ -494,18 +522,6 @@ class StructKeyMemo:
 
     def __len__(self) -> int:
         return len(self._cores)
-
-    @staticmethod
-    def _fold_table(canon: _Canon) -> Dict[SigBit, _Operand]:
-        """Every labeled bit's operand encoding, as pure data."""
-        table: Dict[SigBit, _Operand] = {}
-        for bit, index in canon.input_label.items():
-            table[bit] = ("i", index)
-        for bit, (cell, port, offset) in canon.driven.items():
-            label = canon.cell_label.get(id(cell))
-            if label is not None:
-                table[bit] = ("d", label, port, offset)
-        return table
 
     def signature(
         self,
@@ -531,7 +547,7 @@ class StructKeyMemo:
             digest, canon, _core_mapb = _canonicalize(
                 cells, (target,), sigmap
             )
-            core = (digest, self._fold_table(canon))
+            core = (digest, canon.table)
             if len(self._cores) >= self.max_entries:
                 for stale in list(self._cores)[: self.max_entries // 2]:
                     self._cores.pop(stale, None)
@@ -539,10 +555,7 @@ class StructKeyMemo:
         digest, table = core
         fold = []
         for bit, value in known.items():
-            cbit = mapb(bit)
-            operand = (
-                ("c", str(cbit.state)) if cbit.is_const else table.get(cbit)
-            )
+            operand = table.get(mapb(bit))
             if operand is None:
                 # a fact outside the labeled sub-graph: never produced by
                 # the extraction paths — recompute fresh, do not share

@@ -28,12 +28,13 @@ passes rely on — and the buffer is applied (or the index rebuilt, when the
 edit burst is larger than the module) on exit.
 
 :meth:`NetIndex.canonical_view` numbers canonical bits with small ints and
-memoizes per-cell canonical pin tuples and per-bit drivers and neighbour
-cells, for hot walks that would otherwise canonicalise every bit of every
-cell on every query (sub-graph extraction).  It is built on first use and
-dropped whenever the index applies an edit or rebuilds; inside a frozen
-window it therefore lives as long as the window, and cells rewired there
-are re-read through their :attr:`~repro.ir.module.Cell.version`.
+memoizes per-cell canonical pins and adjacent cells, and per-bit drivers
+and neighbour cells, for hot walks that would otherwise re-expand every
+cell on every query (sub-graph extraction walks cell to cell).  It is
+built on first use and dropped whenever the index applies an edit or
+rebuilds; inside a frozen window it therefore lives as long as the
+window, and cells rewired there are re-read through their
+:attr:`~repro.ir.module.Cell.version`.
 
 Terminology (matches the paper):
 
@@ -47,6 +48,7 @@ Terminology (matches the paper):
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import module as module_mod
@@ -617,14 +619,20 @@ class CanonicalView:
     window changes a cell's live connections but not the index maps).
     Per bit it memoizes the combinational driver and the neighbour cells
     (driver first, then combinational readers in ``index.readers``
-    order).  A driver lookup that raises :class:`DriverConflictError` is
-    not memoized, so it raises again on every query.
+    order); per cell, the cells adjacent to it (:meth:`adjacent`), keyed
+    and re-read by version like its pins.  Sub-graph extraction walks the
+    distance-k ball cell to cell over that adjacency, so a window's
+    queries share the bit expansion instead of redoing it per query.  A
+    driver lookup that raises :class:`DriverConflictError` is not
+    memoized (nor is an adjacency that needed it), so it raises again on
+    every query.
 
     Obtain it through :meth:`NetIndex.canonical_view`, which owns its
     invalidation.
     """
 
-    __slots__ = ("index", "bits", "_ids", "_cells", "_drivers", "_neighbours")
+    __slots__ = ("index", "bits", "_ids", "_cells", "_drivers", "_neighbours",
+                 "_adjacent")
 
     def __init__(self, index: NetIndex):
         self.index = index
@@ -634,6 +642,7 @@ class CanonicalView:
         self._cells: Dict[Cell, _CellIds] = {}
         self._drivers: Dict[int, Optional[Cell]] = {}
         self._neighbours: Dict[int, Tuple[Cell, ...]] = {}
+        self._adjacent: Dict[Cell, Tuple[int, Tuple[Cell, ...]]] = {}
 
     def bit_id(self, bit: SigBit) -> int:
         """The id of ``bit``'s canonical representative."""
@@ -691,3 +700,14 @@ class CanonicalView:
         )
         self._neighbours[bid] = result = tuple(cells)
         return result
+
+    def adjacent(self, cell: Cell) -> Tuple[Cell, ...]:
+        """The combinational cells one hop from any of ``cell``'s
+        :meth:`pins` (``cell`` itself included), without repeats, in
+        first-seen order."""
+        version = cell.version
+        entry = self._adjacent.get(cell)
+        if entry is None or entry[0] != version:
+            cells = chain.from_iterable(map(self.neighbours, self.pins(cell)))
+            entry = self._adjacent[cell] = (version, tuple(dict.fromkeys(cells)))
+        return entry[1]

@@ -21,9 +21,12 @@ def pytest_addoption(parser):
         type=int,
         default=0,
         help="run N extra random differential-fuzz seeds beyond the fixed "
-        "CI corpus (tests/fuzz/test_differential.py), and N batches of "
+        "CI corpus (tests/fuzz/test_differential.py), N batches of "
         "1,000 random strings through the tokenizer differential "
-        "(tests/frontend/test_lexer_reference.py)",
+        "(tests/frontend/test_lexer_reference.py), and N batches of four "
+        "fresh random modules through the extraction differential "
+        "(tests/core/test_subgraph.py::TestReferenceIdentity::"
+        "test_extended_extraction_fuzz)",
     )
     parser.addoption(
         "--fuzz-artifacts",

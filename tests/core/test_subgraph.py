@@ -9,12 +9,14 @@ insertion order (it fixes the order of SAT assumptions) and the same
 sizes — on every call a smartly run makes.
 """
 
+import random
 from typing import Dict, Iterable, List, Set, Tuple
 
 import pytest
 
 from repro.api import Session
 from repro.core import extract_subgraph, redundancy
+from repro.core.smartly import SmartlyOptions
 from repro.core.subgraph import SubGraph
 from repro.equiv import CI_CORPUS, random_module
 from repro.ir import (
@@ -415,6 +417,37 @@ class TestReferenceIdentity:
             facts[target] = len(facts) % 2 == 0
         assert max(sizes) == largest
 
+    def test_extended_extraction_fuzz(self, request, monkeypatch):
+        """Opt-in exploration beyond the fixed corpus (--fuzz-iterations=N):
+        each iteration runs smartly twice over a batch of fresh
+        ``random_module`` seeds, with default options and with a
+        ``max_gates`` small enough to force the capped bit-BFS fallback,
+        and checks every extraction against the reference."""
+        iterations = request.config.getoption("--fuzz-iterations")
+        if not iterations:
+            pytest.skip("pass --fuzz-iterations=N to fuzz beyond the fixed corpus")
+        real = redundancy.extract_subgraph
+        capped = []
+
+        def checked(index, target, known, k=4, max_gates=2000):
+            got = real(index, target, known, k=k, max_gates=max_gates)
+            want = reference_extract_subgraph(
+                index, target, known, k=k, max_gates=max_gates
+            )
+            assert _fields(got) == _fields(want), (seeds, index.module.name)
+            capped.append(got.gates_before == max_gates)
+            return got
+
+        monkeypatch.setattr(redundancy, "extract_subgraph", checked)
+        for _ in range(iterations):
+            seeds = [random.randrange(CI_CORPUS[-1] + 1, 1 << 30)
+                     for _ in range(4)]
+            for options in (SmartlyOptions(), SmartlyOptions(max_gates=8)):
+                for seed in seeds:
+                    module = random_module(seed, width=8, n_units=4)
+                    Session(module, options=options).run("smartly")
+        assert any(capped), "no extraction reached the cap"
+
 
 class TestLiveIndex:
     def test_rewire_inside_frozen_window(self):
@@ -460,3 +493,46 @@ class TestLiveIndex:
                 extract_subgraph(index, target, {}, k=2)
             with pytest.raises(DriverConflictError):
                 reference_extract_subgraph(index, target, {}, k=2)
+
+    def test_adjacent_rereads_a_rewired_cell(self):
+        """A ``set_port`` inside a frozen window leaves the view in place,
+        so the adjacency memo must notice the cell's new version."""
+        c = Circuit("t")
+        a, b, s, r = c.input("a"), c.input("b"), c.input("s"), c.input("r")
+        y = c.mux(a, b, s)
+        nb = c.not_(b)
+        c.output("y", c.or_(y, r))
+        c.output("nb", nb)
+        index = c.module.net_index()
+        mux, inverter = index.comb_driver(y[0]), index.comb_driver(nb[0])
+        with index.frozen():
+            view = index.canonical_view()
+            assert inverter in view.adjacent(mux)
+            mux.set_port("B", SigSpec([BIT1]))
+            assert index.canonical_view() is view
+            assert inverter not in view.adjacent(mux)
+            assert mux in view.adjacent(mux)
+
+    def test_driver_conflict_past_the_cap_does_not_raise(self):
+        """The cell walk looks up every pin of the ball, but the capped
+        BFS stops at ``max_gates`` cells before it reaches the conflicted
+        output of the and cell: only where the reference raises may the
+        extractor raise."""
+        c = Circuit("t")
+        t, w, v, e = c.input("t"), c.input("w"), c.input("v"), c.input("e")
+        x = c.and_(t, w)
+        c.output("y", x)
+        c.output("r1", c.not_(w))
+        c.output("r2", c.or_(w, v))
+        z = c.not_(e)
+        c.output("z", z)
+        index = c.module.net_index()
+        c.module.connect(z, x)  # x's output bit now has two drivers
+        target = index.canonical(t[0])
+        got = extract_subgraph(index, target, {}, k=2, max_gates=2)
+        want = reference_extract_subgraph(index, target, {}, k=2, max_gates=2)
+        assert _fields(got) == _fields(want)
+        assert got.gates_before == 2
+        for extract in (extract_subgraph, reference_extract_subgraph):
+            with pytest.raises(DriverConflictError):
+                extract(index, target, {}, k=2, max_gates=2000)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Session
+from repro.cli import main
 from repro.equiv import (
     EquivResult,
     PortMismatchError,
@@ -9,6 +11,7 @@ from repro.equiv import (
     build_miter,
     check_equivalence,
 )
+from repro.frontend import compile_verilog
 from repro.ir import Circuit
 from repro.opt import run_baseline_opt
 from tests.conftest import hard_equivalent_pair, random_circuit
@@ -165,3 +168,63 @@ def test_decided_within_budget_reports_method_sat():
     assert result.equivalent
     assert result.method == "sat"
     assert not result.undecided
+
+
+# -- undriven source bits ----------------------------------------------------
+
+#: an undriven net read by a cell, and an undriven output port
+UNDRIVEN_READ = (
+    "module m(input a, input b, output y); wire u;"
+    " assign y = (a & b) | u; endmodule"
+)
+UNDRIVEN_OUTPUT = "module m(input a, output y, output z); assign y = a; endmodule"
+
+
+@pytest.mark.parametrize(
+    "source", [UNDRIVEN_READ, UNDRIVEN_OUTPUT], ids=["read", "output"]
+)
+class TestUndrivenSources:
+    """Both modules of a miter declare an undriven bit as the same input,
+    named by its canonical bit (it used to be declared once per side: after
+    the first side's AND nodes, which the AIG refuses, or as two
+    independent inputs that random simulation told apart)."""
+
+    def test_module_equals_its_clone(self, source):
+        module = compile_verilog(source).top
+        assert check_equivalence(module, module.clone()).equivalent
+
+    def test_session_check(self, source):
+        report = Session.from_verilog(source).run("yosys", check=True)
+        assert report.equivalence_checked
+
+    def test_cli_opt_check_and_equiv(self, source, tmp_path, capsys):
+        path = tmp_path / "f.v"
+        path.write_text(source)
+        assert main(["opt", str(path), "--check"]) == 0
+        assert "equivalence check: PASSED" in capsys.readouterr().out
+        assert main(["equiv", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
+
+
+def test_undriven_source_difference_is_refuted_by_name():
+    gold = compile_verilog(UNDRIVEN_READ.replace("| u", "| ~u")).top
+    gate = compile_verilog(UNDRIVEN_READ).top
+    result = check_equivalence(gold, gate)
+    assert not result.equivalent and not result.undecided
+    assert "<u[0]>" in result.counterexample
+
+
+def test_undriven_source_names_are_unambiguous():
+    """Bit 0 of a two-bit wire ``u`` and the one-bit wire ``\\u[0]`` are
+    two nets: sharing one miter input would prove ``u[0] ^ \\u[0]``
+    constant."""
+    gold = compile_verilog(
+        "module m(input a, output y); wire [1:0] u; wire \\u[0] ;"
+        " assign y = u[0] ^ \\u[0] ; endmodule"
+    ).top
+    gate = compile_verilog(
+        "module m(input a, output y); assign y = 1'b0; endmodule"
+    ).top
+    result = check_equivalence(gold, gate)
+    assert not result.equivalent and not result.undecided
+    assert {"<u[0]>", "<u[0][0]>"} <= set(result.counterexample)

@@ -10,12 +10,14 @@ the ten Table II sources, the 80 fresh ``serve_warm`` designs, every
 ``.v`` file under ``tests/`` and ``examples/``, and seeded random strings
 over all 128 ASCII code points.
 
-The one allowed difference is the EOF token after a trailing ``//``
+Two differences are allowed.  The EOF token after a trailing ``//``
 comment: the reference never advanced its column over a line comment,
 so its EOF sat where the comment starts; the master pattern puts it at
-the true end of the input.  Outside ASCII the two differ on purpose
-(simple identifiers and numbers are ASCII only), so the random strings
-stay inside it.
+the true end of the input.  And a form feed: it is white space (IEEE
+1364-2005 §3.2), which the reference rejected as an unexpected
+character, so the reference reads each form feed as a space.  Outside
+ASCII the two differ on purpose (simple identifiers and numbers are
+ASCII only), so the random strings stay inside it.
 """
 
 import random
@@ -210,10 +212,13 @@ def lex(tokenizer, source):
 
 def mismatch(source: str):
     """None when both tokenizers agree on ``source``, else both outcomes."""
-    ours, theirs = lex(tokenize, source), lex(reference_tokenize, source)
+    # the form-feed difference: a form feed is white space, one column
+    # wide like the space the reference reads in its place
+    ours = lex(tokenize, source)
+    theirs = lex(reference_tokenize, source.replace("\f", " "))
     if (isinstance(ours, list) and isinstance(theirs, list)
             and ours[:-1] == theirs[:-1] and ours[-1] != theirs[-1]):
-        # the one allowed difference: the reference EOF stays at the start
+        # the EOF difference: the reference EOF stays at the start
         # of a trailing // comment; the new one is at the end of the input
         kind, text, line, col = theirs[-1]
         line_start = source.rfind("\n") + 1
@@ -279,6 +284,21 @@ def test_trailing_line_comment_eof_position():
     assert mismatch(source) is None
     with pytest.raises(FrontendError, match=r"^parse error at 1:55 "):
         parse_source(source)
+
+
+def test_form_feed_is_white_space():
+    """A form feed separates tokens like a space (the reference rejected
+    it); a vertical tab stays an unexpected character in both."""
+    source = "module m(output [3:0] y);\fassign y = 1; endmodule"
+    assert [t.text for t in tokenize(source)][11:13] == [";", "assign"]
+    with pytest.raises(FrontendError, match=r"^lex error at 1:26: "):
+        reference_tokenize(source)
+    assert mismatch(source) is None
+    parse_source(source)
+    vertical_tab = source.replace("\f", "\v")
+    for tokenizer in (tokenize, reference_tokenize):
+        with pytest.raises(FrontendError, match=r"at 1:26: unexpected"):
+            tokenizer(vertical_tab)
 
 
 @pytest.mark.parametrize("case", CASE_NAMES)

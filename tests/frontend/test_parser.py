@@ -192,3 +192,14 @@ class TestErrors:
     def test_integer_decl_unsupported(self):
         with pytest.raises(FrontendError):
             parse_module("module m(); integer i; endmodule")
+
+    @pytest.mark.parametrize("prefix", ["", "8'd"], ids=["plain", "based"])
+    def test_overlong_decimal_literal(self, prefix):
+        # more decimal digits than int() converts (4,300 by default) used
+        # to escape as a raw ValueError
+        source = (f"module m(output [7:0] y); assign y = {prefix}{'9' * 5000};"
+                  " endmodule")
+        with pytest.raises(FrontendError,
+                           match=r"^parse error at 1:38: decimal literal ") as info:
+            parse_module(source)
+        assert f"{prefix}9999" in str(info.value)

@@ -10,6 +10,7 @@ modules, so the invariance covers the exact objects the caches key.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,17 +18,19 @@ import sys
 import pytest
 
 from repro.core.subgraph import extract_subgraph
-from repro.equiv.differential import random_module
+from repro.equiv.differential import CI_CORPUS, random_module
 from repro.ir import NetIndex
 from repro.ir.cells import CellType
 from repro.ir.signals import SigBit, SigSpec
 from repro.ir.struct_hash import (
+    SCHEME_FINGERPRINT,
     StructKeyMemo,
     module_signature,
     renamed_copy,
     struct_signature,
     subgraph_signature,
 )
+from repro.workloads import CASE_NAMES, build_case
 
 SEEDS = (401, 402, 403, 404, 405, 406)
 
@@ -286,7 +289,7 @@ import json
 import sys
 
 from repro.core.subgraph import extract_subgraph
-from repro.equiv.differential import random_module
+from repro.equiv.differential import CI_CORPUS, random_module
 from repro.ir import NetIndex
 from repro.ir.cells import CellType
 from repro.ir.struct_hash import renamed_copy, subgraph_signature
@@ -323,6 +326,51 @@ def _run_with_hash_seed(seed: str) -> str:
         check=True,
     )
     return proc.stdout
+
+
+#: the scheme the pinned digest below was computed under, and that digest:
+#: BLAKE2b-128 over every signature :func:`_pinned_corpus_signatures`
+#: yields.  An encoding change moves the digest and must bump
+#: ``SCHEME_FINGERPRINT`` (so stale persisted stores are skipped); re-pin
+#: both together.
+PINNED_SCHEME = "structural/blake2b-16/wl3/v1"
+PINNED_DIGEST = "9cf010cac5f3a0f42caef52ae369e15c"
+
+
+def _pinned_corpus_signatures():
+    """The ten Table II modules, eight CI-corpus random modules, and every
+    mux-control extraction (k=4) of two of those under a fixed facts
+    pattern: every other input bit, plus each control once it is asked."""
+    for name in CASE_NAMES:
+        yield module_signature(build_case(name))
+    modules = [random_module(seed, width=8, n_units=4) for seed in CI_CORPUS[:8]]
+    for module in modules:
+        yield module_signature(module)
+    for module in modules[:2]:
+        index = NetIndex(module)
+        facts = {
+            index.canonical(SigBit(wire, i)): i % 4 == 0
+            for wire in module.inputs
+            for i in range(0, wire.width, 2)
+        }
+        for target in _mux_controls(module, index):
+            if target is None:
+                continue
+            subgraph = extract_subgraph(index, target, facts, k=4)
+            yield struct_signature(
+                subgraph.cells, subgraph.target, subgraph.known, index.sigmap
+            )
+            facts[target] = len(facts) % 2 == 0
+
+
+def test_digests_pinned_to_scheme_fingerprint():
+    """Signatures are persisted across processes and releases under
+    ``SCHEME_FINGERPRINT``: the digests may move only with it."""
+    digest = hashlib.blake2b(digest_size=16)
+    for signature in _pinned_corpus_signatures():
+        digest.update(signature.encode("ascii"))
+    assert (SCHEME_FINGERPRINT, digest.hexdigest()) == \
+        (PINNED_SCHEME, PINNED_DIGEST)
 
 
 def test_signatures_stable_across_processes_and_hash_seeds():
