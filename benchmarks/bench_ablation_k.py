@@ -8,17 +8,15 @@ misses eliminations; growing k recovers them at increasing analysis cost.
 
 import pytest
 
-from repro.aig import aig_map
-from repro.core import SmartlyOptions, run_smartly
-from repro.workloads import build_case
+from repro.api import Session, SmartlyOptions
 
 from conftest import get_module
 
 
 def _optimize_with_k(k: int):
-    module = get_module("wb_conmax").clone()
-    run_smartly(module, k=k, rebuild=False)
-    return aig_map(module).num_ands
+    session = Session(get_module("wb_conmax").clone(),
+                      options=SmartlyOptions(k=k))
+    return session.run("smartly-sat").optimized_area
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -12,12 +12,10 @@ of the two deciders:
 """
 
 import random
-import time
 
 import pytest
 
-from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import FlowSpec, Session
 from repro.ir import Circuit
 from repro.workloads import InputPool
 
@@ -47,11 +45,10 @@ def _xor_dependent_module(n_units=6):
 
 
 def _run(config):
-    module = _xor_dependent_module()
-    start = time.perf_counter()
-    run_smartly(module, rebuild=False, **config)
-    runtime = time.perf_counter() - start
-    return aig_map(module).num_ands, runtime
+    report = Session(_xor_dependent_module()).run(
+        FlowSpec.preset("smartly-sat", **config)
+    )
+    return report.optimized_area, report.runtime_s
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

@@ -10,7 +10,8 @@
 import pytest
 
 from repro.aig import aig_map
-from repro.core import ADD, MuxtreeRestructure, case_table, run_smartly
+from repro.api import Session
+from repro.core import ADD, MuxtreeRestructure, case_table
 from repro.equiv import assert_equivalent
 from repro.frontend import compile_verilog
 from repro.opt import OptClean
@@ -64,8 +65,7 @@ def test_listing1_area_gain(benchmark):
 
     def full_flow():
         module = compile_verilog(LISTING1).top
-        run_smartly(module)
-        return aig_map(module).num_ands
+        return Session(module).run("smartly").optimized_area
 
     after = benchmark(full_flow)
     assert after < before

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.aig import aig_map
+from repro.api import Session
 from repro.equiv import check_equivalence
 from repro.frontend import compile_verilog
 from repro.sat import Solver
@@ -81,10 +82,8 @@ def test_simulation_throughput(benchmark):
 
 def test_cec_throughput(benchmark):
     module = get_module("ac97_ctrl")
-    from repro.flow import optimize
-
     optimized = module.clone()
-    optimize(optimized, "smartly")
+    Session(optimized).run("smartly")
 
     result = benchmark.pedantic(
         lambda: check_equivalence(module, optimized, random_vectors=64),

@@ -10,10 +10,8 @@ import random
 
 import pytest
 
-from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import Session
 from repro.ir import Circuit
-from repro.opt import run_baseline_opt
 from repro.workloads import InputPool
 from repro.workloads.iwls import UNIT_MENU
 
@@ -26,19 +24,16 @@ def _measure(name, reps=3):
     for i in range(reps):
         c.output(f"y{i}", economics.build(c, pool, **economics.kwargs))
     module = c.module
-    orig = aig_map(module.clone()).num_ands
-    baseline = module.clone()
-    run_baseline_opt(baseline)
-    yosys_area = aig_map(baseline).num_ands
-    sat = module.clone()
-    run_smartly(sat, rebuild=False)
-    rebuild = module.clone()
-    run_smartly(rebuild, sat=False)
+
+    def area(preset):
+        return Session(module.clone()).run(preset).optimized_area
+
+    orig, yosys_area = area("none"), area("yosys")
     return {
         "orig": orig // reps,
         "yosys": (orig - yosys_area) // reps,
-        "satx": (yosys_area - aig_map(sat).num_ands) // reps,
-        "rebx": (yosys_area - aig_map(rebuild).num_ands) // reps,
+        "satx": (yosys_area - area("smartly-sat")) // reps,
+        "rebx": (yosys_area - area("smartly-rebuild")) // reps,
     }
 
 

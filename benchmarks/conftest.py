@@ -3,8 +3,8 @@
 ``flow_cache`` memoises (case, flow) runs for the whole pytest session so
 Table II, Table III and the ablations do not re-optimize the same circuits;
 tables print at session end through the ``table_report`` collector.  Flows
-run through the :mod:`repro.api` Session layer (each run on a private clone
-of the cached module, like the legacy ``run_flow`` did).
+run through the :mod:`repro.api` Session layer, each on a private clone of
+the cached module.
 """
 
 from __future__ import annotations

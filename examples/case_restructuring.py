@@ -9,7 +9,8 @@ Run:  python examples/case_restructuring.py
 """
 
 from repro.aig import aig_map
-from repro.core import ADD, MuxtreeRestructure, case_table, run_smartly
+from repro.api import Session
+from repro.core import ADD, MuxtreeRestructure, case_table
 from repro.equiv import check_equivalence
 from repro.frontend import compile_verilog
 from repro.opt import OptClean
@@ -83,7 +84,7 @@ def main():
     module = compile_verilog(LISTING2).top
     golden = module.clone()
     show("elaborated:", module)
-    run_smartly(module)
+    Session(module).run("smartly")
     show("after smaRTLy:", module)
     assert check_equivalence(golden, module).equivalent
     print("  equivalence: PASSED")

@@ -10,10 +10,9 @@ Run:  python examples/riscv_decoder.py
 """
 
 from repro.aig import aig_map, aig_stats
-from repro.core import run_smartly
+from repro.api import Session
 from repro.equiv import check_equivalence
 from repro.frontend import compile_verilog
-from repro.opt import run_baseline_opt
 
 DECODER = """
 module rv_alu_decoder(
@@ -69,19 +68,18 @@ def main():
     print(f"elaborated cells: {module.stats()}")
     print(f"original        : {aig_stats(aig_map(module.clone()))}")
 
-    baseline = module.clone()
-    run_baseline_opt(baseline)
-    print(f"Yosys baseline  : {aig_stats(aig_map(baseline))}")
+    yosys = Session(module.clone()).run("yosys")
+    print(f"Yosys baseline  : {yosys.stats}")
 
-    run_smartly(module)
-    print(f"smaRTLy         : {aig_stats(aig_map(module))}")
+    smartly = Session(module).run("smartly")
+    print(f"smaRTLy         : {smartly.stats}")
 
     result = check_equivalence(golden, module)
     assert result.equivalent, result.counterexample
     print("equivalence     : PASSED")
 
-    yosys_area = aig_map(baseline).num_ands
-    smartly_area = aig_map(module).num_ands
+    yosys_area = yosys.optimized_area
+    smartly_area = smartly.optimized_area
     if yosys_area:
         print(f"extra reduction : "
               f"{100 * (yosys_area - smartly_area) / yosys_area:.2f}% vs Yosys")

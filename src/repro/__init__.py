@@ -7,7 +7,7 @@ Public API
     The stable surface: :class:`~repro.flow.session.Session` (owns a design,
     caches baselines, runs flows, parallel ``run_suite``),
     :class:`~repro.flow.spec.FlowSpec` (declarative pipelines parsed from
-    Yosys-like scripts, with the legacy optimizer names as presets), the
+    Yosys-like scripts, with the paper's five configurations as presets), the
     JSON-serializable :class:`~repro.flow.session.RunReport`, and the
     structured event channel from :mod:`repro.events`.
 
@@ -38,8 +38,8 @@ Subpackages
     Synthetic benchmark circuit generators (IWLS-2005/RISC-V models and the
     industrial benchmark).
 ``repro.flow``
-    FlowSpec/Session implementation, legacy ``run_flow`` shims, and the
-    Table II/III report renderers.
+    FlowSpec/Session implementation, the serve daemon, and the Table II/III
+    report renderers.
 ``repro.events``
     Structured progress events (bus, log, print/JSON-lines observers).
 """

@@ -2,7 +2,7 @@
 
 from .aig import AIG, FALSE_LIT, TRUE_LIT
 from .aigmap import AigMapper, aig_map
-from .aiger import aiger_str, read_aiger, write_aiger
+from .aiger import AigerError, aiger_str, read_aiger, write_aiger
 from .fraig import ConeEncoder, SweepOutcome, sweep_miter
 from .stats import AigStats, aig_stats
 from .to_netlist import aig_to_module
@@ -11,6 +11,7 @@ __all__ = [
     "AIG",
     "AigMapper",
     "AigStats",
+    "AigerError",
     "ConeEncoder",
     "FALSE_LIT",
     "SweepOutcome",

@@ -43,20 +43,29 @@ def aiger_str(aig: AIG) -> str:
     return buffer.getvalue()
 
 
+class AigerError(ValueError):
+    """Malformed or unsupported ASCII AIGER input."""
+
+
 def read_aiger(source: Union[str, TextIO]) -> AIG:
-    """Parse an ASCII AIGER file (combinational subset, no latches)."""
+    """Parse an ASCII AIGER file (combinational subset, no latches).
+
+    Raises :class:`AigerError` on an empty input, a malformed header or
+    latches.
+    """
     if isinstance(source, str):
         lines: List[str] = source.splitlines()
     else:
         lines = source.read().splitlines()
     if not lines:
-        raise ValueError("empty AIGER input")
+        raise AigerError("empty AIGER input")
     header = lines[0].split()
-    if len(header) < 6 or header[0] != "aag":
-        raise ValueError(f"bad AIGER header: {lines[0]!r}")
+    if (len(header) < 6 or header[0] != "aag"
+            or not all(x.isdigit() for x in header[1:6])):
+        raise AigerError(f"bad AIGER header: {lines[0]!r}")
     m, i, latches, o, a = (int(x) for x in header[1:6])
     if latches:
-        raise ValueError("latches are not supported")
+        raise AigerError("latches are not supported")
     aig = AIG()
     pos = 1
     input_lits = []

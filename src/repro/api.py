@@ -35,8 +35,8 @@ Everything a tool builder needs in one import::
   FAULT_NAMES`, :class:`~repro.core.faults.InjectedFault`) that proves
   the serve layer's survival invariants on demand.
 
-Legacy entry points (``repro.flow.run_flow``, ``repro.flow.optimize``,
-``repro.core.run_smartly``) remain as deprecated shims over this layer.
+``Session(module).run(preset_or_spec)`` is the one way to run a flow; it
+mutates the session's module in place, so clone first to keep the input.
 """
 
 from .core.faults import (

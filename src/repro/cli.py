@@ -57,6 +57,12 @@ content, or forced with ``--format``.  ``write --output foo.json`` (or
 Artifacts written to ``--output`` paths go through
 :func:`repro.core.store.atomic_write_text`, so an interrupted run never
 leaves a truncated file under the target name.
+
+Exit statuses: 0 ok; 1 ``equiv`` proved the netlists NOT EQUIVALENT or
+``fuzz`` found a failure; 2 an error — bad arguments, a missing or
+malformed input file (Verilog, Yosys JSON or AIGER), ports that do not
+match under ``equiv``, a bad flow script, or a ``reduce`` input that does
+not fail.  Errors print one ``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -65,16 +71,19 @@ import argparse
 import sys
 from typing import Optional
 
-from .aig import aig_map, aig_stats, write_aiger
-from .api import PrintObserver, Session, suite_cases
+from .aig import AigerError, aig_map, aig_stats, write_aiger
+from .api import PRESET_NAMES, PrintObserver, Session, suite_cases
 from .core.store import atomic_write_text
+from .equiv import PortMismatchError
 from .flow import (
-    OPTIMIZERS,
+    FlowScriptError,
+    FlowSpec,
     render_industrial,
     render_table2,
     render_table3,
 )
-from .frontend import compile_verilog
+from .frontend import FrontendError, compile_verilog
+from .testing import NotFailingError
 from .workloads import CASE_NAMES, build_case, build_industrial
 
 
@@ -147,7 +156,7 @@ def _run_and_report(module, flow, check: bool, as_json: bool,
             f"warning: round limit reached after {report.rounds} round(s) "
             f"without convergence", file=sys.stderr,
         )
-    if check:
+    if report.equivalence_checked:
         print("equivalence check: PASSED")
     for key, value in sorted(report.pass_stats.items()):
         print(f"  {key} = {value}")
@@ -169,16 +178,10 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 def cmd_script(args: argparse.Namespace) -> int:
     """Parse and run an arbitrary flow script over one file."""
-    from .flow import FlowScriptError, FlowSpec
-
-    try:
-        spec = FlowSpec.parse(args.flow)
-        if not spec.steps:
-            raise FlowScriptError("empty flow script (no pass statements)")
-        spec.validate()
-    except FlowScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = FlowSpec.parse(args.flow)
+    if not spec.steps:
+        raise FlowScriptError("empty flow script (no pass statements)")
+    spec.validate()
     module = _load_module(args.source, args.top, args.format)
     return _run_and_report(module, spec, args.check, args.json, args.verbose,
                            args.engine, args.store)
@@ -214,12 +217,11 @@ def cmd_aig(args: argparse.Namespace) -> int:
 
 def cmd_write(args: argparse.Namespace) -> int:
     """Optimize (optionally) and write structural Verilog or Yosys JSON."""
-    from .flow.pipeline import optimize
     from .ir import verilog_str, yosys_json_str
 
     module = _load_module(args.source, args.top)
     if args.optimizer != "none":
-        optimize(module, args.optimizer)
+        Session(module).run(args.optimizer)
     out_format = args.output_format
     if out_format == "auto":
         out_format = (
@@ -319,34 +321,23 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     import json as _json
 
     from .ir import verilog_str, yosys_json_str
-    from .testing import (
-        NotFailingError,
-        get_oracle,
-        reduce_design,
-        reduce_module,
-    )
+    from .testing import get_oracle, reduce_design, reduce_module
 
     oracle = get_oracle(args.oracle, flow=args.flow)
     design = _load_design(args.source, args.top, args.format)
     progress = None
     if args.verbose:
         progress = lambda msg: print(f"  {msg}", file=sys.stderr)  # noqa: E731
-    try:
-        if oracle.scope == "design":
-            result = reduce_design(design, oracle,
-                                   max_probes=args.max_probes,
-                                   on_progress=progress)
-            minimized = result.design
-            modules = list(minimized)
-        else:
-            result = reduce_module(design.top, oracle,
-                                   max_probes=args.max_probes,
-                                   on_progress=progress)
-            minimized = result.module
-            modules = [minimized]
-    except NotFailingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if oracle.scope == "design":
+        result = reduce_design(design, oracle, max_probes=args.max_probes,
+                               on_progress=progress)
+        minimized = result.design
+        modules = list(minimized)
+    else:
+        result = reduce_module(design.top, oracle, max_probes=args.max_probes,
+                               on_progress=progress)
+        minimized = result.module
+        modules = [minimized]
     print(
         f"reduce: {result.original_cells} -> {result.cells} cells "
         f"({100 * result.reduction:.1f}%), label {result.target!r}, "
@@ -535,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("opt", help="optimize a Verilog file and report AIG area")
     p_opt.add_argument("source")
     p_opt.add_argument("--top", default=None)
-    p_opt.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_opt.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_opt.add_argument("--check", action="store_true",
                        help="prove equivalence of the optimized netlist")
     p_opt.add_argument("--json", action="store_true",
@@ -594,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_write.add_argument("source")
     p_write.add_argument("--top", default=None)
-    p_write.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_write.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_write.add_argument("-o", "--output", default=None)
     p_write.add_argument("--output-format", choices=("auto", "verilog", "json"),
                          default="auto",
@@ -683,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hier.add_argument("source")
     p_hier.add_argument("--top", default=None)
-    p_hier.add_argument("--optimizer", choices=OPTIMIZERS, default="smartly")
+    p_hier.add_argument("--optimizer", choices=PRESET_NAMES, default="smartly")
     p_hier.add_argument("--check", action="store_true",
                         help="SAT-prove every module (replays included)")
     p_hier.add_argument("--json", action="store_true",
@@ -794,11 +785,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: errors that mean "bad input" rather than a verdict: every subcommand
+#: reports them as one ``error:`` line on stderr with exit status 2
+INPUT_ERRORS = (
+    OSError,
+    FrontendError,
+    AigerError,
+    PortMismatchError,
+    FlowScriptError,
+    NotFailingError,
+)
+
+
 def main(argv=None) -> int:
-    """CLI entry point: parse arguments, dispatch, return the exit status."""
+    """CLI entry point: parse arguments, dispatch, return the exit status
+    (0 ok, 1 NOT EQUIVALENT or a fuzz failure, 2 an error)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@
   elimination over reduced sub-graphs (paper §II),
 * :class:`~repro.core.restructure.MuxtreeRestructure` — ADD-based muxtree
   restructuring (paper §III, Algorithm 1),
-* :func:`~repro.core.smartly.run_smartly` — the combined flow.
+* :class:`~repro.core.smartly.Smartly` — both as one registered pass, the
+  muxtree stage of the ``smartly*`` presets that
+  :class:`~repro.flow.session.Session` runs.
 """
 
 from .add import ADD, ADDNode, case_table
@@ -13,7 +15,7 @@ from .store import CacheStore, StoreError, atomic_write_bytes, atomic_write_text
 from .inference import Contradiction, InferenceEngine, InferenceResult, infer
 from .redundancy import SatRedundancy
 from .restructure import CaseTree, MuxtreeRestructure, eq_aig_cost, mux_aig_cost
-from .smartly import Smartly, SmartlyOptions, run_smartly
+from .smartly import Smartly, SmartlyOptions
 from .subgraph import SubGraph, extract_subgraph
 
 __all__ = [
@@ -38,5 +40,4 @@ __all__ = [
     "extract_subgraph",
     "infer",
     "mux_aig_cost",
-    "run_smartly",
 ]

@@ -2,15 +2,16 @@
 
 The paper evaluates three configurations (Table III):
 
-* **SAT**      — SAT-based redundancy elimination only (``smartly_sat``),
-* **Rebuild**  — muxtree restructuring only (``smartly_rebuild``),
+* **SAT**      — SAT-based redundancy elimination only (``smartly-sat``),
+* **Rebuild**  — muxtree restructuring only (``smartly-rebuild``),
 * **Full**     — both, which compose: restructuring lowers tree heights and
   simplifies control ports, shrinking the sub-graphs the SAT stage must
   reason about, so Full typically beats the sum of its parts.
 
-``run_smartly`` wraps the passes with the same generic cleanup
-(``opt_expr`` / ``opt_merge`` / ``opt_clean``) used around the Yosys
-baseline, so area comparisons isolate the muxtree strategy itself.
+The ``smartly*`` flow presets (:mod:`repro.flow.spec`) wrap this pass with
+the same generic cleanup (``opt_expr`` / ``opt_merge`` / ``opt_clean``)
+used around the Yosys baseline, so area comparisons isolate the muxtree
+strategy itself.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from ..ir.module import Module
-from ..opt.opt_clean import OptClean
-from ..opt.opt_expr import OptExpr
-from ..opt.opt_merge import OptMerge
-from ..opt.pass_base import (
-    DirtySet,
-    Pass,
-    PassManager,
-    PassResult,
-    register_pass,
-)
+from ..opt.pass_base import DirtySet, Pass, PassResult, register_pass
 from ..sat.oracle import SatOracle
 from .cache import ResultCache
 from .redundancy import SatRedundancy
@@ -187,25 +179,3 @@ class Smartly(Pass):
                     sub.touched_cells, sub.touched_bits,
                     sub.touched_fanin_bits,
                 ))
-
-
-def run_smartly(
-    module: Module,
-    options: Optional[SmartlyOptions] = None,
-    verbose: bool = False,
-    **overrides,
-) -> PassManager:
-    """Run the full smaRTLy flow (cleanup + selected stages) to a fixpoint.
-
-    .. deprecated::
-        Legacy entry point, kept as a thin shim.  New code should use
-        :class:`repro.api.Session` with the ``smartly`` preset (or a
-        custom :class:`repro.api.FlowSpec`), which adds baseline caching,
-        structured events and JSON-serializable reports.
-    """
-    smartly = Smartly(options, **overrides)
-    manager = PassManager(
-        [OptExpr(), OptMerge(), smartly, OptClean()], verbose=verbose
-    )
-    manager.run(module, fixpoint=True, max_rounds=smartly.options.max_rounds)
-    return manager

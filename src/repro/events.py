@@ -1,7 +1,6 @@
 """Structured flow events: the observer channel for pipelines and suites.
 
-Optimization progress used to be reported through ``PassManager(verbose=True)``
-prints.  This module replaces that with a typed event stream: producers
+Optimization progress is a typed event stream: producers
 (:class:`~repro.opt.pass_base.PassManager`, :class:`~repro.flow.session.Session`)
 emit :class:`FlowEvent` records onto an :class:`EventBus`; consumers subscribe
 callables.  Shipped consumers:
@@ -174,10 +173,10 @@ class EventLog:
 class PrintObserver:
     """Renders progress lines from the event stream.
 
-    ``verbose=False`` prints only suite/flow milestones (the old
-    ``"  case: done"`` stderr lines); ``verbose=True`` additionally prints
-    per-pass lines in the exact format ``PassManager(verbose=True)`` used,
-    so legacy output is reproducible over the structured channel.
+    ``verbose=False`` prints suite and case milestones and round-limit
+    warnings; ``verbose=True`` adds one ``[pass] {stats}`` line per pass
+    that changed something or counted anything, and a line when the
+    pipeline converges (what ``cli opt -v`` streams to stderr).
     """
 
     def __init__(self, stream: Optional[TextIO] = None, verbose: bool = False):

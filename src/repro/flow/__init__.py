@@ -1,7 +1,6 @@
-"""Flows: the declarative Session/FlowSpec API, legacy shims, and the
-Table II/III/industrial report renderers."""
+"""Flows: the declarative Session/FlowSpec API and the Table II/III/
+industrial report renderers."""
 
-from .pipeline import OPTIMIZERS, FlowResult, optimize, run_flow
 from .reports import render_industrial, render_table2, render_table3
 from .serve import FlowServer, serve_socket, serve_stdin
 from .session import (
@@ -33,12 +32,10 @@ from .workers import JobOutcome, WorkerPool, run_job
 
 __all__ = [
     "EquivalenceError",
-    "FlowResult",
     "FlowScriptError",
     "FlowServer",
     "FlowSpec",
     "JobOutcome",
-    "OPTIMIZERS",
     "PRESETS",
     "PRESET_NAMES",
     "PRESET_WORKLOADS",
@@ -52,14 +49,12 @@ __all__ = [
     "SweepReport",
     "WorkerPool",
     "expand_grid",
-    "optimize",
     "preset_workloads",
     "run_sweep",
     "render_industrial",
     "render_table2",
     "render_table3",
     "resolve_flow",
-    "run_flow",
     "run_job",
     "serve_socket",
     "serve_stdin",

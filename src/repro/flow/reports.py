@@ -1,18 +1,21 @@
 """Text renderers for the paper's tables (measured vs published).
 
-Each renderer consumes ``results[case][flow] -> record`` where the record
-only needs ``original_area`` / ``optimized_area`` attributes — both the
-legacy :class:`~repro.flow.pipeline.FlowResult` and the Session API's
-:class:`~repro.flow.session.RunReport` (and a whole
-:class:`~repro.flow.session.SuiteReport`, which is such a mapping) work.
+Each renderer consumes ``results[case][flow] -> RunReport`` — a whole
+:class:`~repro.flow.session.SuiteReport` from
+:meth:`~repro.flow.session.Session.run_suite`, or any such mapping of
+:class:`~repro.flow.session.RunReport` records.  Only their
+``original_area`` / ``optimized_area`` fields are read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from ..workloads.iwls import PAPER_TABLE2, PaperRow
-from .pipeline import FlowResult
+from .session import RunReport
+
+#: ``results[case][flow label] -> RunReport``; a SuiteReport is one
+SuiteResults = Mapping[str, Mapping[str, RunReport]]
 
 
 def _pct(value: float) -> str:
@@ -20,13 +23,13 @@ def _pct(value: float) -> str:
 
 
 def render_table2(
-    results: Mapping[str, Mapping[str, FlowResult]],
+    results: SuiteResults,
     paper: Optional[Mapping[str, PaperRow]] = None,
 ) -> str:
     """Table II: Original / Yosys / smaRTLy areas + reduction vs Yosys.
 
-    ``results[case][optimizer]`` holds the flow measurements; optimizers
-    ``yosys`` and ``smartly`` are required per case.
+    ``results[case][flow]`` holds the flow measurements; the ``yosys``
+    and ``smartly`` presets are required per case.
     """
     if paper is None:
         paper = PAPER_TABLE2
@@ -69,7 +72,7 @@ def render_table2(
 
 
 def render_table3(
-    results: Mapping[str, Mapping[str, FlowResult]],
+    results: SuiteResults,
     paper: Optional[Mapping[str, PaperRow]] = None,
 ) -> str:
     """Table III: SAT-only / Rebuild-only / Full reductions vs Yosys."""
@@ -116,7 +119,7 @@ def render_table3(
     return "\n".join(lines)
 
 
-def render_industrial(results: Mapping[str, Mapping[str, FlowResult]]) -> str:
+def render_industrial(results: SuiteResults) -> str:
     """§IV-B summary: per-point and aggregate extra reduction vs Yosys."""
     lines = []
     header = (

@@ -139,11 +139,9 @@ class PassRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything measured about one (module, flow) run.
-
-    Replaces the ad-hoc dict / :class:`~repro.flow.pipeline.FlowResult`
-    plumbing: the report is a frozen, JSON-serializable record carrying
-    per-pass statistics, areas, runtimes and the equivalence status.
+    """Everything measured about one (module, flow) run: a frozen,
+    JSON-serializable record carrying per-pass statistics, areas, runtimes
+    and the equivalence status.
     """
 
     case_name: str
@@ -187,11 +185,6 @@ class RunReport:
     #: a snapshot counts only what it learned), and the accumulated
     #: SAT-oracle counters of every run so far as ``oracle_*`` entries
     cache_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def optimizer(self) -> str:
-        """Legacy alias: the flow's label."""
-        return self.flow
 
     @property
     def reduction_vs_original(self) -> float:
@@ -348,9 +341,9 @@ class Session:
     The session caches each module's pre-optimization AIG baseline the
     first time it is needed (``aig_map`` never mutates the module, so the
     baseline is computed directly on the working copy — no clone).
-    Flows then mutate the session's modules in place, Yosys-style; use
-    :func:`repro.flow.pipeline.run_flow` or clone before constructing the
-    session if the caller's module must stay pristine.
+    Flows then mutate the session's modules in place, Yosys-style; clone
+    before constructing the session if the caller's module must stay
+    pristine (``Session(module.clone()).run(preset)``).
 
     ``options`` seeds the *presets* (``smartly``/``smartly-sat``/…), which
     take their tuning from one :class:`SmartlyOptions` object.  Explicit
@@ -645,9 +638,10 @@ class Session:
         this module is skipped when the module's content is unchanged and
         seeded with just the in-between edits when it is not —
         :attr:`RunReport.design_cache` records which happened.  A skipped
-        run with ``check=True`` reports ``equivalence_checked=True``
-        without solving: zero passes ran, so the module *is* its own
-        pre-flow state.
+        run, or a flow with no steps (the ``none`` preset), with
+        ``check=True`` reports ``equivalence_checked=True`` without
+        solving: zero passes ran, so the module *is* its own pre-flow
+        state.
         """
         engine = engine if engine is not None else self.engine
         if engine not in ("incremental", "eager"):
@@ -723,7 +717,6 @@ class Session:
                 self._flow_states.pop(state_key, None)
         runtime = time.perf_counter() - start
         stats = aig_stats(aig_map(mod))
-        checked = False
         if golden is not None:
             result = check_equivalence(
                 golden, mod,
@@ -734,7 +727,6 @@ class Session:
                     f"{spec.label} broke {mod.name!r}: "
                     f"counterexample {result.counterexample}"
                 )
-            checked = True
         self.events.emit(
             "flow_finished",
             case=mod.name,
@@ -767,7 +759,7 @@ class Session:
             pass_stats=pass_stats,
             rounds=manager.rounds_run,
             runtime_s=runtime,
-            equivalence_checked=checked,
+            equivalence_checked=bool(check),
             oracle_stats=oracle_stats,
             engine=engine,
             converged=manager.converged,

@@ -22,10 +22,9 @@ Script grammar (statements split on ``;`` or newlines, ``#`` comments)::
     option    := KEY "=" VALUE | KEY         -- bare KEY means KEY=true
 
 Values parse as ``int``, ``float``, ``true``/``false`` booleans, or plain
-strings.  The five legacy optimizer names (``none``, ``yosys``,
+strings.  The paper's five configurations (``none``, ``yosys``,
 ``smartly-sat``, ``smartly-rebuild``, ``smartly``) are available as named
-presets via :meth:`FlowSpec.preset`, constructed to match the historic
-``run_flow`` pipelines exactly.
+presets via :meth:`FlowSpec.preset`.
 """
 
 from __future__ import annotations
@@ -175,11 +174,11 @@ class FlowSpec:
         options: Optional[SmartlyOptions] = None,
         **overrides: Any,
     ) -> "FlowSpec":
-        """The five legacy optimizer pipelines as named flows.
+        """The paper's five configurations as named flows.
 
-        ``options``/``overrides`` tune the smaRTLy stage exactly like the
-        legacy ``run_flow(..., options=...)`` / ``run_smartly(**overrides)``
-        paths did; they are ignored by the ``none``/``yosys`` presets.
+        ``options``/``overrides`` tune the smaRTLy stage
+        (``FlowSpec.preset("smartly", k=6)``); they are ignored by the
+        ``none``/``yosys`` presets.
         """
         if name not in PRESETS:
             raise ValueError(
@@ -328,7 +327,8 @@ PRESETS = {
     ),
 }
 
-#: preset names in the legacy OPTIMIZERS order
+#: preset names in the paper's column order (Original, Yosys, SAT,
+#: Rebuild, Full)
 PRESET_NAMES = ("none", "yosys", "smartly-sat", "smartly-rebuild", "smartly")
 
 

@@ -1,11 +1,10 @@
 """Pass framework and baseline optimization passes.
 
-``run_baseline_opt`` bundles the Yosys-equivalent pipeline the paper
-compares against: ``opt_expr`` + ``opt_merge`` + ``opt_muxtree`` +
+The ``yosys`` flow preset (:mod:`repro.flow.spec`) runs the pipeline the
+paper compares against: ``opt_expr`` + ``opt_merge`` + ``opt_muxtree`` +
 ``opt_clean`` to a fixpoint.
 """
 
-from ..ir.module import Module
 from .opt_clean import OptClean
 from .opt_expr import OptExpr
 from .opt_merge import OptMerge
@@ -19,23 +18,6 @@ from .pass_base import (
     register_pass,
 )
 
-
-def run_baseline_opt(module: Module, verbose: bool = False) -> PassManager:
-    """The ``yosys``-equivalent optimization pipeline (with opt_muxtree)."""
-    manager = PassManager(
-        [OptExpr(), OptMerge(), OptMuxtree(), OptClean()], verbose=verbose
-    )
-    manager.run(module, fixpoint=True)
-    return manager
-
-
-def run_generic_opt(module: Module, verbose: bool = False) -> PassManager:
-    """Cleanup pipeline without any muxtree pass (the 'Original' leg)."""
-    manager = PassManager([OptExpr(), OptMerge(), OptClean()], verbose=verbose)
-    manager.run(module, fixpoint=True)
-    return manager
-
-
 __all__ = [
     "OptClean",
     "OptExpr",
@@ -47,6 +29,4 @@ __all__ = [
     "known_passes",
     "make_pass",
     "register_pass",
-    "run_baseline_opt",
-    "run_generic_opt",
 ]

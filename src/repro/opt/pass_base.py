@@ -331,9 +331,8 @@ class PassManager:
     Progress is reported through a structured :class:`~repro.events.EventBus`
     (``pipeline_started`` / ``pass_started`` / ``pass_finished`` /
     ``round_finished`` / ``round_converged`` / ``round_limit_reached`` /
-    ``pipeline_finished``) instead of prints; ``verbose=True`` is a
-    convenience that attaches a :class:`~repro.events.PrintObserver`
-    reproducing the legacy per-pass print lines over that same channel.
+    ``pipeline_finished``); subscribe a :class:`~repro.events.PrintObserver`
+    to the bus for human-readable per-pass lines.
 
     ``incremental=True`` (the default) runs the dirty-set engine: the first
     fixpoint round sweeps everything, later rounds seed each pass with the
@@ -350,15 +349,13 @@ class PassManager:
     def __init__(
         self,
         passes: Sequence[Pass],
-        verbose: bool = False,
         events: Optional["EventBus"] = None,
         name: str = "pipeline",
         incremental: bool = True,
     ):
-        from ..events import EventBus, PrintObserver
+        from ..events import EventBus
 
         self.passes = list(passes)
-        self.verbose = verbose
         self.name = name
         self.incremental = incremental
         self.history: List[PassResult] = []
@@ -370,10 +367,6 @@ class PassManager:
         #: dirty-set engine counters from the most recent :meth:`run`
         self.dirty_stats: Dict[str, int] = {}
         self.events = events if events is not None else EventBus()
-        if verbose:
-            import sys
-
-            self.events.subscribe(PrintObserver(stream=sys.stdout, verbose=True))
 
     @property
     def engine(self) -> str:

@@ -8,7 +8,8 @@ rebuild just like plain chains.
 
 import pytest
 
-from repro.core import MuxtreeRestructure, run_smartly
+from repro.api import Session
+from repro.core import MuxtreeRestructure
 from repro.equiv import assert_equivalent
 from repro.ir import CellType, Circuit, SigSpec
 from repro.opt import OptClean
@@ -49,7 +50,7 @@ def test_figure6_full_flow_removes_all_eq():
     Figure-7 form: selector-driven muxes, no comparison gates."""
     m = _figure6()
     gold = m.clone()
-    run_smartly(m)
+    Session(m).run("smartly")
     assert_equivalent(gold, m)
     stats = m.stats()
     assert stats.get("or", 0) == 0  # the disjunction gate is gone

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig import aig_map
-from repro.core import Smartly, SmartlyOptions, run_smartly
+from repro.api import Session
+from repro.core import Smartly, SmartlyOptions
 from repro.equiv import assert_equivalent
 from repro.ir import Circuit
-from repro.opt import run_baseline_opt
 from tests.conftest import random_circuit
 
 
@@ -31,29 +31,29 @@ class TestFullFlow:
         m = _combined_circuit()
         gold = m.clone()
         baseline = m.clone()
-        run_baseline_opt(baseline)
+        Session(baseline).run("yosys")
         smartly = m.clone()
-        run_smartly(smartly)
+        Session(smartly).run("smartly")
         assert_equivalent(gold, smartly)
         assert aig_map(smartly).num_ands <= aig_map(baseline).num_ands
 
     def test_components_compose(self):
         m = _combined_circuit()
         sat_only = m.clone()
-        run_smartly(sat_only, rebuild=False)
+        Session(sat_only).run("smartly-sat")
         rebuild_only = m.clone()
-        run_smartly(rebuild_only, sat=False)
+        Session(rebuild_only).run("smartly-rebuild")
         full = m.clone()
-        run_smartly(full)
+        Session(full).run("smartly")
         full_area = aig_map(full).num_ands
         assert full_area <= aig_map(sat_only).num_ands
         assert full_area <= aig_map(rebuild_only).num_ands
 
     def test_all_variants_equivalent(self):
         m = _combined_circuit()
-        for kwargs in ({}, {"rebuild": False}, {"sat": False}):
+        for preset in ("smartly", "smartly-sat", "smartly-rebuild"):
             work = m.clone()
-            run_smartly(work, **kwargs)
+            Session(work).run(preset)
             assert_equivalent(m, work)
 
 
@@ -65,7 +65,7 @@ class TestOptions:
     def test_options_object_respected(self):
         options = SmartlyOptions(sat=False, rebuild=True, min_gain=10_000)
         m = _combined_circuit()
-        run_smartly(m, options)
+        Session(m, options=options).run("smartly")
         # with an absurd min_gain nothing gets rebuilt, but the run succeeds
         assert_equivalent(_combined_circuit(), m)
 
@@ -82,15 +82,13 @@ class TestOptions:
         inner = c.mux(B, A, S)
         c.output("Y", c.mux(C, inner, S))
         m = c.module
-        run_smartly(m, sat=False)
+        Session(m).run("smartly-rebuild")
         assert sum(1 for cell in m.cells.values() if cell.is_mux) == 1
 
 
 class TestStatsPlumbing:
     def test_pass_stats_are_namespaced(self):
-        m = _combined_circuit()
-        manager = run_smartly(m)
-        keys = manager.total_stats().keys()
+        keys = Session(_combined_circuit()).run("smartly").pass_stats.keys()
         assert any(key.startswith("smartly.") for key in keys)
 
 
@@ -99,5 +97,5 @@ class TestStatsPlumbing:
 def test_random_circuits_full_flow_preserved(seed):
     module = random_circuit(seed, n_ops=10, mux_bias=0.6)
     gold = module.clone()
-    run_smartly(module)
+    Session(module).run("smartly")
     assert_equivalent(gold, module)

@@ -13,7 +13,6 @@ from repro.equiv import (
 )
 from repro.frontend import compile_verilog
 from repro.ir import Circuit
-from repro.opt import run_baseline_opt
 from tests.conftest import hard_equivalent_pair, random_circuit
 
 
@@ -135,7 +134,7 @@ def test_optimized_random_circuits_stay_equivalent():
     for seed in (11, 222, 3333):
         module = random_circuit(seed, n_ops=10)
         gold = module.clone()
-        run_baseline_opt(module)
+        Session(module).run("yosys")
         assert_equivalent(gold, module)
 
 

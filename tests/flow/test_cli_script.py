@@ -1,4 +1,5 @@
-"""CLI coverage for the declarative flow surface (`script`, `opt --json`)."""
+"""CLI coverage for the declarative flow surface (`script`, `opt --json`),
+`write` -> `equiv`, and the exit statuses (1 is a verdict, 2 an error)."""
 
 import json
 
@@ -70,3 +71,64 @@ def test_opt_verbose_streams_pass_events(verilog, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "[smartly]" in err
+
+
+def test_opt_none_check_text_and_json_agree(verilog, capsys):
+    assert main(["opt", verilog, "--optimizer", "none", "--check"]) == 0
+    assert "equivalence check: PASSED" in capsys.readouterr().out
+    assert main(["opt", verilog, "--optimizer", "none", "--check",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalence_checked"] is True
+    assert main(["opt", verilog, "--optimizer", "none"]) == 0
+    assert "equivalence check" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suffix", [".v", ".json"])
+def test_write_then_equiv_proves_the_output(tmp_path, verilog, capsys,
+                                            suffix):
+    out = str(tmp_path / f"opt{suffix}")
+    assert main(["write", verilog, "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["equiv", verilog, out]) == 0
+    assert capsys.readouterr().out == "EQUIVALENT (proved by sat)\n"
+
+
+#: unreadable inputs: file name -> contents (None = no file at all)
+BAD_INPUTS = {
+    "missing.v": None,
+    "truncated.v": SOURCE[:60],
+    "netlist.json": '{"modules": 3}',
+    "header.aag": "aag 1 2\n",
+}
+
+
+@pytest.mark.parametrize("command", ["opt", "equiv"])
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_an_error_not_a_verdict(tmp_path, verilog, capsys,
+                                             command, name):
+    path = tmp_path / name
+    if BAD_INPUTS[name] is not None:
+        path.write_text(BAD_INPUTS[name])
+    extra = [verilog] if command == "equiv" else []
+    assert main([command, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_equiv_port_mismatch_is_an_error(tmp_path, verilog, capsys):
+    other = tmp_path / "other.v"
+    other.write_text(
+        "module demo(input [1:0] s, input [7:0] a, output [7:0] y);\n"
+        "  assign y = a;\nendmodule\n"
+    )
+    assert main(["equiv", verilog, str(other)]) == 2
+    assert capsys.readouterr().err.startswith("error: signatures differ")
+
+
+def test_equiv_non_equivalent_pair_still_exits_1(tmp_path, verilog, capsys):
+    wrong = tmp_path / "wrong.v"
+    wrong.write_text(SOURCE.replace("2'b10: y = a;", "2'b10: y = b;"))
+    assert main(["equiv", verilog, str(wrong)]) == 1
+    assert capsys.readouterr().out.startswith("NOT EQUIVALENT")

@@ -1,4 +1,4 @@
-"""Session API: preset equivalence with the legacy flow, events, suites."""
+"""Session API: preset equivalence with a hand-built pipeline, events, suites."""
 
 import json
 
@@ -13,13 +13,13 @@ from repro.api import (
     Session,
     SmartlyOptions,
 )
-from repro.core.smartly import run_smartly
+from repro.core import Smartly
 from repro.equiv.miter import build_miter
 from repro.events import EventLog as TopLevelEventLog
-from repro.flow import render_table2, run_flow
+from repro.flow import render_table2
 from repro.ir import Circuit, NetIndex
 from repro.ir.walker import current_index
-from repro.opt import run_baseline_opt
+from repro.opt import OptClean, OptExpr, OptMerge, OptMuxtree, PassManager
 from repro.workloads import build_case
 
 
@@ -35,18 +35,22 @@ def _circuit(name="demo"):
 
 
 def _seed_run_flow(module, optimizer):
-    """The seed repo's run_flow measurement protocol, reimplemented verbatim:
-    clone, run the historic pipeline entry points, measure AIG areas."""
+    """The seed repo's measurement protocol, the independent reference for
+    the presets: clone, run the pipeline on a bare ``PassManager`` built by
+    hand (no FlowSpec, Session or shared result cache), measure AIG areas."""
     original_area = aig_map(module.clone()).num_ands
     work = module.clone()
     if optimizer == "yosys":
-        run_baseline_opt(work)
-    elif optimizer == "smartly-sat":
-        run_smartly(work, rebuild=False)
-    elif optimizer == "smartly-rebuild":
-        run_smartly(work, sat=False)
-    elif optimizer == "smartly":
-        run_smartly(work)
+        muxtree, max_rounds = OptMuxtree(), 16
+    else:
+        muxtree = Smartly(**{
+            "smartly-sat": {"rebuild": False},
+            "smartly-rebuild": {"sat": False},
+            "smartly": {},
+        }[optimizer])
+        max_rounds = muxtree.options.max_rounds
+    manager = PassManager([OptExpr(), OptMerge(), muxtree, OptClean()])
+    manager.run(work, fixpoint=True, max_rounds=max_rounds)
     return original_area, aig_map(work).num_ands
 
 
@@ -65,7 +69,7 @@ def workload_modules():
 
 
 class TestPresetEquivalence:
-    """Session presets must reproduce the legacy flows byte-for-byte."""
+    """Session presets must reproduce the hand-built pipelines exactly."""
 
     @pytest.mark.parametrize("case,preset", PRESET_EQUIV_JOBS)
     def test_preset_matches_seed_pipeline(self, workload_modules, case, preset):
@@ -75,13 +79,6 @@ class TestPresetEquivalence:
         assert report.original_area == seed_original
         assert report.optimized_area == seed_optimized
 
-    def test_shim_run_flow_matches_session(self, workload_modules):
-        module = workload_modules["ac97_ctrl"]
-        legacy = run_flow(module, "smartly")
-        report = Session(module.clone()).run("smartly")
-        assert legacy.original_area == report.original_area
-        assert legacy.optimized_area == report.optimized_area
-
 
 class TestSessionBasics:
     def test_none_flow_measures_original(self):
@@ -89,6 +86,12 @@ class TestSessionBasics:
         report = session.run("none")
         assert report.optimized_area == report.original_area
         assert report.reduction_vs_original == 0.0
+
+    def test_none_flow_check_is_recorded(self):
+        # zero passes ran, so the module is its own pre-flow state
+        report = Session(_circuit()).run("none", check=True)
+        assert report.equivalence_checked is True
+        assert Session(_circuit()).run("none").equivalence_checked is False
 
     def test_script_flow_end_to_end(self):
         session = Session(_circuit())

@@ -6,7 +6,6 @@ from repro.core.smartly import SmartlyOptions
 from repro.flow import (
     FlowScriptError,
     FlowSpec,
-    OPTIMIZERS,
     PRESET_NAMES,
     PassStep,
     resolve_flow,
@@ -94,7 +93,7 @@ class TestRoundTrip:
 
 class TestPresets:
     def test_legacy_names_available(self):
-        assert PRESET_NAMES == OPTIMIZERS == (
+        assert PRESET_NAMES == (
             "none", "yosys", "smartly-sat", "smartly-rebuild", "smartly"
         )
 

@@ -362,7 +362,7 @@ class TestSingleDriver:
 
 class TestRoundTripWithOptimizer:
     def test_compiled_case_restructures(self):
-        from repro.core import run_smartly
+        from repro.api import Session
         from repro.equiv import assert_equivalent
 
         m = compile_top(
@@ -381,6 +381,6 @@ class TestRoundTripWithOptimizer:
             """
         )
         gold = m.clone()
-        run_smartly(m)
+        Session(m).run("smartly")
         assert m.stats().get("eq", 0) == 0
         assert_equivalent(gold, m)

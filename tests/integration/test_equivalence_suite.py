@@ -8,21 +8,20 @@ to down-scaled benchmark models.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import PRESET_NAMES, Session
 from repro.equiv import assert_equivalent
-from repro.flow import optimize
-from repro.flow.pipeline import OPTIMIZERS
 from tests.conftest import random_circuit
 
 
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 10_000_000),
-    optimizer=st.sampled_from([o for o in OPTIMIZERS if o != "none"]),
+    optimizer=st.sampled_from([o for o in PRESET_NAMES if o != "none"]),
 )
 def test_any_optimizer_preserves_any_circuit(seed, optimizer):
     module = random_circuit(seed, n_ops=12, mux_bias=0.55)
     gold = module.clone()
-    optimize(module, optimizer)
+    Session(module).run(optimizer)
     assert_equivalent(gold, module)
 
 
@@ -32,7 +31,7 @@ def test_small_benchmark_case_equivalence(optimizer):
 
     module = build_case("ac97_ctrl")
     gold = module.clone()
-    optimize(module, optimizer)
+    Session(module).run(optimizer)
     assert_equivalent(gold, module, random_vectors=128)
 
 
@@ -41,7 +40,7 @@ def test_industrial_point_equivalence():
 
     module = build_point(INDUSTRIAL_POINTS[0])
     gold = module.clone()
-    optimize(module, "smartly")
+    Session(module).run("smartly")
     assert_equivalent(gold, module, random_vectors=128)
 
 

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.aig import aig_map
-from repro.core import SatRedundancy, MuxtreeRestructure, run_smartly
+from repro.api import PRESET_NAMES, Session
+from repro.core import SatRedundancy, MuxtreeRestructure
 from repro.equiv import assert_equivalent
 from repro.frontend import compile_verilog
 from repro.ir import CellType, Circuit
-from repro.opt import OptClean, OptMuxtree, run_baseline_opt
+from repro.opt import OptClean, OptMuxtree
 
 
 class TestFigure1:
@@ -122,7 +123,7 @@ class TestListings:
     def test_listing1_figure7_rebuild(self):
         m = compile_verilog(LISTING1).top
         gold = m.clone()
-        run_smartly(m)
+        Session(m).run("smartly")
         stats = m.stats()
         assert stats.get("eq", 0) == 0       # eq gates disconnected
         assert stats.get("mux", 0) == 3      # Figure 7: three muxes
@@ -149,18 +150,11 @@ class TestCombinedPipeline:
         m = c.module
 
         areas = {}
-        for name, kwargs in (
-            ("yosys", None),
-            ("sat", {"rebuild": False}),
-            ("rebuild", {"sat": False}),
-            ("full", {}),
-        ):
+        for preset in PRESET_NAMES:
             work = m.clone()
-            if kwargs is None:
-                run_baseline_opt(work)
-            else:
-                run_smartly(work, **kwargs)
+            Session(work).run(preset)
             assert_equivalent(m, work)
-            areas[name] = aig_map(work).num_ands
-        assert areas["full"] <= min(areas.values())
-        assert areas["full"] < areas["yosys"]
+            areas[preset] = aig_map(work).num_ands
+        assert areas["yosys"] <= areas["none"]
+        assert areas["smartly"] <= min(areas.values())
+        assert areas["smartly"] < areas["yosys"]

@@ -9,7 +9,7 @@ round-trip at realistic scale.
 import pytest
 
 from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import Session
 from repro.equiv import check_equivalence
 from repro.frontend import compile_verilog
 from repro.ir import verilog_str
@@ -34,7 +34,7 @@ def test_roundtripped_model_still_optimizes(ac97):
     back = compile_verilog(text).top
     golden = back.clone()
     before = aig_map(back.clone()).num_ands
-    run_smartly(back)
+    Session(back).run("smartly")
     after = aig_map(back).num_ands
     assert after <= before
     assert check_equivalence(golden, back, random_vectors=128).equivalent
@@ -42,7 +42,7 @@ def test_roundtripped_model_still_optimizes(ac97):
 
 def test_optimized_model_roundtrips(ac97):
     work = ac97.clone()
-    run_smartly(work)
+    Session(work).run("smartly")
     text = verilog_str(work)
     back = compile_verilog(text).top
     result = check_equivalence(work, back, random_vectors=128)

@@ -76,14 +76,14 @@ class TestBasicShapes:
 
 class TestEquivalenceRoundtrip:
     def test_optimized_netlist_roundtrips(self):
-        from repro.core import run_smartly
+        from repro.api import Session
 
         c = Circuit("m")
         sel = c.input("sel", 2)
         p = [c.input(f"p{i}", 8) for i in range(4)]
         c.output("y", c.case_(sel, [(0, p[0]), (1, p[1]), (2, p[2])], p[3]))
         module = c.module
-        run_smartly(module)
+        Session(module).run("smartly")
         back, _ = roundtrip(module)
         assert check_equivalence(module, back).equivalent
 

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Session
 from repro.equiv import assert_equivalent
 from repro.ir import CellType, Circuit, NetIndex, SigSpec
-from repro.opt import OptClean, OptMuxtree, run_baseline_opt
+from repro.opt import OptClean, OptMuxtree
 from repro.opt.opt_muxtree import find_internal_edges
 from tests.conftest import random_circuit
 
@@ -169,5 +170,5 @@ class TestNoFalsePositives:
 def test_random_mux_heavy_circuits_preserved(seed):
     module = random_circuit(seed, n_ops=14, mux_bias=0.7)
     gold = module.clone()
-    run_baseline_opt(module)
+    Session(module).run("yosys")
     assert_equivalent(gold, module)

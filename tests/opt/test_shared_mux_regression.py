@@ -8,7 +8,8 @@ facts, and a later "decided" control then rewired the shared mux globally
 exclusive child inherits the edge and the walk.
 """
 
-from repro.core import SatRedundancy, MuxtreeRestructure, run_smartly
+from repro.api import Session
+from repro.core import SatRedundancy, MuxtreeRestructure
 from repro.equiv import assert_equivalent
 from repro.ir import Circuit
 from repro.opt import OptClean, OptMuxtree
@@ -55,7 +56,7 @@ def test_original_falsifying_seed():
     """The exact hypothesis counterexample that exposed the bug."""
     module = random_circuit(19687, n_ops=10, mux_bias=0.6)
     gold = module.clone()
-    run_smartly(module)
+    Session(module).run("smartly")
     assert_equivalent(gold, module)
 
 

@@ -5,10 +5,9 @@ import random
 import pytest
 
 from repro.aig import aig_map
-from repro.core import run_smartly
+from repro.api import Session
 from repro.equiv import assert_equivalent
 from repro.ir import Circuit, validate_module
-from repro.opt import run_baseline_opt
 from repro.workloads import (
     InputPool,
     unit_case_chain,
@@ -31,9 +30,9 @@ def _build(unit_fn, seed=1, **kwargs):
 def _areas(module):
     orig = aig_map(module.clone()).num_ands
     baseline = module.clone()
-    run_baseline_opt(baseline)
+    Session(baseline).run("yosys")
     smart = module.clone()
-    run_smartly(smart)
+    Session(smart).run("smartly")
     return orig, aig_map(baseline).num_ands, aig_map(smart).num_ands
 
 
@@ -94,5 +93,5 @@ class TestEquivalence:
     def test_optimizations_preserve_function(self, unit, kwargs):
         m = _build(unit, **kwargs)
         gold = m.clone()
-        run_smartly(m)
+        Session(m).run("smartly")
         assert_equivalent(gold, m)
