@@ -51,7 +51,9 @@ def read_aiger(source: Union[str, TextIO]) -> AIG:
     """Parse an ASCII AIGER file (combinational subset, no latches).
 
     Raises :class:`AigerError` on an empty input, a malformed header or
-    latches.
+    latches, and, naming the line, on a body shorter than the header's
+    counts, a non-integer literal, an AND line without three fields or a
+    symbol whose index is past the counts.
     """
     if isinstance(source, str):
         lines: List[str] = source.splitlines()
@@ -66,37 +68,57 @@ def read_aiger(source: Union[str, TextIO]) -> AIG:
     m, i, latches, o, a = (int(x) for x in header[1:6])
     if latches:
         raise AigerError("latches are not supported")
+
+    def literals(pos: int, count: int) -> List[int]:
+        """Line ``pos`` (0-based) as exactly ``count`` integer literals."""
+        if pos >= len(lines):
+            raise AigerError(
+                f"line {pos + 1}: input ends early (the header declares "
+                f"{i} inputs, {o} outputs and {a} ANDs)"
+            )
+        fields = lines[pos].split()
+        if len(fields) != count:
+            raise AigerError(
+                f"line {pos + 1}: expected {count} literal(s), "
+                f"got {lines[pos]!r}"
+            )
+        try:
+            return [int(field) for field in fields]
+        except ValueError:
+            raise AigerError(
+                f"line {pos + 1}: non-integer literal in {lines[pos]!r}"
+            ) from None
+
+    # input k is variable k + 1; its line is only checked
+    for k in range(i):
+        literals(1 + k, 1)
+    output_lits = [literals(1 + i + k, 1)[0] for k in range(o)]
     aig = AIG()
-    pos = 1
-    input_lits = []
-    for _ in range(i):
-        input_lits.append(int(lines[pos]))
-        pos += 1
-    output_lits = []
-    for _ in range(o):
-        output_lits.append(int(lines[pos]))
-        pos += 1
+    pos = 1 + i + o
     # ands must be declared in topological order in valid files
-    for _ in range(a):
-        lhs, f0, f1 = (int(x) for x in lines[pos].split())
-        pos += 1
+    for k in range(a):
+        lhs, f0, f1 = literals(pos + k, 3)
         aig._ands.append((min(f0, f1), max(f0, f1)))
         aig._strash[(min(f0, f1), max(f0, f1))] = lhs
-    aig.input_names = [f"i{k}" for k in range(i)]
+    pos += a
     # symbol table
-    for line in lines[pos:]:
-        if line.startswith("i"):
-            idx, name = line[1:].split(" ", 1)
-            aig.input_names[int(idx)] = name
-        elif line.startswith("o"):
-            idx, name = line[1:].split(" ", 1)
-            k = int(idx)
-            while len(aig.outputs) <= k:
-                aig.outputs.append((f"o{len(aig.outputs)}", output_lits[len(aig.outputs)]))
-            aig.outputs[k] = (name, output_lits[k])
-        elif line.startswith("c"):
+    names = {
+        "i": [f"i{k}" for k in range(i)],
+        "o": [f"o{k}" for k in range(o)],
+    }
+    for number, line in enumerate(lines[pos:], start=pos + 1):
+        if line.startswith("c"):
             break
-    while len(aig.outputs) < o:
-        k = len(aig.outputs)
-        aig.outputs.append((f"o{k}", output_lits[k]))
+        table = names.get(line[:1])
+        if table is None:
+            continue
+        idx, sep, name = line[1:].partition(" ")
+        if not sep or not idx.isdigit() or int(idx) >= len(table):
+            raise AigerError(
+                f"line {number}: bad symbol {line!r} (the header declares "
+                f"{i} inputs and {o} outputs)"
+            )
+        table[int(idx)] = name
+    aig.input_names = names["i"]
+    aig.outputs = list(zip(names["o"], output_lits))
     return aig

@@ -60,9 +60,10 @@ leaves a truncated file under the target name.
 
 Exit statuses: 0 ok; 1 ``equiv`` proved the netlists NOT EQUIVALENT or
 ``fuzz`` found a failure; 2 an error — bad arguments, a missing or
-malformed input file (Verilog, Yosys JSON or AIGER), ports that do not
-match under ``equiv``, a bad flow script, or a ``reduce`` input that does
-not fail.  Errors print one ``error: <message>`` line on stderr.
+malformed input file (Verilog, Yosys JSON or AIGER), a ``--top`` the
+input does not define, ports that do not match under ``equiv``, a bad
+flow script, or a ``reduce`` input that does not fail.  Errors print one
+``error: <message>`` line on stderr.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ must not grow with session lifetime.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from itertools import islice
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -88,7 +89,7 @@ class ResultCache:
         #: entries ever appended (a store of a new key, or a merge); the
         #: watermark :meth:`export` counts back from
         self._appended = 0
-        self.counters: Dict[str, int] = {}
+        self.counters: Counter = Counter()
         self._struct_memo = StructKeyMemo()
         #: ``(sub-graph, sigmap, signature)`` of the last :meth:`key_for`
         self._last_signed: Tuple[Any, Any, str] = (None, None, "")
@@ -129,9 +130,6 @@ class ResultCache:
         totals["entries"] = len(self._entries)
         return totals
 
-    def _bump(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
     def key_for(
         self,
         kind: str,
@@ -168,9 +166,9 @@ class ResultCache:
             value = self.parent.get(key, _MISS)
         kind = key[0]
         if value is _MISS:
-            self._bump(f"{kind}_misses")
+            self.counters[f"{kind}_misses"] += 1
             return False, None
-        self._bump(f"{kind}_hits")
+        self.counters[f"{kind}_hits"] += 1
         return True, value
 
     def _evict_to_half(self) -> None:
@@ -185,7 +183,7 @@ class ResultCache:
         stale_keys = list(self._entries)[:drop]
         for stale in stale_keys:
             self._entries.pop(stale, None)
-        self._bump("evictions", len(stale_keys))
+        self.counters["evictions"] += len(stale_keys)
 
     def store(self, key: Tuple, value: Any) -> None:
         """Memoize, sweeping down to half the cap when full (see
@@ -243,8 +241,8 @@ class ResultCache:
             self._appended += added
             if len(self._entries) > self.max_entries:
                 self._evict_to_half()
-        if added:
-            self._bump("merged", added)
+            if added:
+                self.counters["merged"] += added
         return added
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..ir.module import Module
 from ..ir.signals import SigBit, State
-from ..opt.pass_base import DirtySet, PassResult, register_pass
+from ..opt.pass_base import DirtySet, PassResult, prefixed, register_pass
 from ..opt.opt_muxtree import OptMuxtree
 from ..sat.oracle import SatOracle
 from ..sat.solver import Solver
@@ -50,11 +50,10 @@ class SatRedundancy(OptMuxtree):
     distinct sub-graph, repeated queries hit the verdict cache, and learned
     clauses carry over between queries.  ``use_oracle=False`` keeps the
     historic fresh-``Solver``-per-query path as the reference
-    implementation the oracle is differentially tested against.  An
-    ``oracle`` instance may be injected (the :class:`~repro.core.smartly.
-    Smartly` wrapper does, so counters and contexts persist across
-    optimization rounds on the same module); otherwise one is created per
-    module on first use.  Oracle counters are reported as ``oracle_*``
+    implementation the oracle is differentially tested against.  The pass
+    owns its oracle, built per module on first use, so counters and
+    contexts persist across the optimization rounds one instance runs on
+    the same module.  Oracle counters are reported as ``oracle_*``
     entries in the pass stats, alongside ``sat_wallclock_us`` (total time
     spent inside SAT decisions, either path).
     """
@@ -71,9 +70,7 @@ class SatRedundancy(OptMuxtree):
         max_gates: int = 500,
         data_inference: bool = True,
         use_oracle: bool = True,
-        oracle: Optional[SatOracle] = None,
         use_result_cache: bool = True,
-        result_cache: Optional[ResultCache] = None,
     ):
         self.k = k
         self.data_k = data_k
@@ -84,12 +81,12 @@ class SatRedundancy(OptMuxtree):
         self.data_inference = data_inference
         self.use_oracle = use_oracle
         self.use_result_cache = use_result_cache
-        self._oracle = oracle
+        self._oracle: Optional[SatOracle] = None
         #: persistent memo for inference/simulation outcomes, keyed by
-        #: sub-graph content signatures; injectable so an owner (the
-        #: Smartly wrapper, or a whole Session) can share one instance
-        #: across rounds, runs and modules
-        self._result_cache = result_cache
+        #: sub-graph content signatures; a Session injects its own
+        #: (:meth:`attach_result_cache`) to share one instance across
+        #: runs and modules
+        self._result_cache: Optional[ResultCache] = None
         self._data_cache: Dict[_FactsKey, Optional[bool]] = {}
         self._sat_time = 0.0
         self._generation_open = False
@@ -124,46 +121,32 @@ class SatRedundancy(OptMuxtree):
         self._data_cache.clear()
         self._sat_time = 0.0
         self._generation_open = False
-        oracle_base: Optional[Dict[str, int]] = None
-        if self.use_result_cache:
-            if self._result_cache is None:
-                self._result_cache = ResultCache()
-            rcache_base = dict(self._result_cache.counters)
-        else:
+        if not self.use_result_cache:
             self._result_cache = None
-            rcache_base = None
-        if self.use_oracle:
-            if self._oracle is None or self._oracle.module is not module:
-                cache = self._result_cache
-                self._oracle = SatOracle(
-                    module,
-                    # one canonicalization per sub-graph state serves the
-                    # resolve/rung keys and the verdict keys alike
-                    struct_memo=(
-                        cache.struct_memo if cache is not None else None
-                    ),
-                )
-            oracle_base = self._oracle.stats.as_dict()
-        else:
+        elif self._result_cache is None:
+            self._result_cache = ResultCache()
+        if not self.use_oracle:
             self._oracle = None
+        elif self._oracle is None or self._oracle.module is not module:
+            cache = self._result_cache
+            self._oracle = SatOracle(
+                module,
+                # one canonicalization per sub-graph state serves the
+                # resolve/rung keys and the verdict keys alike
+                struct_memo=cache.struct_memo if cache is not None else None,
+            )
+        owners = {"rcache_": self._result_cache, "oracle_": self._oracle}
+        before = {
+            prefix: owner.counters.copy()
+            for prefix, owner in owners.items() if owner is not None
+        }
         body()
-        if self._result_cache is not None and rcache_base is not None:
-            for key, value in self._result_cache.counters.items():
-                delta = value - rcache_base.get(key, 0)
-                if delta:
-                    stat = f"rcache_{key}"
-                    result.stats[stat] = result.stats.get(stat, 0) + delta
-        if self._oracle is not None and oracle_base is not None:
-            for key, value in self._oracle.stats.delta(oracle_base).items():
-                if value:
-                    # plain assignment: counters must not flag the module
-                    # as changed (result.bump would)
-                    stat = f"oracle_{key}"
-                    result.stats[stat] = result.stats.get(stat, 0) + value
+        # counters, not bumps: queries posed must not flag a change
+        for prefix, counts in before.items():
+            grown = owners[prefix].counters - counts
+            result.stats.update(prefixed(prefix, grown))
         if self._sat_time:
-            result.stats["sat_wallclock_us"] = result.stats.get(
-                "sat_wallclock_us", 0
-            ) + int(self._sat_time * 1e6)
+            result.stats["sat_wallclock_us"] += int(self._sat_time * 1e6)
 
     # -- hook overrides -----------------------------------------------------------
 

@@ -403,10 +403,6 @@ class MuxtreeRestructure(Pass):
             merged[bit] = value
         return merged
 
-    @staticmethod
-    def _cube_conflicts(a: Cube, b: Cube) -> bool:
-        return any(a.get(bit, value) != value for bit, value in b.items())
-
     # -- decision + rebuild (Algorithm 1 lines 3-9) -------------------------------------
 
     def _consider_rebuild(self, tree: CaseTree, result: PassResult) -> None:
@@ -430,16 +426,12 @@ class MuxtreeRestructure(Pass):
         gain = old_mux_cost + removed_eq_gain - new_mux_cost
         height = add.depth()
 
-        result.stats["trees_considered"] = result.stats.get("trees_considered", 0) + 1
+        result.note("trees_considered")
         if gain < self.min_gain:
-            result.stats["trees_rejected_cost"] = (
-                result.stats.get("trees_rejected_cost", 0) + 1
-            )
+            result.note("trees_rejected_cost")
             return
         if height > max(1, int(self.max_height_factor * len(sel_order))):
-            result.stats["trees_rejected_height"] = (
-                result.stats.get("trees_rejected_height", 0) + 1
-            )
+            result.note("trees_rejected_height")
             return
 
         self._rebuild(tree, add, sel_order)

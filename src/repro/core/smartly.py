@@ -17,11 +17,11 @@ strategy itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import List, Optional
 
 from ..ir.module import Module
+from ..opt.opt_muxtree import OptMuxtree
 from ..opt.pass_base import DirtySet, Pass, PassResult, register_pass
-from ..sat.oracle import SatOracle
 from .cache import ResultCache
 from .redundancy import SatRedundancy
 from .restructure import MuxtreeRestructure
@@ -72,7 +72,7 @@ class Smartly(Pass):
     incremental_capable = True
 
     def __init__(self, options: Optional[SmartlyOptions] = None, **overrides):
-        base = options if options is not None else SmartlyOptions()
+        opts = options if options is not None else SmartlyOptions()
         if overrides:
             known = {f.name for f in fields(SmartlyOptions)}
             for key in overrides:
@@ -80,17 +80,41 @@ class Smartly(Pass):
                     raise TypeError(f"unknown smaRTLy option {key!r}")
             # never mutate the caller's options object: the same
             # SmartlyOptions instance must be reusable across runs
-            base = replace(base, **overrides)
-        self.options = base
-        #: persistent per-module SAT oracle, shared by every optimization
-        #: round so counters (and clause reuse within a round) accumulate
-        self._oracle: Optional[SatOracle] = None
-        #: persistent inference/simulation result cache shared by every
-        #: round (and, when a Session injects one, across runs and modules)
-        self._result_cache: Optional[ResultCache] = None
+            opts = replace(opts, **overrides)
+        self.options = opts
+        #: the stages, built once: the SAT stage owns its oracle and result
+        #: cache, so both persist across optimization rounds and runs
+        self._stages: List[Pass] = []
+        if opts.rebuild:
+            # restructuring first: it simplifies the control ports the SAT
+            # stage will reason about (paper §IV-A's composition argument)
+            self._stages.append(
+                MuxtreeRestructure(
+                    max_sel_width=opts.max_sel_width, min_gain=opts.min_gain
+                )
+            )
+        if opts.sat:
+            self._stages.append(
+                SatRedundancy(
+                    k=opts.k,
+                    data_k=opts.data_k,
+                    sim_threshold=opts.sim_threshold,
+                    sat_threshold=opts.sat_threshold,
+                    max_conflicts=opts.max_conflicts,
+                    max_gates=opts.max_gates,
+                    use_oracle=opts.use_oracle,
+                    use_result_cache=opts.use_result_cache,
+                )
+            )
+        else:
+            # smaRTLy *replaces* opt_muxtree; without the SAT stage (which
+            # subsumes it) the baseline identical-signal pruning must still
+            # run, exactly like the paper's Rebuild-only configuration
+            self._stages.append(OptMuxtree())
 
     def attach_result_cache(self, cache: ResultCache) -> None:
-        """Share an externally owned result cache (Session injection point).
+        """Share an externally owned result cache (Session injection point)
+        with the stages that memoize.
 
         Keys are canonical structural signatures, so one cache instance
         can serve any number of modules without collisions; injecting the
@@ -98,7 +122,9 @@ class Smartly(Pass):
         outcomes persist across runs and across the design's modules, and
         lets isomorphic sub-graphs share them.
         """
-        self._result_cache = cache
+        for stage in self._stages:
+            if isinstance(stage, SatRedundancy):
+                stage.attach_result_cache(cache)
 
     def execute(self, module: Module, result: PassResult) -> None:
         self._execute(module, result, dirty=None, incremental=False)
@@ -115,64 +141,10 @@ class Smartly(Pass):
         dirty: Optional[DirtySet],
         incremental: bool,
     ) -> None:
-        opts = self.options
-        passes = []
-        if opts.rebuild:
-            # restructuring first: it simplifies the control ports the SAT
-            # stage will reason about (paper §IV-A's composition argument)
-            passes.append(
-                MuxtreeRestructure(
-                    max_sel_width=opts.max_sel_width, min_gain=opts.min_gain
-                )
-            )
-        if opts.sat:
-            if opts.use_result_cache and self._result_cache is None:
-                self._result_cache = ResultCache()
-            if opts.use_oracle and (
-                self._oracle is None or self._oracle.module is not module
-            ):
-                cache = self._result_cache if opts.use_result_cache else None
-                self._oracle = SatOracle(
-                    module,
-                    # share the cache's labeling memo: one canonicalization
-                    # per sub-graph state serves rcache and verdict keys
-                    struct_memo=(
-                        cache.struct_memo if cache is not None else None
-                    ),
-                )
-            passes.append(
-                SatRedundancy(
-                    k=opts.k,
-                    data_k=opts.data_k,
-                    sim_threshold=opts.sim_threshold,
-                    sat_threshold=opts.sat_threshold,
-                    max_conflicts=opts.max_conflicts,
-                    max_gates=opts.max_gates,
-                    use_oracle=opts.use_oracle,
-                    oracle=self._oracle if opts.use_oracle else None,
-                    use_result_cache=opts.use_result_cache,
-                    result_cache=(
-                        self._result_cache if opts.use_result_cache else None
-                    ),
-                )
-            )
-        else:
-            # smaRTLy *replaces* opt_muxtree; without the SAT stage (which
-            # subsumes it) the baseline identical-signal pruning must still
-            # run, exactly like the paper's Rebuild-only configuration
-            from ..opt.opt_muxtree import OptMuxtree
-
-            passes.append(OptMuxtree())
         seed = dirty
-        for pass_ in passes:
-            sub = pass_.run(module, dirty=seed, incremental=incremental)
-            result.changed = result.changed or sub.changed
-            result.touched_cells |= sub.touched_cells
-            result.touched_bits |= sub.touched_bits
-            result.touched_fanin_bits |= sub.touched_fanin_bits
-            for key, value in sub.stats.items():
-                full = f"{sub.pass_name}.{key}"
-                result.stats[full] = result.stats.get(full, 0) + value
+        for stage in self._stages:
+            sub = stage.run(module, dirty=seed, incremental=incremental)
+            result.merge(sub, prefix=f"{sub.pass_name}.")
             if incremental and seed is not None:
                 # a later stage must also see what the earlier stage edited
                 seed = seed.union(DirtySet(

@@ -50,6 +50,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -147,12 +148,9 @@ class CacheStore:
     ):
         self.path = Path(path)
         self.scheme = scheme
-        self.counters: Dict[str, int] = {}
+        self.counters: Counter = Counter()
         if self.path.exists() and not self.path.is_dir():
             raise StoreError(f"store path {self.path} is not a directory")
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def _header(self) -> bytes:
         return f"{_MAGIC} {STORE_FORMAT} {self.scheme}\n".encode("utf-8")
@@ -183,14 +181,6 @@ class CacheStore:
 
         return sorted(files, key=sort_key)
 
-    def newest_generation(self) -> Optional[Path]:
-        """The most recently written generation file, or ``None`` for an
-        empty store.  The chaos harness's ``store-corrupt-generation``
-        fault garbles exactly this file to prove a later load degrades
-        instead of raising."""
-        gens = self.generations()
-        return gens[-1] if gens else None
-
     # -- save ------------------------------------------------------------------
 
     def save(self, entries: Mapping[Tuple, Any]) -> Optional[Path]:
@@ -211,14 +201,14 @@ class CacheStore:
         digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
         target = self.path / f"{_GEN_PREFIX}{digest}{_GEN_SUFFIX}"
         if target.exists():
-            self._bump("dedup_saves")
+            self.counters["dedup_saves"] += 1
             return target
         try:
             _atomic_write(target, payload)
         except OSError as exc:
             raise StoreError(f"cannot write generation {target}: {exc}")
-        self._bump("saved_files")
-        self._bump("saved_entries", len(entries))
+        self.counters["saved_files"] += 1
+        self.counters["saved_entries"] += len(entries)
         return target
 
     # -- load ------------------------------------------------------------------
@@ -229,31 +219,31 @@ class CacheStore:
         try:
             raw = gen.read_bytes()
         except OSError:
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         # content addressing doubles as an integrity check: the name IS
         # the digest of the bytes, so torn disk state (or a renamed
         # foreign file) shows up as a mismatch before unpickling
         digest = hashlib.blake2b(raw, digest_size=16).hexdigest()
         if gen.name != f"{_GEN_PREFIX}{digest}{_GEN_SUFFIX}":
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         newline = raw.find(b"\n")
         if newline < 0:
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         try:
             magic, fmt, scheme = raw[:newline].decode("utf-8").split(" ", 2)
         except (UnicodeDecodeError, ValueError):
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         if magic != _MAGIC:
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         if fmt != str(STORE_FORMAT) or scheme != self.scheme:
             # a valid generation from another store format or keying
             # scheme: unreadable to us, but not rot — skip quietly
-            self._bump("incompatible_skipped")
+            self.counters["incompatible_skipped"] += 1
             return None
         try:
             entries = pickle.loads(raw[newline + 1:])
@@ -262,10 +252,10 @@ class CacheStore:
             # ImportError for renamed classes, ValueError...); every one
             # of them means "this generation is unusable", never "crash
             # the session that tried to warm-start"
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         if not isinstance(entries, dict):
-            self._bump("corrupt_skipped")
+            self.counters["corrupt_skipped"] += 1
             return None
         return entries
 
@@ -281,8 +271,8 @@ class CacheStore:
             entries = self._load_one(gen)
             if entries is None:
                 continue
-            self._bump("loaded_files")
-            self._bump("loaded_entries", len(entries))
+            self.counters["loaded_files"] += 1
+            self.counters["loaded_entries"] += len(entries)
             for key, value in entries.items():
                 if key not in merged:
                     merged[key] = value
@@ -314,7 +304,7 @@ class CacheStore:
                     except OSError:
                         pass
         if removed:
-            self._bump("gc_removed", removed)
+            self.counters["gc_removed"] += removed
         return removed
 
     def __repr__(self) -> str:

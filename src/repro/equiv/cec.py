@@ -142,9 +142,9 @@ def check_equivalence(
         return EquivResult(False, method="fold", counterexample=cex)
     if oracle is None:
         oracle = SatOracle()
-    conflicts_before = oracle.stats.conflicts
+    conflicts_before = oracle.counters["conflicts"]
     verdict, model = oracle.solve_miter(aig, miter_lit, max_conflicts)
-    conflicts = oracle.stats.conflicts - conflicts_before
+    conflicts = oracle.counters["conflicts"] - conflicts_before
     if verdict is None:
         return EquivResult(
             False, method="budget", sat_conflicts=conflicts, undecided=True

@@ -406,7 +406,7 @@ def run_differential(
                     undecided=False,
                     method=label if label != PASS else "oracle",
                 ), golden)
-    report.oracle_stats = oracle.stats.as_dict()
+    report.oracle_stats = dict(oracle.counters)
     return report
 
 

@@ -112,6 +112,7 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
@@ -120,6 +121,7 @@ from ..core.cache import ResultCache
 from ..core.smartly import SmartlyOptions
 from ..core.store import DEFAULT_KEEP_GENERATIONS, CacheStore, StoreError
 from ..events import JOB_CANCELLED, JOB_RETRIED
+from ..opt.pass_base import prefixed
 from .session import _replay_suite_job, _suite_job_key
 from .spec import FlowScriptError, resolve_flow
 from .workers import (
@@ -249,7 +251,7 @@ class FlowServer:
         self._sources: Dict[Tuple, Tuple[str, Any]] = {}
         self._sources_lock = threading.Lock()
         self.jobs_run = 0
-        self._counters: Dict[str, int] = {}
+        self._counters: Counter = Counter()
         self._counters_lock = threading.Lock()
         #: the worker pool, created lazily on the first process-isolated
         #: job so thread-mode servers never spawn a subprocess
@@ -264,7 +266,7 @@ class FlowServer:
 
     def _bump(self, name: str, amount: int = 1) -> None:
         with self._counters_lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
+            self._counters[name] += amount
 
     # -- persistence -----------------------------------------------------------
 
@@ -318,12 +320,10 @@ class FlowServer:
         with self._counters_lock:
             totals.update(self._counters)
         if self._store is not None:
-            for key, value in self._store.counters.items():
-                totals[f"store_{key}"] = value
+            totals.update(prefixed("store_", self._store.counters))
         pool = self._pool
         if pool is not None:
-            for key, value in pool.counters.items():
-                totals[f"pool_{key}"] = value
+            totals.update(prefixed("pool_", pool.counters))
         return totals
 
     def close(self) -> None:

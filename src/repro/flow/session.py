@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -64,6 +65,7 @@ from ..opt.pass_base import (
     PassManager,
     PassResult,
     _touch_recorder,
+    prefixed,
 )
 from .spec import FlowSpec, resolve_flow
 
@@ -71,14 +73,13 @@ from .spec import FlowSpec, resolve_flow
 CaseSource = Union[Module, Callable[[], Module]]
 
 
-def _aggregate_oracle_stats(pass_stats: Mapping[str, int]) -> Dict[str, int]:
+def _aggregate_oracle_stats(pass_stats: Mapping[str, int]) -> Counter:
     """Collapse ``<pass path>.oracle_<counter>`` entries by counter name."""
-    totals: Dict[str, int] = {}
+    totals: Counter = Counter()
     for key, value in pass_stats.items():
         tail = key.rsplit(".", 1)[-1]
         if tail.startswith("oracle_"):
-            name = tail[len("oracle_"):]
-            totals[name] = totals.get(name, 0) + value
+            totals[tail[len("oracle_"):]] += value
     return totals
 
 
@@ -157,7 +158,7 @@ class RunReport:
     equivalence_checked: bool = False
     #: aggregated SAT-oracle counters (queries, cache_hits, conflicts, ...)
     #: from every ``oracle_*`` pass stat; empty when no oracle-backed pass
-    #: ran (see :class:`repro.sat.oracle.OracleStats`)
+    #: ran (see :attr:`repro.sat.oracle.SatOracle.counters`)
     oracle_stats: Dict[str, int] = field(default_factory=dict)
     #: which pass engine ran the flow: ``"incremental"`` (dirty-set
     #: worklists over the shared live NetIndex) or ``"eager"`` (historic
@@ -441,7 +442,7 @@ class Session:
         #: SAT-oracle counters accumulated over every run so far; the
         #: session-lifetime side of :attr:`RunReport.cache_stats` (the
         #: oracles themselves live on per-(module, flow) pass objects)
-        self._oracle_totals: Dict[str, int] = {}
+        self._oracle_totals: Counter = Counter()
         #: set by :meth:`close`; a closed session no longer observes the
         #: design, so it must not skip, seed, or record flow states —
         #: an unobserved edit window would otherwise fabricate empty seeds
@@ -591,11 +592,9 @@ class Session:
     def _cache_totals(self) -> Dict[str, int]:
         """Session-lifetime cache counters (see :attr:`RunReport.cache_stats`)."""
         totals = self._result_cache.totals()
-        for key, value in self._oracle_totals.items():
-            totals[f"oracle_{key}"] = value
+        totals.update(prefixed("oracle_", self._oracle_totals))
         if self._store is not None:
-            for key, value in self._store.counters.items():
-                totals[f"store_{key}"] = value
+            totals.update(prefixed("store_", self._store.counters))
         return totals
 
     # -- baselines -------------------------------------------------------------
@@ -737,8 +736,7 @@ class Session:
         )
         pass_stats = manager.total_stats()
         oracle_stats = _aggregate_oracle_stats(pass_stats)
-        for key, value in oracle_stats.items():
-            self._oracle_totals[key] = self._oracle_totals.get(key, 0) + value
+        self._oracle_totals.update(oracle_stats)
         report = RunReport(
             case_name=mod.name,
             flow=spec.label,
@@ -756,11 +754,11 @@ class Session:
                 )
                 for idx, res in enumerate(manager.history)
             ],
-            pass_stats=pass_stats,
+            pass_stats=dict(pass_stats),
             rounds=manager.rounds_run,
             runtime_s=runtime,
             equivalence_checked=bool(check),
-            oracle_stats=oracle_stats,
+            oracle_stats=dict(oracle_stats),
             engine=engine,
             converged=manager.converged,
             dirty_stats=dict(manager.dirty_stats),
@@ -903,10 +901,6 @@ class Session:
         info = hierarchy(self.design, top=top)
         start = time.perf_counter()
         cache = self._result_cache
-        flow_fp = (
-            str(spec), spec.label, bool(check), engine,
-            _options_fingerprint(self.options),
-        )
         child_sigs: Dict[str, Any] = {}
         reports: Dict[str, RunReport] = {}
         replayed: Dict[str, str] = {}
@@ -919,11 +913,11 @@ class Session:
             sig = module_signature(mod, child_signatures=child_sigs)
             child_sigs[name] = sig
             original_area = self.baseline_area(name)
-            # same key layout as _run_suite_job, so hierarchy runs and
-            # suite jobs share stored reports (instance-free modules
-            # have identical flat and hierarchical signatures)
-            job_key = ("suite_job", sig, flow_fp)
-            net_key = ("hier_netlist", sig, flow_fp)
+            # the suite-job key, so hierarchy runs and suite jobs share
+            # stored reports (instance-free modules have identical flat
+            # and hierarchical signatures)
+            job_key = _suite_job_key(sig, spec, check, engine, self.options)
+            net_key = ("hier_netlist", *job_key[1:])
             replay = None
             report_hit, stored_report = cache.lookup(job_key)
             netlist_hit, stored_mod = cache.lookup(net_key)
@@ -1183,16 +1177,15 @@ class Session:
                     results[case_name][flow_label] = future.result()
         runtime = time.perf_counter() - start
         self.events.emit("suite_finished", jobs=len(jobs), runtime_s=runtime)
-        cache_stats: Dict[str, int] = {}
+        cache_stats: Counter = Counter()
         for per_flow in results.values():
             for report in per_flow.values():
-                for key, value in report.cache_stats.items():
-                    if key == "entries":
-                        continue  # populations are not additive across jobs
-                    cache_stats[key] = cache_stats.get(key, 0) + value
+                cache_stats.update(report.cache_stats)
+        # populations are not additive across jobs
+        cache_stats.pop("entries", None)
         cache_stats["entries"] = len(self._result_cache)
         return SuiteReport(
-            results=results, runtime_s=runtime, cache_stats=cache_stats
+            results=results, runtime_s=runtime, cache_stats=dict(cache_stats)
         )
 
     def __repr__(self) -> str:

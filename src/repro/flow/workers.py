@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -144,7 +145,7 @@ def run_job(
             # (its own module's signature); a hit means the whole job
             # replayed from the shared cache without running a pass
             job_replayed = (
-                session._result_cache.counters.get("suite_job_hits", 0) > 0
+                session._result_cache.counters["suite_job_hits"] > 0
             )
             extra["signature"] = (module.name, signature)
         delta = session.export_cache()
@@ -290,11 +291,11 @@ class WorkerPool:
         self._active: List[_Worker] = []
         self._vacancies = 0  # deaths awaiting a replacement spawn
         self._closed = False
-        self.counters: Dict[str, int] = {}
+        self.counters: Counter = Counter()
 
     def _bump(self, name: str, amount: int = 1) -> None:
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+            self.counters[name] += amount
 
     def _acquire(self) -> _Worker:
         self._slots.acquire()

@@ -623,6 +623,10 @@ def compile_verilog(
     for decl in parsed.modules:
         design.add_module(elaborate(decl, overrides))
     if top is not None:
+        if top not in design:
+            raise FrontendError(
+                f"no module named {top!r} (available: {sorted(design.modules)})"
+            )
         design.set_top(top)
     elif any(module.instances for module in design):
         # hierarchical source: default top is the first uninstantiated

@@ -28,12 +28,20 @@ engines byte-identical on final netlist areas.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..ir import module as module_mod
 from ..ir.module import Module, ModuleEdit
 from ..ir.signals import SigBit
+
+
+def prefixed(prefix: str, counts: Mapping[str, int]) -> Dict[str, int]:
+    """``counts`` with ``prefix`` put before every key: how an owner
+    reports a part's counters (``"oracle_"``, ``"store_"``, a pass path)
+    under its own names."""
+    return {f"{prefix}{key}": value for key, value in counts.items()}
 
 
 @dataclass
@@ -43,7 +51,7 @@ class PassResult:
     pass_name: str
     changed: bool = False
     #: free-form counters, e.g. {"cells_removed": 12}
-    stats: Dict[str, int] = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
     runtime_s: float = 0.0
     #: names of cells added/removed/rewired (auto-recorded from the module's
     #: edit channel while the pass ran); seeds the next round's dirty set
@@ -65,7 +73,7 @@ class PassResult:
 
     def bump(self, key: str, amount: int = 1) -> None:
         """Count *work done*: a non-zero bump marks the module as changed."""
-        self.stats[key] = self.stats.get(key, 0) + amount
+        self.stats[key] += amount
         if amount:
             self.changed = True
 
@@ -77,7 +85,7 @@ class PassResult:
         change used to keep fixpoint loops spinning until ``max_rounds``
         even though the module had long converged.
         """
-        self.stats[key] = self.stats.get(key, 0) + amount
+        self.stats[key] += amount
 
     def touch_readers(self, names) -> None:
         """Record the pre-edit readers of a rewritten net by name.
@@ -89,9 +97,9 @@ class PassResult:
         """
         self.touched_cells.update(names)
 
-    def merge(self, other: "PassResult") -> None:
-        for key, value in other.stats.items():
-            self.stats[key] = self.stats.get(key, 0) + value
+    def merge(self, other: "PassResult", prefix: str = "") -> None:
+        """Fold ``other`` in; its counters land under ``prefix``."""
+        self.stats.update(prefixed(prefix, other.stats))
         self.changed = self.changed or other.changed
         self.runtime_s += other.runtime_s
         self.touched_cells |= other.touched_cells
@@ -365,7 +373,7 @@ class PassManager:
         #: True for single-shot runs; False when max_rounds cut it short)
         self.converged = True
         #: dirty-set engine counters from the most recent :meth:`run`
-        self.dirty_stats: Dict[str, int] = {}
+        self.dirty_stats: Counter = Counter()
         self.events = events if events is not None else EventBus()
 
     @property
@@ -415,12 +423,10 @@ class PassManager:
         # previous round's edits; a caller-provided seed plays that role
         # for round 0 (cross-run incrementality)
         carry: Optional[DirtySet] = seed if self.incremental else None
-        dirty_stats = {
-            "full_rounds": 0,
-            "incremental_rounds": 0,
-            "dirty_seed_cells": 0,
-            "dirty_seed_bits": 0,
-        }
+        dirty_stats = Counter(
+            full_rounds=0, incremental_rounds=0,
+            dirty_seed_cells=0, dirty_seed_bits=0,
+        )
         if carry is not None:
             dirty_stats["seeded_runs"] = 1
         self.converged = True
@@ -487,9 +493,7 @@ class PassManager:
             else:
                 reset = self.incremental and end_generation != generation
             if reset:
-                dirty_stats["generation_resets"] = (
-                    dirty_stats.get("generation_resets", 0) + 1
-                )
+                dirty_stats["generation_resets"] += 1
             if not round_change:
                 if fixpoint and reset and carry is not None:
                     # this round's seeds may have been orphaned: re-verify
@@ -531,10 +535,9 @@ class PassManager:
         )
         return any_change
 
-    def total_stats(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
+    def total_stats(self) -> Counter:
+        """Every pass's counters summed under ``<pass name>.<key>``."""
+        totals: Counter = Counter()
         for result in self.history:
-            for key, value in result.stats.items():
-                full = f"{result.pass_name}.{key}"
-                totals[full] = totals.get(full, 0) + value
+            totals.update(prefixed(f"{result.pass_name}.", result.stats))
         return totals

@@ -3,7 +3,7 @@ the cell-semantics registry, and the incremental
 :class:`~repro.sat.oracle.SatOracle`."""
 
 from .cnf import CNF
-from .oracle import Decision, OracleStats, SatOracle
+from .oracle import Decision, SatOracle
 from .solver import Clause, Solver, SolverStats, luby
 from .tseitin import CircuitEncoder
 
@@ -12,7 +12,6 @@ __all__ = [
     "CircuitEncoder",
     "Clause",
     "Decision",
-    "OracleStats",
     "SatOracle",
     "Solver",
     "SolverStats",

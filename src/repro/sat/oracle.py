@@ -39,8 +39,9 @@ that with persistent *contexts*:
   identity key (:func:`signature_of`) and only ever replay for the exact
   same sub-graph.
 
-Per-session counters (:class:`OracleStats`) are merged into the owning
-pass's :class:`~repro.opt.pass_base.PassResult` stats, which flow through
+Per-session counters (:attr:`SatOracle.counters`, a
+:class:`collections.Counter`) are merged into the owning pass's
+:class:`~repro.opt.pass_base.PassResult` stats, which flow through
 ``pass_finished`` events on the :mod:`repro.events` bus and into
 :class:`~repro.flow.session.RunReport` JSON.
 
@@ -51,12 +52,10 @@ two-polarity protocol; :meth:`solve_miter` serves the equivalence checker.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import (
     Any,
     Dict,
-    FrozenSet,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -72,35 +71,6 @@ from .tseitin import CircuitEncoder
 
 #: content signature of an encoded cell set
 Signature = Tuple[Tuple[str, int], ...]
-
-
-class OracleStats:
-    """Cumulative per-oracle counters (monotonic across generations)."""
-
-    __slots__ = (
-        "queries",
-        "cache_hits",
-        "solver_calls",
-        "conflicts",
-        "contexts_built",
-        "contexts_reused",
-        "cells_encoded",
-        "learned_clauses",
-    )
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def delta(self, base: Dict[str, int]) -> Dict[str, int]:
-        """Counter increments since a previous :meth:`as_dict` snapshot."""
-        return {
-            name: getattr(self, name) - base.get(name, 0)
-            for name in self.__slots__
-        }
 
 
 class Decision(NamedTuple):
@@ -119,7 +89,7 @@ class Decision(NamedTuple):
 class _Context:
     """One persistent solver accumulating the encodings of one target."""
 
-    __slots__ = ("solver", "encoder", "encoded", "diff_lits")
+    __slots__ = ("solver", "encoder", "encoded")
 
     def __init__(self, sigmap: Optional[SigMap]):
         self.solver = Solver()
@@ -127,8 +97,6 @@ class _Context:
         #: id(cell) -> (cell, version-at-encode) for staleness validation;
         #: the cell reference also pins the object so ids cannot recycle
         self.encoded: Dict[int, Tuple[Cell, int]] = {}
-        #: memoized a!=b indicator literals for :meth:`SatOracle.equiv`
-        self.diff_lits: Dict[Tuple[SigBit, SigBit], int] = {}
 
     def is_stale(self) -> bool:
         """True when any encoded cell was rewired since its encoding."""
@@ -155,20 +123,23 @@ def signature_of(cells: Sequence[Cell]) -> Signature:
 class SatOracle:
     """Persistent incremental SAT oracle for one module (or one CEC run).
 
-    ``module`` is an identity anchor only: owners such as
-    :class:`~repro.core.smartly.Smartly` keep one oracle per module and
-    rebuild it when handed a different one.  ``max_contexts`` bounds
-    memory with LRU eviction of whole solver contexts.  Decided
+    ``module`` is an identity anchor only: owners such as the
+    :class:`~repro.core.redundancy.SatRedundancy` stage keep one oracle
+    per module and rebuild it when handed a different one.
+    ``max_contexts`` bounds memory with LRU eviction of whole solver
+    contexts.  Decided
     :meth:`can_be` verdicts memoize under canonical name-free structural
     signatures so isomorphic sub-graphs share answers (see the module
-    docstring); :meth:`equiv` keys stay identity-only (its two-target
-    queries serve the equivalence checker, which never crosses modules).
+    docstring).
 
     A *generation* is one optimization-pass invocation: callers must open
     one with :meth:`begin_pass` before querying.  Contexts and verdicts
     never survive a generation change, because alias connections added by
-    other passes can re-canonicalise bits between passes; counters do
-    survive, giving per-session totals.
+    other passes can re-canonicalise bits between passes; ``counters``
+    do survive, giving per-session totals: ``queries``, ``cache_hits``,
+    ``solver_calls``, ``conflicts``, ``contexts_built``,
+    ``contexts_reused``, ``cells_encoded`` and ``learned_clauses``, each
+    listed once it has been counted.
     """
 
     def __init__(
@@ -181,7 +152,7 @@ class SatOracle:
         self.module = module
         self.max_contexts = max_contexts
         self.max_verdicts = max_verdicts
-        self.stats = OracleStats()
+        self.counters: Counter = Counter()
         #: context key is the query target bit (one growing solver each)
         self._contexts: "OrderedDict[SigBit, _Context]" = OrderedDict()
         self._verdicts: Dict[Tuple, Optional[bool]] = {}
@@ -221,14 +192,14 @@ class SatOracle:
             context = None
         if context is not None:
             self._contexts.move_to_end(target)
-            self.stats.contexts_reused += 1
+            self.counters["contexts_reused"] += 1
         else:
             context = _Context(self._sigmap)
-            self.stats.contexts_built += 1
+            self.counters["contexts_built"] += 1
             self._contexts[target] = context
             if len(self._contexts) > self.max_contexts:
                 self._contexts.popitem(last=False)
-        self.stats.cells_encoded += context.extend(cells)
+        self.counters["cells_encoded"] += context.extend(cells)
         return context
 
     def _solve(
@@ -241,9 +212,9 @@ class SatOracle:
         before_conflicts = solver.stats.conflicts
         before_learned = len(solver.learned)
         verdict = solver.solve(assumptions, max_conflicts=max_conflicts)
-        self.stats.solver_calls += 1
-        self.stats.conflicts += solver.stats.conflicts - before_conflicts
-        self.stats.learned_clauses += max(
+        self.counters["solver_calls"] += 1
+        self.counters["conflicts"] += solver.stats.conflicts - before_conflicts
+        self.counters["learned_clauses"] += max(
             0, len(solver.learned) - before_learned
         )
         return verdict
@@ -291,7 +262,7 @@ class SatOracle:
         a boundary bit change the input list (and alias-to-constant folds
         drop the bit from it) even when no sub-graph cell was rewired.
         """
-        self.stats.queries += 1
+        self.counters["queries"] += 1
         struct_key = (
             self._struct_memo.signature(
                 cells, target, known, inputs=inputs, sigmap=self._sigmap
@@ -300,7 +271,7 @@ class SatOracle:
             max_conflicts,
         )
         if struct_key in self._verdicts:
-            self.stats.cache_hits += 1
+            self.counters["cache_hits"] += 1
             return self._verdicts[struct_key]
         ident_key = (
             signature_of(cells),
@@ -311,7 +282,7 @@ class SatOracle:
             max_conflicts,
         )
         if ident_key in self._verdicts:
-            self.stats.cache_hits += 1
+            self.counters["cache_hits"] += 1
             return self._verdicts[ident_key]
         context = self._context_for(target, cells)
         assumptions = self._assumption_lits(context, known)
@@ -322,68 +293,6 @@ class SatOracle:
         # conflict count depends on the variable order this sub-graph's
         # encoding happened to produce), so they memoize per identity only
         self._remember(ident_key if verdict is None else struct_key, verdict)
-        return verdict
-
-    def implies(
-        self,
-        cells: Sequence[Cell],
-        target: SigBit,
-        value: bool,
-        known: Dict[SigBit, bool],
-        max_conflicts: Optional[int] = None,
-        inputs: Sequence[SigBit] = (),
-    ) -> Optional[bool]:
-        """Do the ``known`` facts force ``target`` to ``value``?
-
-        True = proven (the opposite polarity is UNSAT); False = refuted
-        (a model with the opposite polarity exists); None = budget out.
-        ``inputs`` as in :meth:`can_be` — pass the sub-graph's free source
-        bits whenever cached verdicts may outlive the current pass.
-        """
-        opposite = self.can_be(
-            cells, target, not value, known, max_conflicts, inputs=inputs
-        )
-        if opposite is None:
-            return None
-        return not opposite
-
-    def equiv(
-        self,
-        cells: Sequence[Cell],
-        a: SigBit,
-        b: SigBit,
-        known: Optional[Dict[SigBit, bool]] = None,
-        max_conflicts: Optional[int] = None,
-        inputs: Sequence[SigBit] = (),
-    ) -> Optional[bool]:
-        """Are bits ``a`` and ``b`` equal for every sub-graph assignment?
-
-        Encodes one ``d = a xor b`` indicator per (a, b) pair (memoized in
-        the context — adding it is monotone) and asks whether ``d`` can be
-        true.  True = proven equivalent, False = a distinguishing model
-        exists, None = budget out.  ``inputs`` as in :meth:`can_be`.
-        """
-        self.stats.queries += 1
-        signature = signature_of(cells)
-        known = known or {}
-        key = (signature, tuple(inputs), (a, b), frozenset(known.items()),
-               "equiv", max_conflicts)
-        if key in self._verdicts:
-            self.stats.cache_hits += 1
-            return self._verdicts[key]
-        context = self._context_for(a, cells)
-        diff = context.diff_lits.get((a, b))
-        if diff is None:
-            encoder = context.encoder
-            diff = encoder.solver_lit(
-                encoder.xor(encoder.bit_lit(a), encoder.bit_lit(b))
-            )
-            context.diff_lits[(a, b)] = diff
-        assumptions = self._assumption_lits(context, known)
-        assumptions.append(diff)
-        sat = self._solve(context, assumptions, max_conflicts)
-        verdict = None if sat is None else not sat
-        self._remember(key, verdict)
         return verdict
 
     def decide(self, subgraph: Any, max_conflicts: Optional[int] = None) -> Decision:
@@ -447,12 +356,12 @@ class SatOracle:
         # local import: avoids a package cycle (aig.fraig imports sat.solver)
         from ..aig.fraig import sweep_miter
 
-        self.stats.queries += 1
+        self.counters["queries"] += 1
         outcome = sweep_miter(aig, miter_lit, max_conflicts)
-        self.stats.solver_calls += outcome.solver_calls
-        self.stats.conflicts += outcome.conflicts
-        self.stats.learned_clauses += outcome.learned_clauses
+        self.counters["solver_calls"] += outcome.solver_calls
+        self.counters["conflicts"] += outcome.conflicts
+        self.counters["learned_clauses"] += outcome.learned_clauses
         return outcome.verdict, outcome.model
 
 
-__all__ = ["Decision", "OracleStats", "SatOracle", "signature_of"]
+__all__ = ["Decision", "SatOracle", "signature_of"]

@@ -122,7 +122,13 @@ def luby(index: int) -> int:
 
 
 class SolverStats:
-    """Counters exposed for benchmarks and ablations."""
+    """Counters exposed for benchmarks and ablations.
+
+    Slots rather than a :class:`collections.Counter` like every other
+    owner's counters: ``propagations`` is bumped once per propagated
+    literal, and a ``Counter`` increment costs nearly three times a slot
+    increment (2M of them in a loop: 0.26 s against 0.09 s, 2-core VM).
+    """
 
     __slots__ = ("decisions", "propagations", "conflicts", "restarts", "learned_kept")
 
@@ -132,9 +138,6 @@ class SolverStats:
         self.conflicts = 0
         self.restarts = 0
         self.learned_kept = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class Solver:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -114,7 +115,7 @@ class DeltaReducer:
         self.target = PASS
         self.probes = 0
         self.accepted = 0
-        self.pass_stats: Dict[str, int] = {}
+        self.pass_stats: Counter = Counter()
         self._best: Any = None
         self._scope = "module"
         self._mname: Optional[str] = None
@@ -242,7 +243,7 @@ class DeltaReducer:
         if label != self.target:
             return False
         self.accepted += 1
-        self.pass_stats[pass_name] = self.pass_stats.get(pass_name, 0) + applied
+        self.pass_stats[pass_name] += applied
         self._best = candidate
         if self.on_progress is not None:
             self.on_progress(

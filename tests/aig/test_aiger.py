@@ -1,8 +1,10 @@
 """AIGER ASCII writer/reader round-trips."""
 
+import re
+
 import pytest
 
-from repro.aig import AIG, aiger_str, read_aiger
+from repro.aig import AIG, AigerError, aiger_str, read_aiger
 from repro.ir import Circuit
 from repro.aig import aig_map
 
@@ -60,3 +62,16 @@ def test_reader_rejects_bad_header():
         read_aiger("not an aiger file")
     with pytest.raises(ValueError):
         read_aiger("")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("aag 3 2 0 1 1\n2\n4\n", "line 4: input ends early"),
+    ("aag 3 2 0 1 1\n2\n4\nx\n6 2 4\n", "line 4: non-integer literal"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2\n", "line 5: expected 3 literal(s)"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni2 c\n", "line 6: bad symbol"),
+    ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\no1 z\n", "line 6: bad symbol"),
+], ids=["short-body", "literal", "and-fields", "input-symbol",
+        "output-symbol"])
+def test_reader_rejects_bad_body_naming_the_line(text, message):
+    with pytest.raises(AigerError, match=re.escape(message)):
+        read_aiger(text)

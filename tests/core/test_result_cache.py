@@ -131,11 +131,30 @@ class TestConcurrentExport:
         assert not errors, errors
 
     def test_merge_during_concurrent_stores(self):
+        """Concurrent mergers beside concurrent stores: the cap holds and
+        ``merged`` counts every adopted entry.  The counters here yield
+        the GIL between reading a count and writing it back, so a bump
+        made outside the cache's lock loses increments."""
         import threading
+        import time
+        from collections import Counter
+
+        class YieldingCounter(Counter):
+            def __getitem__(self, key):
+                value = super().__getitem__(key)
+                time.sleep(0)
+                return value
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)
+                return value
 
         cache = ResultCache(max_entries=4096)
+        cache.counters = YieldingCounter()
         stop = threading.Event()
         errors = []
+        added = []
 
         def writer():
             i = 0
@@ -146,19 +165,34 @@ class TestConcurrentExport:
             except Exception as exc:  # pragma: no cover - fails the test
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer) for _ in range(2)]
-        for thread in threads:
-            thread.start()
+        def merger(name):
+            try:
+                for round_ in range(200):
+                    added.append(cache.merge({
+                        ("infer", f"{name}-{round_}-{i}", ()): i
+                        for i in range(8)
+                    }))
+            except Exception as exc:  # pragma: no cover - fails the test
+                errors.append(exc)
+
+        writers = [threading.Thread(target=writer) for _ in range(2)]
+        mergers = [
+            threading.Thread(target=merger, args=(f"x{n}",)) for n in range(4)
+        ]
         try:
-            for round_ in range(200):
-                cache.merge({("infer", f"x-{round_}-{i}", ()): i
-                             for i in range(8)})
+            for thread in writers + mergers:
+                thread.start()
+            for thread in mergers:
+                thread.join(timeout=60)
         finally:
             stop.set()
-            for thread in threads:
-                thread.join()
+            for thread in writers:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in writers + mergers)
         assert not errors, errors
+        assert len(added) == 4 * 200
         assert len(cache) <= cache.max_entries
+        assert cache.counters["merged"] == sum(added)
 
 
 class TestExportMerge:

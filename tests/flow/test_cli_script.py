@@ -99,6 +99,8 @@ BAD_INPUTS = {
     "truncated.v": SOURCE[:60],
     "netlist.json": '{"modules": 3}',
     "header.aag": "aag 1 2\n",
+    "short.aag": "aag 3 2 0 1 1\n2\n4\n",
+    "literal.aag": "aag 3 2 0 1 1\n2\n4\nx\n6 2 4\n",
 }
 
 
@@ -115,6 +117,17 @@ def test_bad_input_is_an_error_not_a_verdict(tmp_path, verilog, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["opt", "equiv"])
+def test_unknown_top_is_an_error_not_a_verdict(verilog, capsys, command):
+    extra = [verilog] if command == "equiv" else []
+    assert main([command, verilog, *extra, "--top", "ghost"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no module named 'ghost' (available: ['demo'])\n"
+    )
 
 
 def test_equiv_port_mismatch_is_an_error(tmp_path, verilog, capsys):

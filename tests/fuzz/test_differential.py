@@ -48,7 +48,7 @@ def test_report_aggregates_shared_oracle_counters():
     report = run_differential(CI_CORPUS[:2], flows=("yosys", "smartly"),
                               oracle=oracle)
     assert report.ok
-    assert report.oracle_stats == oracle.stats.as_dict()
+    assert report.oracle_stats == dict(oracle.counters)
     assert report.oracle_stats["queries"] == len(
         [r for r in report.results if r.method in ("sat", "budget")]
     )
