@@ -111,6 +111,41 @@ class AIG:
         self._strash[key] = lit
         return lit
 
+    def graft(self, other: "AIG", inputs: Sequence[int]) -> List[int]:
+        """Copy ``other``'s AND nodes into this AIG, reading its input
+        ``i`` as literal ``inputs[i]`` here.  Returns the literal here
+        of each of ``other``'s variables (index 0 is constant false).
+
+        Nodes are re-hashed through :meth:`and_` in ``other``'s order.
+        When this AIG has no AND nodes yet and ``other``'s inputs are its
+        first inputs in order, the node table is copied instead, with its
+        AND literals offset past the extra inputs: for a graph that
+        :meth:`and_` built, that is the graph re-hashing would build.
+        """
+        count = other.num_inputs
+        if len(inputs) != count:
+            raise ValueError(
+                f"expected {count} input literals, got {len(inputs)}"
+            )
+        lits = [FALSE_LIT, *inputs]
+        if not self._ands and lits == list(range(0, 2 * count + 1, 2)):
+            offset = 2 * (self.num_inputs - count)
+            last_input = 2 * count + 1
+            self._ands = [
+                (a + offset if a > last_input else a,
+                 b + offset if b > last_input else b)
+                for a, b in other._ands
+            ]
+            first = 2 * (self.num_inputs + 1)
+            ands = range(first, first + 2 * len(self._ands), 2)
+            self._strash = dict(zip(self._ands, ands))
+            lits.extend(ands)
+            return lits
+        and_ = self.and_
+        for a, b in other._ands:
+            lits.append(and_(lits[a >> 1] ^ (a & 1), lits[b >> 1] ^ (b & 1)))
+        return lits
+
     def or_(self, a: int, b: int) -> int:
         return self.and_(a ^ 1, b ^ 1) ^ 1
 

@@ -6,9 +6,9 @@ this library uses AIGs: flip-flop boundaries are cut before mapping.
 
 from __future__ import annotations
 
-from typing import List, TextIO, Union
+from typing import Dict, List, TextIO, Tuple, Union
 
-from .aig import AIG
+from .aig import AIG, FALSE_LIT
 
 
 def write_aiger(aig: AIG, stream: TextIO, symbols: bool = True) -> None:
@@ -50,10 +50,19 @@ class AigerError(ValueError):
 def read_aiger(source: Union[str, TextIO]) -> AIG:
     """Parse an ASCII AIGER file (combinational subset, no latches).
 
+    The file may number its variables in any order: each declared input
+    literal and AND left-hand side names a variable, and every fanin and
+    output is translated through that map.  Inputs become variables
+    ``1..I`` in the order they are listed, and AND line ``k`` becomes
+    variable ``I + 1 + k``, so the file's AND nodes are kept one for one.
+
     Raises :class:`AigerError` on an empty input, a malformed header or
     latches, and, naming the line, on a body shorter than the header's
-    counts, a non-integer literal, an AND line without three fields or a
-    symbol whose index is past the counts.
+    counts, a non-integer literal, an AND line without three fields, an
+    odd, zero or out-of-range definition, a variable defined twice, a
+    fanin or output literal that names no variable defined so far (ANDs
+    must be listed in topological order) or a symbol whose index is past
+    the counts.
     """
     if isinstance(source, str):
         lines: List[str] = source.splitlines()
@@ -89,17 +98,50 @@ def read_aiger(source: Union[str, TextIO]) -> AIG:
                 f"line {pos + 1}: non-integer literal in {lines[pos]!r}"
             ) from None
 
-    # input k is variable k + 1; its line is only checked
+    #: the file's variable -> (our literal, 1-based line defining it)
+    defined: Dict[int, Tuple[int, int]] = {0: (FALSE_LIT, 0)}
+
+    def check_definition(lit: int, number: int) -> None:
+        if lit & 1 or not 0 < lit >> 1 <= m:
+            raise AigerError(
+                f"line {number}: cannot define literal {lit} (a definition "
+                f"is an even literal from 2 to {2 * m})"
+            )
+        if lit >> 1 in defined:
+            raise AigerError(
+                f"line {number}: variable {lit >> 1} is defined twice "
+                f"(first on line {defined[lit >> 1][1]})"
+            )
+
+    def translate(lit: int, number: int) -> int:
+        entry = defined.get(lit >> 1)
+        if entry is None:
+            raise AigerError(
+                f"line {number}: literal {lit} names no variable defined "
+                f"so far"
+            )
+        return entry[0] ^ (lit & 1)
+
     for k in range(i):
-        literals(1 + k, 1)
+        lit = literals(1 + k, 1)[0]
+        check_definition(lit, 2 + k)
+        defined[lit >> 1] = (2 * (k + 1), 2 + k)
     output_lits = [literals(1 + i + k, 1)[0] for k in range(o)]
     aig = AIG()
     pos = 1 + i + o
-    # ands must be declared in topological order in valid files
     for k in range(a):
+        number = pos + k + 1
         lhs, f0, f1 = literals(pos + k, 3)
-        aig._ands.append((min(f0, f1), max(f0, f1)))
-        aig._strash[(min(f0, f1), max(f0, f1))] = lhs
+        check_definition(lhs, number)
+        # fanins name inputs or ANDs on earlier lines (topological order)
+        f0, f1 = sorted((translate(f0, number), translate(f1, number)))
+        ours = 2 * (i + 1 + k)
+        defined[lhs >> 1] = (ours, number)
+        aig._ands.append((f0, f1))
+        aig._strash.setdefault((f0, f1), ours)
+    outputs = [
+        translate(lit, 2 + i + k) for k, lit in enumerate(output_lits)
+    ]
     pos += a
     # symbol table
     names = {
@@ -120,5 +162,5 @@ def read_aiger(source: Union[str, TextIO]) -> AIG:
             )
         table[int(idx)] = name
     aig.input_names = names["i"]
-    aig.outputs = list(zip(names["o"], output_lits))
+    aig.outputs = list(zip(names["o"], outputs))
     return aig

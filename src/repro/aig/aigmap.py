@@ -29,26 +29,19 @@ from .aig import AIG, FALSE_LIT, TRUE_LIT
 class AigMapper(celllib.LoweringEmitter):
     """Maps one module into a fresh :class:`AIG`.
 
-    The bit-to-literal map is exposed (:attr:`bit_lit`) so equivalence
-    checking can map two modules into one shared AIG keyed by port names.
+    Its inputs are :meth:`sources` in order; :attr:`bit_lit` maps each
+    canonical bit to its literal.  The miter builder joins two mapped
+    AIGs by input and output names, so one module maps the same way
+    whether its AIG is measured or proven.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        index: Optional[NetIndex] = None,
-        aig: Optional[AIG] = None,
-        input_lits: Optional[Dict[str, int]] = None,
-    ):
-        """``aig``/``input_lits`` allow mapping several modules into one
-        shared AIG (used by the miter builder): ``input_lits`` maps input
-        names like ``"a[3]"`` to preexisting AIG literals.  Without an
-        ``index`` the mapper walks :func:`~repro.ir.walker.current_index`:
-        the module's live index when it has a usable one."""
+    def __init__(self, module: Module, index: Optional[NetIndex] = None):
+        """Without an ``index`` the mapper walks
+        :func:`~repro.ir.walker.current_index`: the module's live index
+        when it has a usable one."""
         self.module = module
         self.index = index if index is not None else current_index(module)
-        self.aig = aig if aig is not None else AIG()
-        self.preset_inputs = input_lits if input_lits is not None else {}
+        self.aig = AIG()
         self.bit_lit: Dict[SigBit, int] = {}
         self._sources: Optional[Dict[SigBit, str]] = None
 
@@ -57,10 +50,7 @@ class AigMapper(celllib.LoweringEmitter):
     def run(self) -> AIG:
         """Map the whole module and register outputs; returns the AIG."""
         for cbit, name in self.sources().items():
-            preset = self.preset_inputs.get(name)
-            self.bit_lit[cbit] = (
-                preset if preset is not None else self.aig.add_input(name)
-            )
+            self.bit_lit[cbit] = self.aig.add_input(name)
         for cell in self.index.topo_cells():
             spec = celllib.spec_for(cell.type)
             if spec.lower is not None:

@@ -62,8 +62,10 @@ class ConeEncoder:
     ``fanins`` maps each AND variable to its two fanin literals; any
     other variable is a free solver variable, and variable 0 is constant
     false.  :meth:`lit` encodes the cone of a literal the first time a
-    query reaches it, three clauses per AND, so :attr:`solver` only holds
-    the cones its queries touch.  ``fanins`` may grow between calls.
+    query reaches it, one :meth:`Solver.add_and
+    <repro.sat.solver.Solver.add_and>` per AND (the definition the
+    netlist encoder uses too), so :attr:`solver` only holds the cones its
+    queries touch.  ``fanins`` may grow between calls.
     """
 
     def __init__(self, fanins: Mapping[int, Tuple[int, int]]):
@@ -94,19 +96,18 @@ class ConeEncoder:
                 var_map[var] = solver.new_var()
                 stack.pop()
                 continue
-            missing = [f >> 1 for f in pair if f >> 1 not in var_map]
-            if missing:
-                stack.extend(missing)
+            f0, f1 = pair
+            a, b = var_map.get(f0 >> 1), var_map.get(f1 >> 1)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(f0 >> 1)
+                if b is None:
+                    stack.append(f1 >> 1)
                 continue
             stack.pop()
-            f0, f1 = pair
-            a = -var_map[f0 >> 1] if f0 & 1 else var_map[f0 >> 1]
-            b = -var_map[f1 >> 1] if f1 & 1 else var_map[f1 >> 1]
-            y = solver.new_var()
-            solver.add_clause([-a, -b, y])
-            solver.add_clause([a, -y])
-            solver.add_clause([b, -y])
-            var_map[var] = y
+            var_map[var] = solver.add_and(
+                -a if f0 & 1 else a, -b if f1 & 1 else b
+            )
         return var_map[root]
 
 

@@ -3,10 +3,16 @@
 ``check_equivalence(gold, gate)`` mirrors the paper's "all results passed
 equivalence checking": a fast random-simulation filter finds most
 non-equivalences; the SAT step on the miter then proves equivalence or
-produces a concrete counterexample assignment.
+produces a concrete counterexample assignment.  ``gold`` and ``gate`` are
+two modules or two AIGs made by :func:`~repro.aig.aigmap.aig_map`; either
+way :func:`~repro.equiv.miter.build_miter` joins the two sides' AIGs, so
+a pair checks the same in both forms (verdict, method, counterexample and
+conflicts).  A checked :meth:`Session.run
+<repro.flow.session.Session.run>` passes the AIGs it maps anyway: the
+pre-flow one and the optimized one it reads its stats from.
 
 The SAT step is :meth:`~repro.sat.oracle.SatOracle.solve_miter`, which
-SAT-sweeps the shared miter AIG (:mod:`repro.aig.fraig`) instead of
+SAT-sweeps the miter AIG (:mod:`repro.aig.fraig`) instead of
 asking one monolithic question: gold and gate share most of their
 structure, so proving and merging their equivalent internal nodes
 bottom-up usually folds the miter to constant 0 after many small SAT
@@ -19,7 +25,7 @@ solver call.
 
 Decided SAT verdicts can additionally persist in an exportable
 :class:`~repro.core.cache.ResultCache` (``cache=...``): the entry is keyed
-``("cec", <miter structural digest>)`` where the digest covers the shared
+``("cec", <miter structural digest>)`` where the digest covers the
 miter AIG's input count, AND-node table and miter literal but *not* its
 input names — the name-based port pairing is already baked into the node
 structure, so renamed clones and replayed siblings that build the same
@@ -51,8 +57,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
+from ..aig.aig import AIG
 from ..ir.module import Module
 from ..sat.oracle import SatOracle
 from .miter import build_miter
@@ -84,15 +91,16 @@ class EquivResult:
 
 
 def check_equivalence(
-    gold: Module,
-    gate: Module,
+    gold: Union[Module, AIG],
+    gate: Union[Module, AIG],
     random_vectors: int = 256,
     seed: int = 0,
     max_conflicts: Optional[int] = None,
     oracle: Optional[SatOracle] = None,
     cache: Optional["ResultCache"] = None,
 ) -> EquivResult:
-    """Prove or refute combinational equivalence of two modules.
+    """Prove or refute combinational equivalence of two modules, or of
+    two AIGs made by :func:`~repro.aig.aigmap.aig_map`.
 
     When ``max_conflicts`` is given and the SAT sweep spends it all
     before a verdict, the result is *undecided*

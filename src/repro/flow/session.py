@@ -52,6 +52,7 @@ from ..core.cache import ResultCache
 from ..core.smartly import SmartlyOptions
 from ..core.store import DEFAULT_KEEP_GENERATIONS, CacheStore
 from ..equiv.cec import check_equivalence
+from ..equiv.miter import check_signatures, io_signature
 from ..events import EventBus, Observer
 from ..ir import design as design_mod
 from ..ir import module as ir_module
@@ -341,7 +342,9 @@ class Session:
 
     The session caches each module's pre-optimization AIG baseline the
     first time it is needed (``aig_map`` never mutates the module, so the
-    baseline is computed directly on the working copy — no clone).
+    baseline is computed directly on the working copy — no clone; a
+    checked first run proves the optimized netlist against that same
+    AIG).
     Flows then mutate the session's modules in place, Yosys-style; clone
     before constructing the session if the caller's module must stay
     pristine (``Session(module.clone()).run(preset)``).
@@ -629,8 +632,15 @@ class Session:
         ``smartly-rebuild``/``smartly``), a flow-script string, or a
         :class:`FlowSpec`.  With ``check=True`` the optimized module is
         SAT-proven equivalent to its pre-flow state (raises
-        :class:`EquivalenceError` otherwise).  ``engine`` overrides the
-        session engine for this run (``"incremental"`` or ``"eager"``).
+        :class:`EquivalenceError` otherwise): the run maps the module to
+        an AIG before the flow, which on the module's first run is also
+        its baseline, and proves it against the AIG it maps afterwards
+        for :attr:`RunReport.stats`, so a checked first run makes two
+        ``aig_map`` calls and clones nothing.  The port signature is read
+        before the flow and compared after it
+        (:class:`~repro.equiv.miter.PortMismatchError` when a pass changed
+        it).  ``engine`` overrides the session engine for this run
+        (``"incremental"`` or ``"eager"``).
 
         Incremental runs participate in design-scope incrementality (see
         the class docstring): a re-run of a flow that already converged on
@@ -652,9 +662,8 @@ class Session:
         incremental = engine == "incremental"
         if incremental:
             # the flow keeps the live index anyway; built first, it also
-            # serves the baseline and final aigmap and the miter's gate side
+            # serves the pre-flow and final aigmap
             mod.net_index()
-        original_area = self.baseline_area(mod.name)
         # design-scope bookkeeping requires an attached design listener
         track = incremental and not self._closed
         state_key = (mod.name, spec)
@@ -686,7 +695,14 @@ class Session:
                 attach = getattr(pass_, "attach_result_cache", None)
                 if attach is not None:
                     attach(self._result_cache)
-        golden = mod.clone() if (check and spec.steps) else None
+        golden = None
+        if check and spec.steps:
+            # the pre-flow state the optimized netlist is proven against;
+            # on the module's first run it is the baseline as well
+            ports = io_signature(mod)
+            golden = aig_map(mod)
+            self._baselines.setdefault(mod.name, golden.num_ands)
+        original_area = self.baseline_area(mod.name)
         self.events.emit("flow_started", case=mod.name, flow=spec.label)
         manager = PassManager(
             passes,
@@ -715,10 +731,12 @@ class Session:
                 self._restart_pending(mod.name)
                 self._flow_states.pop(state_key, None)
         runtime = time.perf_counter() - start
-        stats = aig_stats(aig_map(mod))
+        optimized = aig_map(mod)
+        stats = aig_stats(optimized)
         if golden is not None:
+            check_signatures(ports, io_signature(mod))
             result = check_equivalence(
-                golden, mod,
+                golden, optimized,
                 cache=self._result_cache if incremental else None,
             )
             if not result.equivalent:

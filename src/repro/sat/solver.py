@@ -125,9 +125,10 @@ class SolverStats:
     """Counters exposed for benchmarks and ablations.
 
     Slots rather than a :class:`collections.Counter` like every other
-    owner's counters: ``propagations`` is bumped once per propagated
-    literal, and a ``Counter`` increment costs nearly three times a slot
-    increment (2M of them in a loop: 0.26 s against 0.09 s, 2-core VM).
+    owner's counters: the search bumps them on every unit-propagation
+    call and every decision, and a ``Counter`` increment costs nearly
+    three times a slot increment (2M of them in a loop: 0.26 s against
+    0.09 s, 2-core VM).  ``propagations`` counts propagated literals.
     """
 
     __slots__ = ("decisions", "propagations", "conflicts", "restarts", "learned_kept")
@@ -188,7 +189,10 @@ class Solver:
         self.polarity.append(polarity)
         self.watches[var] = []
         self.watches[-var] = []
-        self.heap.insert(var)
+        # a heap leaf already: an activity of 0 never exceeds a parent's
+        heap = self.heap
+        heap.pos[var] = len(heap.heap)
+        heap.heap.append(var)
         return var
 
     def ensure_vars(self, max_var: int) -> None:
@@ -243,6 +247,42 @@ class Solver:
         self._attach(clause)
         return True
 
+    def add_and(self, a: int, b: int) -> int:
+        """A fresh variable ``y`` defined as ``a & b``.
+
+        Adds the Tseitin clauses ``(-a, -b, y)``, ``(a, -y)`` and
+        ``(b, -y)`` in that order, as three :meth:`add_clause` calls
+        would.  When the formula is unsatisfiable, the solver is not at
+        decision level 0, ``a`` and ``b`` share a variable, or either
+        names no variable yet or one already assigned, it makes exactly
+        those calls; otherwise every literal is free and distinct, so it
+        attaches the three clauses directly, with the same watches.
+        """
+        y = self.new_var()
+        va = a if a > 0 else -a
+        vb = b if b > 0 else -b
+        assign = self.assign
+        if (
+            not self.ok or self.trail_lim or va == vb
+            or not 0 < va < y or not 0 < vb < y or assign[va] or assign[vb]
+        ):
+            self.add_clause([-a, -b, y])
+            self.add_clause([a, -y])
+            self.add_clause([b, -y])
+            return y
+        watches = self.watches
+        both = Clause([-a, -b, y])
+        left = Clause([a, -y])
+        right = Clause([b, -y])
+        self.clauses += (both, left, right)
+        watches[-a].append(both)
+        watches[-b].append(both)
+        watches[a].append(left)
+        watches[-y].append(left)
+        watches[b].append(right)
+        watches[-y].append(right)
+        return y
+
     def _attach(self, clause: Clause) -> None:
         self.watches[clause.lits[0]].append(clause)
         self.watches[clause.lits[1]].append(clause)
@@ -268,29 +308,43 @@ class Solver:
         return True
 
     def _cancel_until(self, target_level: int) -> None:
-        if self.decision_level <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        boundary = self.trail_lim[target_level]
-        for lit in reversed(self.trail[boundary:]):
-            var = abs(lit)
-            self.polarity[var] = lit > 0
-            self.assign[var] = 0
-            self.reason[var] = None
-            self.heap.insert(var)
-        del self.trail[boundary:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        trail = self.trail
+        boundary = trail_lim[target_level]
+        assign, reason, polarity = self.assign, self.reason, self.polarity
+        in_heap, insert = self.heap.pos, self.heap.insert
+        for index in range(len(trail) - 1, boundary - 1, -1):
+            lit = trail[index]
+            var = lit if lit > 0 else -lit
+            polarity[var] = lit > 0
+            assign[var] = 0
+            reason[var] = None
+            if var not in in_heap:
+                insert(var)
+        del trail[boundary:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
 
     # -- propagation --------------------------------------------------------------
 
     def _propagate(self) -> Optional[Clause]:
-        """Unit propagation; returns the conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
+        """Unit propagation; returns the conflicting clause or None.
+
+        Literal values are read inline from the assignment array (the
+        body of :meth:`lit_value`), and a unit literal is assigned in
+        place (the body of :meth:`_enqueue`)."""
+        trail, watches, assign = self.trail, self.watches, self.assign
+        level, reason = self.level, self.reason
+        current_level = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             false_lit = -lit
-            watch_list = self.watches[false_lit]
+            watch_list = watches[false_lit]
             new_list: List[Clause] = []
             i = 0
             n = len(watch_list)
@@ -302,27 +356,35 @@ class Solver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], false_lit
                 first = lits[0]
-                if self.lit_value(first) == 1:
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     new_list.append(clause)  # clause already satisfied
                     continue
                 # search a replacement watch
-                found = False
                 for k in range(2, len(lits)):
-                    if self.lit_value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], false_lit
-                        self.watches[lits[1]].append(clause)
-                        found = True
+                    other = lits[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        lits[1], lits[k] = other, false_lit
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                # clause is unit or conflicting
-                new_list.append(clause)
-                if not self._enqueue(first, clause):
-                    # conflict: keep remaining watches and report
-                    new_list.extend(watch_list[i:n])
-                    self.watches[false_lit] = new_list
-                    return clause
-            self.watches[false_lit] = new_list
+                else:
+                    # clause is unit or conflicting
+                    new_list.append(clause)
+                    if value == -1:
+                        # conflict: keep remaining watches and report
+                        new_list.extend(watch_list[i:n])
+                        watches[false_lit] = new_list
+                        self.qhead = qhead
+                        self.stats.propagations += qhead - start
+                        return clause
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = current_level
+                    reason[var] = clause
+                    trail.append(first)
+            watches[false_lit] = new_list
+        self.qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     # -- activities -----------------------------------------------------------------

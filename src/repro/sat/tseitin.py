@@ -105,9 +105,7 @@ class CircuitEncoder(celllib.LoweringEmitter):
             return FALSE_LIT
         if a == TRUE_LIT or a == b:
             return b
-        y = self._fresh_lit()
-        self._clauses((a ^ 1, b ^ 1, y), (a, y ^ 1), (b, y ^ 1))
-        return y
+        return 2 * self.solver.add_and(self.solver_lit(a), self.solver_lit(b))
 
     def or_(self, a: int, b: int) -> int:
         return self.and_(a ^ 1, b ^ 1) ^ 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aig import aig_map
 from repro.api import Session
 from repro.cli import main
 from repro.equiv import (
@@ -12,7 +13,7 @@ from repro.equiv import (
     check_equivalence,
 )
 from repro.frontend import compile_verilog
-from repro.ir import Circuit
+from repro.ir import Circuit, SigSpec
 from tests.conftest import hard_equivalent_pair, random_circuit
 
 
@@ -227,3 +228,78 @@ def test_undriven_source_names_are_unambiguous():
     result = check_equivalence(gold, gate)
     assert not result.equivalent and not result.undecided
     assert {"<u[0]>", "<u[0][0]>"} <= set(result.counterexample)
+
+
+# -- two AIGs ------------------------------------------------------------------
+
+
+def _with_instance(invert: bool):
+    """A parent feeding child ``leaf`` (``x`` from ``a``, ``y`` read back
+    into the output): the binding bits are miter outputs and inputs."""
+    c = Circuit("top")
+    a, m = c.input("a", 4), c.input("m", 4)
+    y = c.module.add_wire("y", 4)
+    c.module.add_instance(
+        "leaf", name="u0",
+        connections={"x": c.not_(a) if invert else a,
+                     "y": SigSpec.from_wire(y)},
+    )
+    c.output("o", c.xor(SigSpec.from_wire(y), m))
+    return c.module
+
+
+def _optimized(module):
+    gate = module.clone()
+    Session(gate).run("smartly")
+    return gate
+
+
+def _refuted_pair():
+    gold, _ = _mux_pair()
+    c = Circuit("m")
+    a, b, s = c.input("a", 4), c.input("b", 4), c.input("s")
+    c.output("y", c.mux(b, a, s))
+    return gold, c.module
+
+
+AIG_PAIRS = {
+    "equivalent": _mux_pair,
+    "optimized": lambda: (lambda m: (m, _optimized(m)))(
+        random_circuit(222, n_ops=10)),
+    "refuted": _refuted_pair,
+    "refuted-by-sat": lambda: (
+        compile_verilog("module m(input [7:0] a, output y);"
+                        " assign y = a == 0; endmodule").top,
+        compile_verilog("module m(input [7:0] a, output y);"
+                        " assign y = a == 0 | a == 193; endmodule").top,
+    ),
+    "undriven": lambda: (compile_verilog(UNDRIVEN_READ).top,
+                         compile_verilog(UNDRIVEN_READ).top),
+    "undriven-refuted": lambda: (
+        compile_verilog(UNDRIVEN_READ.replace("| u", "| ~u")).top,
+        compile_verilog(UNDRIVEN_READ).top,
+    ),
+    "instance": lambda: (_with_instance(False), _with_instance(False)),
+    "instance-refuted": lambda: (_with_instance(False), _with_instance(True)),
+}
+
+
+@pytest.mark.parametrize("pair", list(AIG_PAIRS))
+@pytest.mark.parametrize("vectors", [256, 0])
+def test_two_aigs_check_like_their_modules(pair, vectors):
+    gold, gate = AIG_PAIRS[pair]()
+    on_modules = check_equivalence(gold, gate, random_vectors=vectors)
+    on_aigs = check_equivalence(aig_map(gold), aig_map(gate),
+                                random_vectors=vectors)
+    assert on_aigs == on_modules
+    assert on_modules.equivalent == ("refuted" not in pair)
+    aig, lit = build_miter(gold, gate)
+    joined, joined_lit = build_miter(aig_map(gold), aig_map(gate))
+    assert joined.structural_digest(joined_lit) == aig.structural_digest(lit)
+    assert joined.input_names == aig.input_names
+
+
+def test_build_miter_takes_two_modules_or_two_aigs():
+    gold, gate = _mux_pair()
+    with pytest.raises(TypeError, match="two Modules or two AIGs"):
+        build_miter(gold, aig_map(gate))

@@ -196,3 +196,40 @@ def test_sweep_is_deterministic():
         assert first.solve_miter(aig, miter) == second.solve_miter(aig, miter)
         assert first.counters == second.counters
         assert sweep_miter(aig, miter) == sweep_miter(aig, miter)
+
+
+# -- the sweep and the cec keys, pinned ---------------------------------------
+
+#: (verdict, solver_calls, conflicts, learned_clauses, merges) and the
+#: miter's structural digest, which keys persisted ("cec", digest) entries
+PINNED_SWEEPS = {
+    "ac97_ctrl": ((False, 96, 128, 128, 48),
+                  "43743b6cf66eae184e208e683bbbcb31"),
+    1000: ((False, 66, 94, 94, 33), "53c6ffb24fc6835ede71790480ed1a56"),
+    1001: ((False, 56, 93, 93, 28), "4ad77f75fc61cb6d06c41c6a579b2bf4"),
+    1002: ((False, 192, 320, 320, 96), "27db7e6a3439eefc8617562b478ad94d"),
+    1003: ((False, 160, 216, 216, 80), "a3b77f83fabc64c3986407b6fa6fe65d"),
+    1004: ((False, 164, 216, 216, 82), "cfab055c5b2d0d712f05635e73b31919"),
+    1005: ((False, 112, 148, 148, 56), "26ce312633af4fddfc85b779e54816e2"),
+    1006: ((False, 209, 261, 258, 106), "efe12341b229e3cca408c04f1c7a96be"),
+    1007: ((False, 220, 509, 509, 110), "d7b963fa03c91c2178138010f5879d1f"),
+}
+
+
+@pytest.mark.parametrize("design", list(PINNED_SWEEPS))
+def test_sweep_and_miter_digest_are_pinned(design):
+    """ac97_ctrl and ``random_module(seed, width=8, n_units=4)`` for
+    ``CI_CORPUS[:8]``, each against its smartly-optimized clone: the
+    sweep's work and the miter's digest must not move when the miter
+    builder or the solver kernels change."""
+    if design == "ac97_ctrl":
+        golden = build_case(design)
+    else:
+        golden = random_module(design, width=8, n_units=4)
+    gate = golden.clone()
+    Session(gate).run("smartly")
+    aig, miter = build_miter(golden, gate)
+    outcome = sweep_miter(aig, miter)
+    work, digest = PINNED_SWEEPS[design]
+    assert (outcome.verdict, *outcome[2:]) == work
+    assert aig.structural_digest(miter) == digest

@@ -101,6 +101,8 @@ BAD_INPUTS = {
     "header.aag": "aag 1 2\n",
     "short.aag": "aag 3 2 0 1 1\n2\n4\n",
     "literal.aag": "aag 3 2 0 1 1\n2\n4\nx\n6 2 4\n",
+    "range.aag": "aag 3 2 0 1 1\n2\n4\n6\n6 2 40\n",
+    "twice.aag": "aag 3 2 0 1 1\n2\n4\n6\n4 2 6\n",
 }
 
 
@@ -117,6 +119,18 @@ def test_bad_input_is_an_error_not_a_verdict(tmp_path, verilog, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_equiv_reads_aiger_inputs_listed_out_of_order(tmp_path, capsys):
+    # both files compute y = b & ~a; the first lists b's literal second
+    shuffled = tmp_path / "shuffled.aag"
+    shuffled.write_text("aag 3 2 0 1 1\n4\n2\n6\n6 2 5\n"
+                        "i0 a\ni1 b\no0 y\n")
+    ordered = tmp_path / "ordered.aag"
+    ordered.write_text("aag 3 2 0 1 1\n2\n4\n6\n6 4 3\n"
+                       "i0 a\ni1 b\no0 y\n")
+    assert main(["equiv", str(shuffled), str(ordered)]) == 0
+    assert capsys.readouterr().out.startswith("EQUIVALENT")
 
 
 @pytest.mark.parametrize("command", ["opt", "equiv"])

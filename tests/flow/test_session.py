@@ -14,9 +14,10 @@ from repro.api import (
     SmartlyOptions,
 )
 from repro.core import Smartly
-from repro.equiv.miter import build_miter
+from repro.equiv.miter import PortMismatchError, build_miter
 from repro.events import EventLog as TopLevelEventLog
 from repro.flow import render_table2
+from repro.flow import session as session_mod
 from repro.ir import Circuit, NetIndex
 from repro.ir.walker import current_index
 from repro.opt import OptClean, OptExpr, OptMerge, OptMuxtree, PassManager
@@ -296,11 +297,59 @@ class TestOneIndexPerJob:
         assert report.optimized_area < report.original_area
         assert builds == [session.design.top]
 
-    def test_checked_run_builds_two(self, builds):
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        """(module, AND count) of every ``aig_map`` the session makes."""
+        mapped = []
+        original = session_mod.aig_map
+
+        def counting(module, *args, **kwargs):
+            aig = original(module, *args, **kwargs)
+            mapped.append((module, aig.num_ands))
+            return aig
+
+        monkeypatch.setattr(session_mod, "aig_map", counting)
+        return mapped
+
+    def test_checked_run_builds_one(self, builds, maps):
         session = Session(build_case("ac97_ctrl"))
-        assert session.run("smartly", check=True).equivalence_checked
-        # the live index and a snapshot of the golden clone
-        assert len(builds) == 2 and builds[0] is session.design.top
+        report = session.run("smartly", check=True)
+        assert report.equivalence_checked
+        # the live index serves the pre-flow map and the final one, and
+        # the proof joins those two AIGs: no golden clone to index
+        assert builds == [session.design.top]
+        # on the first run the pre-flow AIG is the baseline too
+        assert maps == [
+            (session.design.top, report.original_area),
+            (session.design.top, report.optimized_area),
+        ]
+
+    def test_checked_rerun_proves_its_own_pre_flow_state(self, maps):
+        session = Session(build_case("ac97_ctrl"))
+        first = session.run("smartly", check=True)
+        # a design-scope skip maps nothing new
+        assert session.run("smartly", check=True).design_cache == "skipped"
+        assert len(maps) == 2
+        # another flow starts from the first one's result, which is what
+        # it proves against, while the baseline stays the first run's
+        again = session.run("yosys", check=True)
+        assert again.equivalence_checked
+        assert again.original_area == first.original_area
+        assert [area for _mod, area in maps[2:]] == [
+            first.optimized_area, again.optimized_area,
+        ]
+
+    def test_checked_run_compares_ports_before_and_after(self, monkeypatch):
+        run = PassManager.run
+
+        def adds_a_port(self, module, **kwargs):
+            changed = run(self, module, **kwargs)
+            module.add_wire("extra", 1, port_output=True)
+            return changed
+
+        monkeypatch.setattr(PassManager, "run", adds_a_port)
+        with pytest.raises(PortMismatchError, match="signatures differ"):
+            Session(_circuit()).run("yosys", check=True)
 
     def test_eager_run_keeps_its_snapshots(self, builds):
         session = Session(build_case("ac97_ctrl"), engine="eager")

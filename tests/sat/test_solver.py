@@ -304,3 +304,87 @@ class TestIncrementalClauseAddition:
         conflicts_second = s.stats.conflicts - conflicts_first
         assert second == first
         assert conflicts_second <= conflicts_first
+
+
+class TestAddAnd:
+    """``add_and`` is the three Tseitin clauses of an AND, attached as
+    three ``add_clause`` calls would attach them."""
+
+    @staticmethod
+    def _by_clauses(solver, a, b):
+        y = solver.new_var()
+        solver.add_clause([-a, -b, y])
+        solver.add_clause([a, -y])
+        solver.add_clause([b, -y])
+        return y
+
+    @staticmethod
+    def _state(solver):
+        return (
+            [c.lits for c in solver.clauses],
+            {lit: [c.lits for c in ws] for lit, ws in solver.watches.items()},
+            solver.trail, solver.heap.heap, solver.ok,
+        )
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (-1, 2), (2, -1), (-2, -3),
+                                      (1, 1), (1, -1), (3, 3)])
+    def test_same_clauses_and_watches_as_add_clause(self, a, b):
+        fast, slow = Solver(), Solver()
+        for solver in (fast, slow):
+            solver.ensure_vars(3)
+            solver.add_clause([1, 2, 3])
+        assert fast.add_and(a, b) == self._by_clauses(slow, a, b)
+        assert self._state(fast) == self._state(slow)
+
+    @staticmethod
+    def _agrees_with_brute_force(solver, cnf, rng):
+        for _ in range(12):
+            picked = rng.sample(range(1, cnf.num_vars + 1), 2)
+            assumptions = [rng.choice([1, -1]) * v for v in picked]
+            with_units = CNF(cnf.num_vars)
+            with_units.extend(cnf.clauses)
+            with_units.extend([lit] for lit in assumptions)
+            verdict = solver.solve(assumptions)
+            assert verdict == with_units.brute_force_satisfiable()
+            if verdict:
+                model = [solver.model_value(v)
+                         for v in range(1, cnf.num_vars + 1)]
+                assert with_units.evaluate(model)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fixed_fanin_and_unsat_solve_agree_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        solver, cnf = Solver(), CNF(6)
+        solver.ensure_vars(6)
+        fixed, p, q = rng.sample(range(1, 7), 3)
+        # ``fixed`` is a unit at level 0; ``p`` is implied by two clauses
+        # that only a conflict reveals
+        for clause in ([fixed], [p, q], [p, -q]):
+            solver.add_clause(clause)
+            cnf.add_clause(clause)
+        # UNSAT under assumptions through a conflict, which learns ``p``
+        # as a level-0 unit
+        assert solver.solve([-p]) is False
+        assert solver.stats.conflicts == 1 and solver.lit_value(p) == 1
+        for _ in range(3):
+            clause = [rng.choice([1, -1]) * v for v in rng.sample(range(1, 7), 2)]
+            solver.add_clause(clause)
+            cnf.add_clause(clause)
+        for k in range(6):
+            # the first two definitions read the fixed fanins
+            a = (fixed, p)[k] if k < 2 else rng.randint(1, 6 + k)
+            a *= rng.choice([1, -1])
+            b = rng.choice([1, -1]) * rng.randint(1, 6 + k)
+            y = solver.add_and(a, b)
+            assert y == cnf.new_var()
+            cnf.extend([[-a, -b, y], [a, -y], [b, -y]])
+        self._agrees_with_brute_force(solver, cnf, rng)
+
+    def test_add_and_on_an_unsat_formula_adds_nothing(self):
+        solver = Solver()
+        a, b = solver.new_var(), solver.new_var()
+        solver.add_clause([a])
+        solver.add_clause([-a])
+        assert solver.ok is False
+        solver.add_and(a, b)
+        assert solver.clauses == [] and solver.solve() is False

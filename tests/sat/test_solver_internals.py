@@ -8,17 +8,21 @@ from repro.sat import Solver
 from repro.sat.solver import _VarHeap
 
 
+def _random_clause(rng, n_vars):
+    clause = []
+    while len(clause) < 3:
+        lit = rng.choice([1, -1]) * rng.randint(1, n_vars)
+        if lit not in clause and -lit not in clause:
+            clause.append(lit)
+    return clause
+
+
 def _random_hard_instance(seed, n_vars=40, ratio=4.3):
     rng = random.Random(seed)
     solver = Solver()
     solver.ensure_vars(n_vars)
     for _ in range(int(n_vars * ratio)):
-        clause = []
-        while len(clause) < 3:
-            lit = rng.choice([1, -1]) * rng.randint(1, n_vars)
-            if lit not in clause and -lit not in clause:
-                clause.append(lit)
-        solver.add_clause(clause)
+        solver.add_clause(_random_clause(rng, n_vars))
     return solver
 
 
@@ -120,3 +124,45 @@ class TestReduceDb:
         kept_before = len(solver.learned)
         solver._reduce_db()
         assert len(solver.learned) <= kept_before
+
+
+# -- the search, pinned --------------------------------------------------------
+
+STAT_FIELDS = ("decisions", "propagations", "conflicts", "restarts", "learned_kept")
+
+
+def test_search_is_pinned_step_for_step():
+    """Summed counters over 12 seeded phase-transition 3-CNFs (40..150
+    variables), each solved under four assumption sets with a clause and
+    a fresh variable added between solves.  The counters move with any
+    change to decisions, propagation order, conflict analysis, restarts
+    or database reduction, so a kernel rewrite must keep them exactly."""
+    totals = dict.fromkeys(STAT_FIELDS, 0)
+    verdicts = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        n_vars = 40 + 10 * seed
+        solver = Solver()
+        solver.ensure_vars(n_vars)
+        for _ in range(int(n_vars * 4.2)):
+            solver.add_clause(_random_clause(rng, n_vars))
+        for _ in range(4):
+            picked = rng.sample(range(1, n_vars + 1), 3)
+            verdicts.append(
+                solver.solve([rng.choice([1, -1]) * v for v in picked])
+            )
+            solver.add_clause(_random_clause(rng, n_vars))
+            fresh = solver.new_var()
+            solver.add_clause(
+                [fresh, rng.choice([1, -1]) * rng.randint(1, n_vars)]
+            )
+        for name in STAT_FIELDS:
+            totals[name] += getattr(solver.stats, name)
+    assert verdicts.count(True) == 11 and len(verdicts) == 48
+    assert totals == {
+        "decisions": 9927,
+        "propagations": 225509,
+        "conflicts": 7760,
+        "restarts": 145,
+        "learned_kept": 1529,
+    }
