@@ -26,20 +26,14 @@ Dead cells left behind are reaped by ``opt_clean`` (``RemoveUnusedCell``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..ir.cells import CellType, input_ports
+from ..ir.cells import CellType
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, SigSpec, State
 from ..ir.walker import NetIndex
-from ..opt.pass_base import DirtySet, Pass, PassResult, register_pass
-from ..opt.opt_muxtree import (
-    LazyEdgeMap,
-    compute_internal_edge,
-    dirty_tree_roots,
-    mux_of_spec,
-    seeding_edge_map,
-)
+from ..opt.pass_base import DirtySet, PassResult, register_pass
+from ..opt.opt_muxtree import MuxtreePass, mux_of_spec, tree_roots
 from .add import ADD, ADDNode, case_table
 
 #: a cube over selector bits: bit -> required value
@@ -100,11 +94,10 @@ def ctrl_cell_cost(cell: Cell) -> int:
 
 
 @register_pass
-class MuxtreeRestructure(Pass):
+class MuxtreeRestructure(MuxtreePass):
     """Rebuild single-selector case muxtrees through an ADD."""
 
     name = "smartly_rebuild"
-    incremental_capable = True
     #: eq-against-constant recognition looks through or-trees of eq cells —
     #: a few hops above a mux select; 4 covers every pattern _pattern_of /
     #: _disjunction_of can match plus a safety hop
@@ -124,16 +117,6 @@ class MuxtreeRestructure(Pass):
 
     # -- pass entry ------------------------------------------------------------
 
-    def execute(self, module: Module, result: PassResult) -> None:
-        self._optimize(module, result, NetIndex(module), dirty=None)
-
-    def execute_incremental(
-        self, module: Module, result: PassResult, dirty: Optional[DirtySet]
-    ) -> None:
-        index = module.net_index()
-        with index.frozen():
-            self._optimize(module, result, index, dirty=dirty)
-
     def _optimize(
         self,
         module: Module,
@@ -145,41 +128,13 @@ class MuxtreeRestructure(Pass):
         self.index = index
         self.sigmap = index.sigmap
         self._result = result
-        if dirty is None:
-            self.parent_edge = seeding_edge_map(module, index)
-            self.muxes = {c.name: c for c in module.cells.values() if c.is_mux}
-            roots = [
-                c for c in self.muxes.values() if c.name not in self.parent_edge
-            ]
-        else:
-            closure = dirty.closure(index, self.dirty_radius)
-            if not closure:
-                return
-            self.parent_edge = LazyEdgeMap(
-                lambda name: compute_internal_edge(module, index, name)
-            )
-            root_names = dirty_tree_roots(
-                index, module, self.parent_edge, closure
-            )
-            if not root_names:
-                return
-            self.muxes = {c.name: c for c in module.cells.values() if c.is_mux}
-            roots = [
-                c
-                for c in self.muxes.values()
-                if c.name in root_names
-                and self.parent_edge.get(c.name) is None
-            ]
+        walk = tree_roots(module, index, dirty, self.dirty_radius)
+        if walk is None:
+            return
+        self.parent_edge, _muxes, roots = walk
         # canonical bits observable at module outputs (alias-aware; the
         # index maintains this set, so no per-entry rebuild)
         self.output_bits = index.output_bits
-        if dirty is None:
-            self.y_of = {
-                tuple(self.sigmap.map_spec(c.connections["Y"])): c.name
-                for c in self.muxes.values()
-            }
-        else:
-            self.y_of = None  # resolve through the index (mux_of_spec)
         trees: List[CaseTree] = []
         for root in roots:
             tree = self._collect_tree(root)
@@ -317,7 +272,7 @@ class MuxtreeRestructure(Pass):
 
     def _child_of(self, spec: SigSpec) -> Optional[Cell]:
         """The internal mux driving exactly this data operand, if any."""
-        name = mux_of_spec(self.index, self.sigmap, spec, self.y_of)
+        name = mux_of_spec(self.index, spec)
         if name is None or name not in self.module.cells:
             return None
         if self.parent_edge.get(name) is None:
@@ -434,7 +389,7 @@ class MuxtreeRestructure(Pass):
             result.note("trees_rejected_height")
             return
 
-        self._rebuild(tree, add, sel_order)
+        self._emit_add(tree, add, sel_order)
         result.bump("trees_rebuilt")
         result.bump("muxes_removed", len(tree.mux_cells))
         result.bump("muxes_added", add.num_internal_nodes)
@@ -463,7 +418,7 @@ class MuxtreeRestructure(Pass):
                 removable.append(cell)
         return removable
 
-    def _rebuild(self, tree: CaseTree, add: ADD, sel_order: List[SigBit]) -> None:
+    def _emit_add(self, tree: CaseTree, add: ADD, sel_order: List[SigBit]) -> None:
         """Emit one 2:1 mux per ADD node; controls are selector bits directly."""
         memo: Dict[int, SigSpec] = {}
 

@@ -69,7 +69,6 @@ class Smartly(Pass):
     """One optimization round: restructure, then SAT-prune, then clean."""
 
     name = "smartly"
-    incremental_capable = True
 
     def __init__(self, options: Optional[SmartlyOptions] = None, **overrides):
         opts = options if options is not None else SmartlyOptions()

@@ -153,29 +153,23 @@ def roundtrip_result(seed: int, golden: Module) -> DifferentialResult:
     """The Yosys-JSON round-trip lane: ``read(write(m))`` must be
     ``module_signature``-identical to ``m`` (exact structure, not just
     SAT equivalence — the exporter/reader pair may not rewrite anything).
-    Exceptions become failing results (``method="roundtrip:error:..."``)
-    rather than aborting the whole harness run.
+    :class:`~repro.testing.oracles.RoundtripOracle` decides it; its
+    failure label (``roundtrip:signature`` or ``roundtrip:error:...``)
+    becomes the result's ``method`` rather than aborting the whole
+    harness run.
     """
-    from ..frontend.yosys_json import read_yosys_json
-    from ..ir.json_writer import yosys_json_str
-    from ..ir.struct_hash import module_signature
+    from ..testing.oracles import PASS, RoundtripOracle
 
-    try:
-        restored = read_yosys_json(yosys_json_str(golden)).top
-        identical = module_signature(restored) == module_signature(golden)
-        method = "struct_hash"
-    except Exception as exc:  # noqa: BLE001 — any break in the pair is the bug
-        identical = False
-        method = f"roundtrip:error:{type(exc).__name__}"
+    label = RoundtripOracle().probe(golden)
     return DifferentialResult(
         seed=seed,
         flow="json-roundtrip",
         case_name=golden.name,
         original_area=0,
         optimized_area=0,
-        equivalent=identical,
+        equivalent=label == PASS,
         undecided=False,
-        method=method,
+        method="struct_hash" if label == PASS else label,
     )
 
 
@@ -191,8 +185,6 @@ def _failure_label(result: DifferentialResult) -> str:
         ("crash:", "divergence:", "seeded:", "roundtrip:")
     ):
         return result.method
-    if result.flow == "json-roundtrip":
-        return "roundtrip:signature"
     if result.undecided:
         return "cec:undecided"
     return "cec:counterexample"

@@ -222,9 +222,6 @@ class Module:
         self._name_counter = 0
         self._listeners: List[ModuleListener] = []
         self._net_index = None  # shared live NetIndex (lazy)
-        #: shared persistent muxtree edge cache (lazy; see
-        #: :func:`repro.opt.opt_muxtree.module_edge_cache`)
-        self._edge_cache = None
 
     # -- edit notifications --------------------------------------------------
 
@@ -262,14 +259,14 @@ class Module:
         state = dict(self.__dict__)
         state["_listeners"] = []
         state["_net_index"] = None
-        state["_edge_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # older pickles carry an always-None `_edge_cache` slot
+        state.pop("_edge_cache", None)
         self.__dict__.update(state)
         self._listeners = []
         self._net_index = None
-        self._edge_cache = None
 
     # -- naming ------------------------------------------------------------
 

@@ -24,16 +24,15 @@ one outside a frozen window, else a snapshot.
 Live indexes additionally support :meth:`NetIndex.frozen`: inside the
 context, incoming edits are buffered and queries keep answering from the
 pre-edit snapshot — exactly the stale-by-design semantics the muxtree
-passes rely on — and the buffer is applied (or the index rebuilt, when the
-edit burst is larger than the module) on exit.
+passes rely on — and the buffer is replayed on exit.
 
 :meth:`NetIndex.canonical_view` numbers canonical bits with small ints and
 memoizes per-cell canonical pins and adjacent cells, and per-bit drivers
 and neighbour cells, for hot walks that would otherwise re-expand every
 cell on every query (sub-graph extraction walks cell to cell).  It is
-built on first use and dropped whenever the index applies an edit or
-rebuilds; inside a frozen window it therefore lives as long as the
-window, and cells rewired there are re-read through their
+built on first use and dropped whenever the index applies an edit;
+inside a frozen window it therefore lives as long as the window, and
+cells rewired there are re-read through their
 :attr:`~repro.ir.module.Cell.version`.
 
 Terminology (matches the paper):
@@ -149,7 +148,7 @@ class NetIndex:
         Passes that analyse with a fixed view while editing (the muxtree
         family) wrap their execution in this context: inside, the index is
         exactly what an eager pass-entry rebuild would have produced; the
-        buffered edits are applied on exit.  Nestable.
+        buffered edits are replayed on exit.  Nestable.
         """
         self._frozen += 1
         try:
@@ -158,55 +157,30 @@ class NetIndex:
             self._frozen -= 1
             if not self._frozen and self._pending:
                 pending, self._pending = self._pending, []
-                # a burst larger than the module is cheaper to rebuild
-                if len(pending) > max(64, 2 * len(self.module.cells)):
-                    self._rebuild()
-                else:
-                    # compaction must not fire mid-replay: _live_bits reads
-                    # the module's *final* state, so compacting while later
-                    # pending deindexes are still queued would drop entries
-                    # those deindexes need to find their canonical roots
-                    self._replaying = True
-                    try:
-                        for edit in pending:
-                            self._apply(edit)
-                    finally:
-                        self._replaying = False
-                    if self._compact_deferred:
-                        self._compact_deferred = False
-                        self._maybe_compact()
-
-    def _rebuild(self) -> None:
-        """Full resync fallback (also refreshes the alias union-find).
-
-        Rebuilding drops the stale dead-bit union-find entries exactly
-        like compaction does, so raw-bit consumers must be told the same
-        way (see :meth:`_note_generation_reset`).
-        """
-        self.sigmap = self.module.sigmap()
-        self.driver = {}
-        self.readers = {}
-        self._extra_drivers = {}
-        self._output_bits = set()
-        self._topo_cache = None
-        self._view = None
-        self._build()
-        self._note_generation_reset()
+                # compaction must not fire mid-replay: _live_bits reads the
+                # module's *final* state, so compacting while later pending
+                # deindexes are still queued would drop entries those
+                # deindexes need to find their canonical roots
+                self._replaying = True
+                try:
+                    for edit in pending:
+                        self._apply(edit)
+                finally:
+                    self._replaying = False
+                if self._compact_deferred:
+                    self._compact_deferred = False
+                    self._maybe_compact()
 
     def _note_generation_reset(self) -> None:
         """The alias union-find just lost its stale dead-bit entries.
 
-        Consumers holding *raw* bits they resolve lazily — the muxtree
-        edge cache's buffered edits, Session pending-edit windows, the
-        pass engine's round carry — would silently resolve dead bits to
-        themselves instead of their old class; bumping :attr:`compactions`
-        (their staleness check) and invalidating the module's edge cache
-        keeps them honest.
+        Consumers holding *raw* bits they resolve lazily — Session
+        pending-edit windows, the pass engine's round carry — would
+        silently resolve dead bits to themselves instead of their old
+        class; bumping :attr:`compactions` (their staleness check) keeps
+        them honest.
         """
         self.compactions += 1
-        edge_cache = getattr(self.module, "_edge_cache", None)
-        if edge_cache is not None:
-            edge_cache.invalidate()
 
     def _apply(self, edit: ModuleEdit) -> None:
         self._view = None
@@ -239,7 +213,7 @@ class NetIndex:
             self._observe_instance(edit.instance)
         # INSTANCE_REMOVED keeps its binding bits observable: a bit may be
         # bound by several instances or be a real output, and stale
-        # observability is conservative (the next rebuild drops it).
+        # observability is conservative (a fresh index drops it).
         # CONNECTIONS_REPLACED / WIRE_REMOVED need no patching: opt_clean
         # only drops aliases whose lhs class is unreachable from any cell
         # port, kept connection or module output, so the canonical mapping
@@ -294,11 +268,9 @@ class NetIndex:
         never pay repeated fruitless sweeps.
 
         Compaction intentionally keeps no entries for dead bits, so any
-        consumer holding *raw* pre-compaction bits must be told: the
-        module's persistent muxtree edge cache buffers raw edits and
-        resolves them lazily, so it is invalidated here, and Session
+        consumer holding *raw* pre-compaction bits must be told: Session
         pending-edit windows compare the :attr:`compactions` counter
-        before seeding.
+        before seeding (see :meth:`_note_generation_reset`).
         """
         size = len(self.sigmap)
         if size < 256 or size < 2 * self._compact_floor:
@@ -465,9 +437,9 @@ class NetIndex:
     def canonical_view(self) -> "CanonicalView":
         """The int-id view of this index, built on first use.
 
-        The view is dropped whenever the index applies an edit or
-        rebuilds, so one view serves every query of a frozen window (or
-        the whole life of a snapshot index).
+        The view is dropped whenever the index applies an edit, so one
+        view serves every query of a frozen window (or the whole life of
+        a snapshot index).
         """
         if self._view is None:
             self._view = CanonicalView(self)

@@ -35,7 +35,6 @@ class OptClean(Pass):
     """Remove unreachable cells and unused internal wires."""
 
     name = "opt_clean"
-    incremental_capable = True
     dirty_radius = 1
 
     def __init__(self, remove_wires: bool = True):

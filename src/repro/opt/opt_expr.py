@@ -31,7 +31,6 @@ class OptExpr(Pass):
     """Fold constants and trivial identities; replaces cells by connections."""
 
     name = "opt_expr"
-    incremental_capable = True
     dirty_radius = 1
 
     def execute(self, module: Module, result: PassResult) -> None:

@@ -72,7 +72,6 @@ class OptMerge(Pass):
     """Alias outputs of structurally identical cells and drop duplicates."""
 
     name = "opt_merge"
-    incremental_capable = True
     dirty_radius = 1
 
     def __init__(self, merge_dff: bool = True):

@@ -2,8 +2,12 @@
 
 The pass walks *muxtrees*: maximal trees of ``mux``/``pmux`` cells linked
 through data ports (a child's ``Y`` is exactly a parent's ``A``/``B`` data
-operand and feeds nothing else).  While descending it records the control
-values implied by the path taken:
+operand and feeds nothing else: no other cell port, module output or
+instance binding).  :func:`compute_internal_edge` is the one implementation
+of that rule, and :func:`tree_roots` the one choice of trees to walk, for
+this pass and the restructuring pass alike; the edge map lives for one
+pass entry.  While descending it records the control values implied by
+the path taken:
 
 * ``mux``: the A branch implies ``S = 0``, the B branch ``S = 1``;
 * ``pmux`` (priority select): branch *i* implies ``S[i] = 1`` and
@@ -31,9 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..ir import module as module_mod
-from ..ir.cells import CellType, input_ports
-from ..ir.module import Cell, Module, ModuleEdit
+from ..ir.cells import CellType
+from ..ir.module import Cell, Module
 from ..ir.signals import BIT0, BIT1, SigBit, SigSpec, State
 from ..ir.walker import NetIndex
 from .pass_base import DirtySet, Pass, PassResult, register_pass
@@ -45,13 +48,11 @@ Edge = Tuple[Cell, str, Optional[int]]
 class LazyEdgeMap(dict):
     """``child name -> parent Edge`` computed per child on first access.
 
-    The eager engine precomputes the whole map with
-    :func:`find_internal_edges` — an O(module) sweep at every pass entry.
-    The incremental engine only ever asks about the handful of trees near
-    an edit, so edges resolve lazily against the (frozen) live index and
-    cache in place; ``None`` entries mean "no internal edge" and traversal
-    updates (edge hand-downs, bypass detachments) simply overwrite them.
-    Only :meth:`get` is lazy — use it for all reads.
+    Edges resolve through :func:`compute_internal_edge` against the
+    pass-entry index (a snapshot, or the live index inside a frozen
+    window) and cache in place; ``None`` entries mean "no internal edge"
+    and traversal updates (edge hand-downs, bypass detachments) simply
+    overwrite them.  Only :meth:`get` is lazy — use it for all reads.
     """
 
     _MISSING = object()
@@ -68,27 +69,19 @@ class LazyEdgeMap(dict):
         return default if value is None else value
 
     def __contains__(self, name):
-        # `name in map` on the eager (plain-dict) edge map means "has an
-        # internal edge", but on the lazy map it would only mean "cached" —
-        # a silent wrong answer; force callers through get()
+        # `name in map` would only mean "already resolved", not "has an
+        # internal edge" — a silent wrong answer; force callers through get()
         raise TypeError("LazyEdgeMap membership is lazy; use .get(name)")
 
 
-def mux_of_spec(
-    index: NetIndex,
-    sigmap,
-    spec: SigSpec,
-    y_of: Optional[Dict[Tuple[SigBit, ...], str]] = None,
-) -> Optional[str]:
+def mux_of_spec(index: NetIndex, spec: SigSpec) -> Optional[str]:
     """Name of the mux whose whole canonical Y equals ``spec``, or None.
 
-    With ``y_of`` (the eager precomputed map) this is a dict lookup; in
-    dirty rounds it resolves through the index's driver map instead, so no
-    whole-module map_spec sweep is needed to answer the same question.
+    Resolved through the index's driver map, so no whole-module map of
+    mux outputs is needed to answer it.
     """
+    sigmap = index.sigmap
     bits = tuple(sigmap.map_spec(spec))
-    if y_of is not None:
-        return y_of.get(bits)
     if not bits or bits[0].is_const:
         return None
     entry = index.driver.get(bits[0])
@@ -105,7 +98,15 @@ def mux_of_spec(
 def compute_internal_edge(
     module: Module, index: NetIndex, child_name: str
 ) -> Optional[Edge]:
-    """Per-child equivalent of :func:`find_internal_edges` (same rules)."""
+    """The unique parent data edge of mux ``child_name``, or None.
+
+    A mux is internal when its whole Y spec is exactly one data operand
+    (``A``, ``B``, or one pmux branch slice) of exactly one other mux and
+    feeds nothing else — no other cell port, no module output, no
+    instance binding (:meth:`NetIndex.is_output_bit` covers both).  This
+    is the linking rule that defines a muxtree; a path's control values
+    may only flow down such an edge.
+    """
     child = module.cells.get(child_name)
     if child is None or not child.is_mux:
         return None
@@ -126,6 +127,18 @@ def compute_internal_edge(
         return None
     parent = module.cells[parent_name]
     return _match_edge(sigmap, parent, pname, y_bits)
+
+
+def find_internal_edges(module: Module, index: NetIndex) -> Dict[str, Edge]:
+    """Map each internal mux of ``module`` to its unique parent data edge
+    (:func:`compute_internal_edge` applied to every mux)."""
+    edges: Dict[str, Edge] = {}
+    for name, cell in module.cells.items():
+        if cell.is_mux:
+            edge = compute_internal_edge(module, index, name)
+            if edge is not None:
+                edges[name] = edge
+    return edges
 
 
 def dirty_tree_roots(
@@ -169,207 +182,40 @@ def dirty_tree_roots(
     return roots
 
 
-def find_internal_edges(module: Module, index: NetIndex) -> Dict[str, Edge]:
-    """Map each fanout-1 *internal* mux to its unique parent data edge.
+def tree_roots(
+    module: Module, index: NetIndex, dirty: Optional[DirtySet], radius: int
+) -> Optional[Tuple[LazyEdgeMap, Dict[str, Cell], List[Cell]]]:
+    """The edge map, the muxes and the tree roots a muxtree pass walks.
 
-    A mux is internal when its whole Y spec is exactly one data operand
-    (``A``, ``B``, or one pmux branch slice) of exactly one other mux and
-    feeds nothing else — the linking rule that defines a muxtree.  Used by
-    both ``opt_muxtree``-style traversals and the restructuring pass.
+    ``dirty=None`` is a full sweep: every mux is asked for its edge before
+    the walk starts, so every edge is read from the pass-entry state
+    (:func:`compute_internal_edge` reads ``module.cells`` live, and the
+    walk removes cells) and every root is walked.  A dirty round resolves
+    edges lazily and only walks the trees a cell of the ``radius``-hop
+    dirty closure can influence (:func:`dirty_tree_roots`); it returns
+    None when there is nothing to walk.  Roots come in module order, so
+    tree interactions match between the two.
     """
-    sigmap = index.sigmap
+    parent_edge = LazyEdgeMap(
+        lambda name: compute_internal_edge(module, index, name)
+    )
+    if dirty is None:
+        muxes = {c.name: c for c in module.cells.values() if c.is_mux}
+        roots = [c for c in muxes.values() if parent_edge.get(c.name) is None]
+        return parent_edge, muxes, roots
+    closure = dirty.closure(index, radius)
+    if not closure:
+        return None
+    root_names = dirty_tree_roots(index, module, parent_edge, closure)
+    if not root_names:
+        return None
     muxes = {c.name: c for c in module.cells.values() if c.is_mux}
-    external: Set[SigBit] = set()
-    for wire in module.outputs:
-        external.update(map(sigmap.map_bit, wire.bits))
-    for cell in module.cells.values():
-        for pname in input_ports(cell.type):
-            if cell.is_mux and pname in ("A", "B"):
-                continue
-            for bit in cell.connections[pname]:
-                external.add(sigmap.map_bit(bit))
-
-    edges: Dict[str, Edge] = {}
-    for child in muxes.values():
-        y_bits = tuple(sigmap.map_spec(child.connections["Y"]))
-        if any(bit in external for bit in y_bits):
-            continue
-        reader_edges: Set[Tuple[str, str]] = set()
-        foreign = False
-        for bit in y_bits:
-            for cell, pname, _off in index.readers.get(bit, ()):  # noqa: B020
-                if not cell.is_mux or pname not in ("A", "B"):
-                    foreign = True
-                    break
-                reader_edges.add((cell.name, pname))
-            if foreign:
-                break
-        if foreign or len(reader_edges) != 1:
-            continue
-        parent_name, pname = next(iter(reader_edges))
-        if parent_name == child.name or parent_name not in module.cells:
-            continue
-        parent = module.cells[parent_name]
-        edge = _match_edge(sigmap, parent, pname, y_bits)
-        if edge is not None:
-            edges[child.name] = edge
-    return edges
-
-
-class MuxEdgeCache:
-    """Persistent :func:`find_internal_edges` map for one module.
-
-    The seeding round of every muxtree pass used to recompute the whole
-    internal-edge map — an O(module) sweep per pass entry, even when almost
-    nothing changed since the map was last built.  This cache keeps the map
-    alive across pass entries, rounds and runs, invalidated through the
-    module's edit-notification channel:
-
-    * edits are **buffered raw** (O(1) per edit, no listener-ordering
-      hazards with the live index);
-    * at the next :meth:`edges` request — when a consistent index is in
-      hand — the buffer is replayed into a *dirty child set*: the edited
-      cells themselves, every cached child whose edge targets an edited
-      cell, and the mux drivers of every bit mentioned in an edit's specs
-      (those muxes' Y readership, output-visibility or parent-operand
-      match may have changed);
-    * only the dirty children are recomputed (:func:`compute_internal_edge`);
-      a buffered burst larger than the module falls back to a full sweep.
-
-    Obtain the per-module instance with :func:`module_edge_cache`; it
-    subscribes once and lives on the module like the shared live index.
-    The returned map is always a private copy — traversals mutate their
-    edge map while walking (edge hand-downs), and those mutations reach the
-    cache through the module edits they accompany, not through aliasing.
-    """
-
-    def __init__(self, module: Module):
-        self.module = module
-        self._map: Dict[str, Edge] = {}
-        #: parent cell name -> cached children whose edge targets it
-        self._children_of: Dict[str, Set[str]] = {}
-        self._primed = False
-        self._pending: List[ModuleEdit] = []
-        self.full_sweeps = 0
-        self.replays = 0
-        self.recomputed = 0
-        module.add_listener(self._on_edit)
-
-    #: edit kinds that cannot change any internal edge: the dead-alias
-    #: sweep leaves the canonical mapping of live bits unchanged, fresh
-    #: wires are undriven, and only unreferenced wires are ever removed
-    _INERT_KINDS = frozenset((
-        module_mod.CONNECTIONS_REPLACED,
-        module_mod.WIRE_ADDED,
-        module_mod.WIRE_REMOVED,
-    ))
-
-    def _on_edit(self, edit: ModuleEdit) -> None:
-        if not self._primed or edit.kind in self._INERT_KINDS:
-            return
-        self._pending.append(edit)
-        if len(self._pending) > max(64, 2 * len(self.module.cells)):
-            # a burst larger than the module: cheaper to resweep next time
-            self.invalidate()
-
-    def invalidate(self) -> None:
-        """Forget everything; the next :meth:`edges` does a full sweep.
-
-        Called for oversized edit bursts, and by the live index when it
-        compacts its alias union-find — the buffered raw edits here are
-        canonicalised only at replay time, so entries the compaction
-        dropped could otherwise leave replay unable to find the affected
-        mux drivers.
-        """
-        self._primed = False
-        self._pending.clear()
-        self._map.clear()
-        self._children_of.clear()
-
-    def edges(self, index: NetIndex) -> Dict[str, Edge]:
-        """The current internal-edge map (a private copy).
-
-        ``index`` must be consistent with the module (a pass-entry live
-        index, possibly inside a fresh frozen window).
-        """
-        if not self._primed:
-            self._map = find_internal_edges(self.module, index)
-            self._children_of = {}
-            for child, edge in self._map.items():
-                self._children_of.setdefault(edge[0].name, set()).add(child)
-            self._primed = True
-            self._pending.clear()
-            self.full_sweeps += 1
-        elif self._pending:
-            pending, self._pending = self._pending, []
-            dirty = self._dirty_children(pending, index)
-            for name in dirty:
-                old = self._map.pop(name, None)
-                if old is not None:
-                    self._children_of.get(old[0].name, set()).discard(name)
-            for name in sorted(dirty):
-                edge = compute_internal_edge(self.module, index, name)
-                if edge is not None:
-                    self._map[name] = edge
-                    self._children_of.setdefault(edge[0].name, set()).add(name)
-            self.replays += 1
-            self.recomputed += len(dirty)
-        return dict(self._map)
-
-    def _dirty_children(
-        self, pending: List[ModuleEdit], index: NetIndex
-    ) -> Set[str]:
-        sigmap = index.sigmap
-        dirty: Set[str] = set()
-
-        def from_spec(spec) -> None:
-            # the mux driving a mentioned bit may have gained/lost a reader,
-            # output-visibility, or the exact-operand match with its parent
-            for bit in spec:
-                cbit = sigmap.map_bit(bit)
-                if cbit.is_const:
-                    continue
-                entry = index.driver.get(cbit)
-                if entry is not None and entry[0].is_mux:
-                    dirty.add(entry[0].name)
-
-        for edit in pending:
-            cell = edit.cell
-            if cell is not None:
-                dirty.add(cell.name)
-                dirty |= self._children_of.get(cell.name, set())
-            for spec in (edit.old, edit.new, edit.lhs, edit.rhs):
-                if spec is not None:
-                    from_spec(spec)
-            if edit.ports:
-                for spec in edit.ports.values():
-                    from_spec(spec)
-            # CONNECTIONS_REPLACED / wire edits carry no specs: the dead-
-            # alias sweep leaves the canonical mapping of live bits (and
-            # with it every edge) unchanged, and fresh wires are undriven
-        return dirty
-
-
-def module_edge_cache(module: Module) -> MuxEdgeCache:
-    """The module's shared persistent edge cache (created on first use)."""
-    cache = module._edge_cache
-    if cache is None:
-        cache = MuxEdgeCache(module)
-        module._edge_cache = cache
-    return cache
-
-
-def seeding_edge_map(module: Module, index: NetIndex) -> Dict[str, Edge]:
-    """The internal-edge map for a pass's seeding sweep.
-
-    Under the live index this comes from the persistent per-module cache
-    (replaying only the edits since the map was last current); eager
-    snapshot indexes keep the historic O(module) sweep — the reference
-    path must stay cache-free.
-    """
-    if index.live:
-        return module_edge_cache(module).edges(index)
-    return find_internal_edges(module, index)
+    roots = [
+        c
+        for c in muxes.values()
+        if c.name in root_names and parent_edge.get(c.name) is None
+    ]
+    return parent_edge, muxes, roots
 
 
 def _match_edge(
@@ -391,19 +237,16 @@ def _match_edge(
     return None
 
 
-@register_pass
-class OptMuxtree(Pass):
-    """Prune never-active muxtree branches using identical-signal knowledge."""
+class MuxtreePass(Pass):
+    """A pass that walks muxtrees against its pass-entry view (``_optimize``).
 
-    name = "opt_muxtree"
-    incremental_capable = True
-    #: baseline pruning only consults path-identical signals, so an edit can
-    #: create new opportunities at most two cell hops away (the mux reading
-    #: a changed control/data net, plus its parent edge)
-    dirty_radius = 2
+    The eager engine hands it a private snapshot index; the incremental
+    engine the live index inside :meth:`NetIndex.frozen`, where traversal
+    edits buffer and queries keep the entry snapshot — the same
+    stale-by-design view the eager path gets.
+    """
 
     def execute(self, module: Module, result: PassResult) -> None:
-        # eager reference path: private snapshot index, rebuilt per entry
         self._optimize(module, result, NetIndex(module), dirty=None)
 
     def execute_incremental(
@@ -411,9 +254,27 @@ class OptMuxtree(Pass):
     ) -> None:
         index = module.net_index()
         with index.frozen():
-            # frozen: traversal edits buffer, queries keep the entry
-            # snapshot — the same stale-by-design view the eager path gets
             self._optimize(module, result, index, dirty=dirty)
+
+    def _optimize(
+        self,
+        module: Module,
+        result: PassResult,
+        index: NetIndex,
+        dirty: Optional[DirtySet],
+    ) -> None:
+        raise NotImplementedError
+
+
+@register_pass
+class OptMuxtree(MuxtreePass):
+    """Prune never-active muxtree branches using identical-signal knowledge."""
+
+    name = "opt_muxtree"
+    #: baseline pruning only consults path-identical signals, so an edit can
+    #: create new opportunities at most two cell hops away (the mux reading
+    #: a changed control/data net, plus its parent edge)
+    dirty_radius = 2
 
     def _optimize(
         self,
@@ -426,54 +287,16 @@ class OptMuxtree(Pass):
         self.result = result
         self.index = index  # kept for subclasses (snapshot; edits may stale it)
         self.sigmap = index.sigmap
-
-        if dirty is None:
-            # seeding sweep: precompute everything, walk every tree
-            self.muxes = {c.name: c for c in module.cells.values() if c.is_mux}
-            if not self.muxes:
-                return
-            self.parent_edge = seeding_edge_map(module, index)
-            roots = [
-                c for c in self.muxes.values() if c.name not in self.parent_edge
-            ]
-        else:
-            # dirty rounds: no whole-module sweeps — resolve tree edges
-            # lazily and only touch trees reachable from the edit closure
-            closure = dirty.closure(index, self.dirty_radius)
-            if not closure:
-                return
-            self.parent_edge = LazyEdgeMap(
-                lambda name: compute_internal_edge(module, index, name)
-            )
-            root_names = dirty_tree_roots(
-                index, module, self.parent_edge, closure
-            )
-            if not root_names:
-                return
-            self.muxes = {c.name: c for c in module.cells.values() if c.is_mux}
-            # module order, like the eager sweep, so tree interactions match
-            roots = [
-                c
-                for c in self.muxes.values()
-                if c.name in root_names
-                and self.parent_edge.get(c.name) is None
-            ]
-        if dirty is None:
-            # eager/seeding sweeps answer Y-spec lookups from one dict
-            self.y_of: Optional[Dict[Tuple[SigBit, ...], str]] = {
-                tuple(self.sigmap.map_spec(c.connections["Y"])): c.name
-                for c in self.muxes.values()
-            }
-        else:
-            # dirty rounds resolve them through the index driver map instead
-            # of re-canonicalising every mux Y (see mux_of_spec)
-            self.y_of = None
+        walk = tree_roots(module, index, dirty, self.dirty_radius)
+        if walk is None:
+            return
+        self.parent_edge, self.muxes, roots = walk
         self.visited: Set[str] = set()
         for root in roots:
             self._traverse(root, {})
 
     def _mux_of(self, spec: SigSpec) -> Optional[str]:
-        return mux_of_spec(self.index, self.sigmap, spec, self.y_of)
+        return mux_of_spec(self.index, spec)
 
     # -- fact handling -------------------------------------------------------------
 

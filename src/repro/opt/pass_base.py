@@ -20,9 +20,9 @@ Two execution engines:
   hops — e.g. the SAT stage uses its sub-graph radius ``k + 1``), so
   converged regions are never re-swept.
 
-Passes that have not been taught the worklist protocol simply run eagerly
-in both engines (``incremental_capable = False``), which keeps the two
-engines byte-identical on final netlist areas.
+A pass without its own :meth:`Pass.execute_incremental` runs
+:meth:`Pass.execute` in both engines, which keeps the two engines
+byte-identical on final netlist areas.
 """
 
 from __future__ import annotations
@@ -263,8 +263,6 @@ class Pass:
 
     #: registry name; subclasses must override
     name = "pass"
-    #: whether :meth:`execute_incremental` honours a dirty seed
-    incremental_capable = False
     #: cell-hop radius of the fanin/fanout closure this pass needs around
     #: an edit to notice every new opportunity it could create
     dirty_radius = 1

@@ -14,6 +14,20 @@ import pytest
 
 from repro.ir import Circuit, Module, SigSpec
 
+#: ``m`` feeds one data port of the ``y`` mux and the instance ``u``, so
+#: the ``m`` mux is a muxtree root: ``y``'s path fact ``s = 0`` must not
+#: reach its ``{s, s}`` operand (``z`` reads ``2'b11`` at ``s=1, t=0``)
+INSTANCE_TAPPED_MUX = """
+module child(input [1:0] d, output [1:0] q); assign q = d; endmodule
+module top(input s, input t, input [1:0] b, input [1:0] c,
+           output [1:0] y, output [1:0] z);
+  wire [1:0] m;
+  assign m = t ? b : {s, s};
+  assign y = s ? c : m;
+  child u(.d(m), .q(z));
+endmodule
+"""
+
 
 def pytest_addoption(parser):
     parser.addoption(

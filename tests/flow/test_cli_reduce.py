@@ -42,13 +42,13 @@ def test_reduce_stdout_and_json_output(failing_case, tmp_path,
                                        monkeypatch, capsys):
     monkeypatch.setenv(BREAK_SORT_KEY_ENV, "1")
     rc = main(["reduce", failing_case, "--oracle", "cec", "--flow", "yosys",
-               "--max-probes", "300"])
+               "--max-probes", "30"])
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.out.startswith("module fuzz1000")
     out = tmp_path / "min.json"
     rc = main(["reduce", failing_case, "--oracle", "cec", "--flow", "yosys",
-               "--max-probes", "300", "-o", str(out)])
+               "--max-probes", "30", "-o", str(out)])
     capsys.readouterr()
     assert rc == 0
     payload = json.loads(out.read_text())
@@ -73,7 +73,7 @@ def test_fuzz_shrink_flags_dump_artifacts(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(BREAK_SORT_KEY_ENV, "1")
     art = tmp_path / "artifacts"
     rc = main(["fuzz", "-n", "1", "--seed-base", "1000",
-               "--artifacts", str(art), "--shrink", "--shrink-probes", "300"])
+               "--artifacts", str(art), "--shrink", "--shrink-probes", "40"])
     captured = capsys.readouterr()
     assert rc == 1  # failures found
     assert "shrunk seed=1000" in captured.out

@@ -6,12 +6,18 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Design, Session
+from repro.equiv.cec import check_equivalence
+from repro.equiv.differential import CI_CORPUS, random_module
 from repro.flow.session import HierarchyReport, _bottom_up_names
 from repro.flow.spec import PRESET_NAMES
+from repro.frontend import compile_verilog
 from repro.ir.builder import Circuit
-from repro.ir.hierarchy import hierarchy
+from repro.ir.hierarchy import flatten, hierarchy
 from repro.ir.signals import SigSpec
+from repro.ir.walker import NetIndex
+from repro.opt.opt_muxtree import find_internal_edges
 from repro.workloads.soc import build_leaf, build_soc_design
+from tests.conftest import INSTANCE_TAPPED_MUX
 
 
 def small_soc(seed: int = 3) -> Design:
@@ -196,3 +202,55 @@ def test_bottom_up_names_total_and_cycle_tolerant():
     design.add_module(c.module)
     names = _bottom_up_names(design)
     assert sorted(names) == ["a", "b", "island"]  # total despite the cycle
+
+
+# -- instance-tapped muxtree children ------------------------------------------
+#
+# A mux whose Y also feeds an instance binding is a tree root: path facts
+# of the mux reading it must not be substituted into it.
+
+
+def assert_flat_equivalent(golden: Design, design: Design) -> None:
+    result = check_equivalence(flatten(golden), flatten(design))
+    assert result.equivalent, result.counterexample
+
+
+@pytest.mark.parametrize("engine", ["incremental", "eager"])
+@pytest.mark.parametrize("flow", ["yosys", "smartly"])
+def test_instance_tapped_mux_keeps_its_operands(flow, engine):
+    design = compile_verilog(INSTANCE_TAPPED_MUX, top="top")
+    golden = design.clone()
+    Session(design).run_hierarchy(flow, check=True, engine=engine)
+    assert_flat_equivalent(golden, design)
+
+
+def tapped_design(seed: int) -> Design:
+    """``random_module(seed)`` with the Y of every tree child (as
+    ``find_internal_edges`` sees the instance-free module) also bound to a
+    pass-through instance whose output is a new top output."""
+    top = random_module(seed)
+    design = Design()
+    design.add_module(top, top=True)
+    edges = find_internal_edges(top, NetIndex(top))
+    assert edges
+    for i, name in enumerate(sorted(edges)):
+        y = top.cells[name].connections["Y"]
+        child = f"pass{len(y)}"
+        if child not in design.modules:
+            c = Circuit(child)
+            c.output("q", c.input("d", len(y)))
+            design.add_module(c.module)
+        out = top.add_wire(f"tap{i}", len(y), port_output=True)
+        top.add_instance(child, name=f"u{i}", connections={
+            "d": y, "q": SigSpec.from_wire(out),
+        })
+    return design
+
+
+@pytest.mark.parametrize("flow", ["yosys", "smartly"])
+@pytest.mark.parametrize("seed", CI_CORPUS[:8])
+def test_tapped_tree_children_stay_equivalent(seed, flow):
+    design = tapped_design(seed)
+    golden = design.clone()
+    Session(design).run_hierarchy(flow)
+    assert_flat_equivalent(golden, design)

@@ -197,14 +197,14 @@ class TestFrozenWindows:
             assert _driver_view(live) == before
         assert_matches_fresh(module, live)
 
-    def test_large_burst_falls_back_to_rebuild(self):
+    def test_large_burst_replays_to_a_fresh_index(self):
         module = random_module(7102, width=4, n_units=2)
         live = module.net_index()
         sources = _source_bits(module)
         rng = random.Random(7102)
         with live.frozen():
-            # more edits than 2x the module's cells: exit must resync via
-            # the full-rebuild path rather than replay
+            # more edits than 2x the module's cells: the exit replay alone
+            # must still resync the whole index
             for _ in range(max(64, 2 * len(module.cells)) + 8):
                 _random_edit(rng, module, sources)
         assert_matches_fresh(module, live)

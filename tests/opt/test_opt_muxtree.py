@@ -1,14 +1,19 @@
-"""The Yosys opt_muxtree baseline: Figures 1 and 2 plus edge cases."""
+"""The Yosys opt_muxtree baseline: Figures 1 and 2, edge cases, and the
+muxtree edge rule on the live index."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.equiv import assert_equivalent
-from repro.ir import CellType, Circuit, NetIndex, SigSpec
+from repro.equiv.differential import random_module
+from repro.frontend import compile_verilog
+from repro.ir import CellType, Circuit, NetIndex, SigBit, SigSpec
 from repro.opt import OptClean, OptMuxtree
 from repro.opt.opt_muxtree import find_internal_edges
-from tests.conftest import random_circuit
+from tests.conftest import INSTANCE_TAPPED_MUX, random_circuit
 
 
 def _figure1():
@@ -141,6 +146,13 @@ class TestTreeDiscovery:
         edges = find_internal_edges(m, index)
         assert len(edges) == 1  # only the inner mux is internal
 
+    def test_instance_tapped_mux_is_a_root(self):
+        top = compile_verilog(INSTANCE_TAPPED_MUX, top="top").top
+        index = NetIndex(top)
+        tapped = index.comb_driver(SigBit(top.wires["m"], 0))
+        assert tapped.is_mux
+        assert tapped.name not in find_internal_edges(top, index)
+
 
 class TestNoFalsePositives:
     def test_independent_controls_untouched(self):
@@ -172,3 +184,104 @@ def test_random_mux_heavy_circuits_preserved(seed):
     gold = module.clone()
     Session(module).run("yosys")
     assert_equivalent(gold, module)
+
+
+# -- the edge rule on the live index -----------------------------------------
+#
+# Both muxtree passes resolve edges against the pass-entry index, which
+# in the incremental engine is the live one.  Its answers must equal a
+# fresh snapshot's after any edit sequence.  The modules are
+# instance-free: after ``INSTANCE_REMOVED`` the live index keeps the
+# stale binding bits observable, which is conservative by design.
+
+
+def _edge_view(edges):
+    return {
+        child: (edge[0].name, edge[1], edge[2])
+        for child, edge in edges.items()
+    }
+
+
+def assert_live_edges_match_fresh(module):
+    live = module.net_index()
+    assert _edge_view(find_internal_edges(module, live)) == _edge_view(
+        find_internal_edges(module, NetIndex(module))
+    )
+
+
+def _source_bits(module):
+    bits = []
+    for wire in module.wires.values():
+        if wire.port_input:
+            bits.extend(SigBit(wire, i) for i in range(wire.width))
+    return bits
+
+
+def _mux_edit(rng, module, sources):
+    """Random edits biased towards the things edges depend on: mux data
+    ports, mux additions/removals, Y-aliasing."""
+    muxes = sorted(
+        name for name, c in module.cells.items() if c.type is CellType.MUX
+    )
+    roll = rng.random()
+    if roll < 0.3 and muxes:
+        # rewire a mux data port — to another mux's Y when possible, which
+        # creates/destroys internal edges
+        cell = module.cells[rng.choice(muxes)]
+        port = rng.choice(["A", "B"])
+        width = len(cell.connections[port])
+        other = rng.choice(muxes)
+        other_y = module.cells[other].connections["Y"]
+        if other != cell.name and len(other_y) == width and rng.random() < 0.7:
+            cell.set_port(port, other_y)
+        else:
+            cell.set_port(
+                port, SigSpec([rng.choice(sources) for _ in range(width)])
+            )
+    elif roll < 0.5:
+        # add a mux over sources (or over an existing mux's Y)
+        width = rng.choice([1, 2])
+        a = SigSpec([rng.choice(sources) for _ in range(width)])
+        if muxes and rng.random() < 0.5:
+            candidate = module.cells[rng.choice(muxes)].connections["Y"]
+            if len(candidate) == width:
+                a = candidate
+        b = SigSpec([rng.choice(sources) for _ in range(width)])
+        s = SigSpec([rng.choice(sources)])
+        module.add_cell(CellType.MUX, A=a, B=b, S=s)
+    elif roll < 0.7 and muxes:
+        module.remove_cell(rng.choice(muxes))
+    elif roll < 0.85:
+        cells = sorted(module.cells)
+        if cells:
+            module.remove_cell(rng.choice(cells))
+    else:
+        width = rng.choice([1, 2])
+        wire = module.add_wire(width=width)
+        module.connect(
+            wire, SigSpec([rng.choice(sources) for _ in range(width)])
+        )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_edit_sequences_match_fresh_sweep(seed):
+    module = random_module(8000 + seed, width=3, n_units=3)
+    rng = random.Random(seed)
+    assert_live_edges_match_fresh(module)  # builds the live index
+    sources = _source_bits(module)
+    for _burst in range(8):
+        for _ in range(rng.randint(1, 6)):
+            _mux_edit(rng, module, sources)
+        assert_live_edges_match_fresh(module)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_live_edges_match_fresh_after_full_flows(seed):
+    """After real flows — the heaviest edit streams, frozen windows
+    included — the live index still yields a fresh sweep's edges."""
+    module = random_module(8100 + seed, width=4, n_units=3)
+    assert_live_edges_match_fresh(module)
+    Session(module).run("smartly")
+    assert_live_edges_match_fresh(module)
+    Session(module).run("yosys")
+    assert_live_edges_match_fresh(module)

@@ -29,10 +29,9 @@ class _CountdownPass(Pass):
 
 class _ResettingPass(Pass):
     """Changes the module once and forces a union-find generation reset
-    mid-round (what a compaction or oversized-burst rebuild does)."""
+    mid-round (what a union-find compaction does)."""
 
     name = "resetter"
-    incremental_capable = True
 
     def __init__(self):
         self.fired = False
@@ -72,7 +71,6 @@ class TestGenerationResetGuard:
 
         class _LateReset(Pass):
             name = "latereset"
-            incremental_capable = True
             calls = 0
 
             def execute(self, module, result):
