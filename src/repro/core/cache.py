@@ -20,6 +20,14 @@ oracle's verdict cache safe across pass generations (see
 applies verbatim here.  The reference path for this keying is no cache
 at all (``SmartlyOptions(use_result_cache=False)``).
 
+The redundancy pass keys its control queries only.  A ``resolve`` entry
+memoizes a whole control-ladder resolution with the notes it made;
+the raw ball sizes are not among them, since the reduced sub-graph's
+signature does not cover the ball, so every query notes its own.  A
+data operand is one uncached query (one inference per group of bits
+that share a sub-graph): it costs less than the signatures that would
+key it, and it stores nothing here.
+
 A cache may read through a *parent*: a read-only mapping (another
 cache's :meth:`export`, or the live :meth:`view` of a shared one) that
 :meth:`lookup` consults on a miss.  That is how a job session warm-starts

@@ -15,6 +15,14 @@ Theorem II.1 support grouping, and escalates through three deciders:
 Above ``sat_threshold`` free inputs the query is forgone (the paper's
 safeguard against the optimizer becoming the synthesis bottleneck).
 
+A data operand is one query: its undecided bits are grouped by the
+neighbour cells that fix their distance-``data_k`` ball, and each group
+gets one extraction and one run of the inference rules (the data rung
+poses no simulation or SAT query).  Nothing of it is memoized across
+queries, because one inference per operand costs less than the
+signatures that would key it; the :class:`ResultCache` ``resolve`` memo
+serves control queries only.
+
 A contradiction (both polarities unsatisfiable, or inconsistent facts)
 means the path into this mux can never be active; the branch is then pruned
 to an arbitrary operand, which is sound because the operand is never
@@ -26,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..ir.module import Module
+from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, State
 from ..opt.pass_base import DirtySet, PassResult, prefixed, register_pass
 from ..opt.opt_muxtree import OptMuxtree
@@ -35,7 +43,7 @@ from ..sat.solver import Solver
 from ..sat.tseitin import CircuitEncoder
 from ..sim.eval import eval_cell_masks
 from .cache import ResultCache
-from .inference import infer
+from .inference import InferenceResult, infer
 from .subgraph import SubGraph, extract_subgraph
 
 _FactsKey = Tuple[SigBit, FrozenSet[Tuple[SigBit, bool]]]
@@ -56,6 +64,13 @@ class SatRedundancy(OptMuxtree):
     the same module.  Oracle counters are reported as ``oracle_*``
     entries in the pass stats, alongside ``sat_wallclock_us`` (total time
     spent inside SAT decisions, either path).
+
+    Control queries memoize whole resolutions in the result cache,
+    keyed by the reduced sub-graph; the size counters of each query's own
+    ball are noted outside the replayed notes.  Data operands are
+    resolved uncached, one inference per group of bits that share a
+    sub-graph (:meth:`_resolve_data_values`); only the per-execute
+    ``_data_cache`` remembers a bit already decided under the same facts.
     """
 
     name = "smartly_sat"
@@ -161,45 +176,105 @@ class SatRedundancy(OptMuxtree):
         cbit = self.sigmap.map_bit(bit)
         if cbit.is_const:
             return None  # x constant: undecidable by design
-        return self._deep_resolve(cbit, facts, self.k, allow_solvers=True)
+        return self._deep_resolve(cbit, facts)
 
-    def _resolve_data_value(self, bit, facts):
-        direct = self._bit_value(bit, facts)
-        if direct is not None:
-            return direct
+    def _resolve_data_values(self, bits, facts):
+        values = super()._resolve_data_values(bits, facts)
         if not self.data_inference or not facts:
-            return None
-        cbit = self.sigmap.map_bit(bit)
-        if cbit.is_const:
-            return None
-        if self.index.comb_driver(cbit) is None:
-            # a free source bit can only be decided by a direct fact
-            # (handled above); skip the expensive sub-graph machinery
-            return None
-        key = (cbit, frozenset(facts.items()))
-        if key in self._data_cache:
-            return self._data_cache[key]
-        value = self._deep_resolve(cbit, facts, self.data_k, allow_solvers=False)
-        self._data_cache[key] = value
-        return value
+            return values
+        facts_key = frozenset(facts.items())
+        view = self.index.canonical_view()
+        # the positions of each undecided bit that needs a sub-graph (a bit
+        # read twice is asked once), and those bits by their neighbour
+        # cells (the driver first), which fix a cell-walked ball
+        asked: Dict[SigBit, List[int]] = {}
+        groups: Dict[Tuple[Cell, ...], List[SigBit]] = {}
+        for pos, bit in enumerate(bits):
+            if values[pos] is not None:
+                continue
+            cbit = self.sigmap.map_bit(bit)
+            if cbit in asked:
+                asked[cbit].append(pos)
+                continue
+            bid = view.bit_id(cbit)
+            if view.driver(bid) is None:
+                # a free source bit can only be decided by a direct fact
+                # (handled above); skip the expensive sub-graph machinery
+                continue
+            key = (cbit, facts_key)
+            if key in self._data_cache:
+                values[pos] = self._data_cache[key]
+                continue
+            asked[cbit] = [pos]
+            groups.setdefault(view.neighbours(bid), []).append(cbit)
+
+        outcomes: Dict[SigBit, Tuple[SubGraph, InferenceResult]] = {}
+        for members in groups.values():
+            outcomes.update(self._infer_group(members, facts))
+        # counters per bit, in bit order, as one query per bit notes them
+        note = self.result.note
+        for cbit, positions in asked.items():
+            subgraph, inference = outcomes[cbit]
+            note("subgraph_gates_before", subgraph.gates_before)
+            note("subgraph_gates_after", subgraph.gates_after)
+            if inference.contradiction:
+                note("dead_paths")  # path never active: either branch sound
+                value: Optional[bool] = False
+            else:
+                value = inference.value_of(cbit)
+                if value is not None:
+                    note("data_inferred")
+            self._data_cache[(cbit, facts_key)] = value
+            for pos in positions:
+                values[pos] = value
+        return values
+
+    def _infer_group(
+        self, members: List[SigBit], facts: Dict[SigBit, bool]
+    ) -> Dict[SigBit, Tuple[SubGraph, InferenceResult]]:
+        """The distance-``data_k`` sub-graph and the inference of each bit
+        of a group with one driver and equal neighbour cells.
+
+        A cell-walked ball is the same for every member, and so is its
+        reduced sub-graph but for the target (see :func:`extract_subgraph`;
+        at ``data_k = 0`` it is empty and decides nothing): one extraction
+        and one inference serve them all.  A bit-BFS ball depends on the
+        target, so such a group is resolved bit by bit.
+        """
+        outcomes = {}
+        own_query = True
+        for cbit in members:
+            if own_query:
+                subgraph = extract_subgraph(
+                    self.index, cbit, facts, k=self.data_k,
+                    max_gates=self.max_gates,
+                )
+                inference = infer(subgraph, self.index, subgraph.known)
+                own_query = not subgraph.cell_walk
+            outcomes[cbit] = (subgraph, inference)
+        return outcomes
 
     # -- the inference / simulation / SAT ladder ---------------------------------------
 
     def _deep_resolve(
-        self,
-        target: SigBit,
-        facts: Dict[SigBit, bool],
-        k: int,
-        allow_solvers: bool,
+        self, target: SigBit, facts: Dict[SigBit, bool]
     ) -> Optional[bool]:
+        """Decide control bit ``target`` over its distance-``k`` sub-graph."""
         subgraph = extract_subgraph(
-            self.index, target, facts, k=k, max_gates=self.max_gates
+            self.index, target, facts, k=self.k, max_gates=self.max_gates
         )
+        # observation counters use note(): queries posed do not modify the
+        # netlist, and marking them as changes kept the fixpoint loop from
+        # ever detecting convergence (every round re-ran to max_rounds).
+        # The sizes are this query's own: the reduced sub-graph's
+        # signature does not cover the raw ball, so no hit replays them.
+        self.result.note("subgraph_gates_before", subgraph.gates_before)
+        self.result.note("subgraph_gates_after", subgraph.gates_after)
         cache = self._result_cache
         if cache is None:
             # reference path: run the ladder directly
             value, _storable = self._resolve_ladder(
-                subgraph, facts, allow_solvers, self.result.note
+                subgraph, facts, self.result.note
             )
             return value
 
@@ -212,7 +287,7 @@ class SatRedundancy(OptMuxtree):
         key = cache.key_for(
             "resolve", subgraph,
             extra=(
-                allow_solvers, self.sim_threshold, self.sat_threshold,
+                self.sim_threshold, self.sat_threshold,
                 self.max_conflicts, bool(facts),
             ),
             sigmap=self.sigmap,
@@ -229,9 +304,7 @@ class SatRedundancy(OptMuxtree):
             notes.append((name, amount))
             self.result.note(name, amount)
 
-        value, storable = self._resolve_ladder(
-            subgraph, facts, allow_solvers, note
-        )
+        value, storable = self._resolve_ladder(subgraph, facts, note)
         if storable:
             cache.store(key, (value, tuple(notes)))
         return value
@@ -240,10 +313,10 @@ class SatRedundancy(OptMuxtree):
         self,
         subgraph: SubGraph,
         facts: Dict[SigBit, bool],
-        allow_solvers: bool,
         note: Callable[..., None],
     ) -> Tuple[Optional[bool], bool]:
-        """The inference → simulation → SAT ladder over one sub-graph.
+        """The inference → simulation → SAT ladder over one control
+        sub-graph.
 
         Returns ``(value, storable)``; ``storable`` is False only for
         budget-exhausted SAT outcomes, which depend on the CNF variable
@@ -251,12 +324,6 @@ class SatRedundancy(OptMuxtree):
         isomorphic sub-graphs.  Counters go through ``note`` so the
         structural resolve memo can record them for replay.
         """
-        # observation counters use note(): queries posed do not modify the
-        # netlist, and marking them as changes kept the fixpoint loop from
-        # ever detecting convergence (every round re-ran to max_rounds)
-        note("subgraph_gates_before", subgraph.gates_before)
-        note("subgraph_gates_after", subgraph.gates_after)
-
         # 1. inference rules (Table I); the outcome is a pure function of
         # the sub-graph, so it memoizes in the content-signature cache
         contradiction, value = self._infer_outcome(subgraph)
@@ -266,10 +333,8 @@ class SatRedundancy(OptMuxtree):
                 return False, True  # path never active: either branch sound
             return None, True
         if value is not None:
-            note("ctrl_inferred" if allow_solvers else "data_inferred")
+            note("ctrl_inferred")
             return value, True
-        if not allow_solvers:
-            return None, True
 
         # 2. exhaustive simulation for small input counts (memoized too)
         if subgraph.num_inputs <= self.sim_threshold:

@@ -32,7 +32,7 @@ from ..ir.walker import CONST_IDS, CanonicalView, NetIndex
 
 @dataclass
 class SubGraph:
-    """A bounded, reduced neighbourhood of one target control bit."""
+    """A bounded, reduced neighbourhood of one target bit."""
 
     target: SigBit
     #: cells kept after support-group reduction, in deterministic order
@@ -44,6 +44,9 @@ class SubGraph:
     #: sizes before/after the Theorem II.1 reduction (for Figure-4 stats)
     gates_before: int = 0
     gates_after: int = 0
+    #: whether the ball came from the cell walk (False: from the bit BFS,
+    #: past ``max_gates`` or on a driver conflict)
+    cell_walk: bool = True
 
     @property
     def cell_names(self) -> Set[str]:
@@ -75,6 +78,16 @@ def extract_subgraph(
     BFS's.  The ordered BFS itself runs when the ball exceeds
     ``max_gates`` (the cap cuts in BFS order) or a lookup raises
     :class:`DriverConflictError` (past the cap, only the BFS may raise).
+
+    A cell-walked ball depends on the target only through its neighbour
+    cells, so two bits with the same driver and equal
+    :meth:`CanonicalView.neighbours` get the same ball.  For ``k >= 1``
+    the ball holds that driver, and they also get the same reduction,
+    which walks whole cells back from it; unless one of them is a fact
+    bit, they get the same inputs and relevant facts too, so their
+    sub-graphs differ only in ``target``.  The BFS ball is cut in an order
+    that starts at the target, so it has no such twin;
+    :attr:`SubGraph.cell_walk` tells the two apart.
     """
     view = index.canonical_view()
     bits = view.bits
@@ -86,6 +99,7 @@ def extract_subgraph(
         cells = _cell_ball(view, tid, k, max_gates)
     except DriverConflictError:
         cells = None
+    cell_walk = cells is not None
     seen: Optional[Set[int]] = None
     if cells is None:
         cells, seen = _bit_ball(view, tid, k, max_gates)
@@ -138,6 +152,7 @@ def extract_subgraph(
         known=relevant_known,
         gates_before=gates_before,
         gates_after=len(kept),
+        cell_walk=cell_walk,
     )
 
 

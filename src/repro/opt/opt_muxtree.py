@@ -318,27 +318,28 @@ class OptMuxtree(MuxtreePass):
         inference/simulation/SAT (:mod:`repro.core.redundancy`)."""
         return self._bit_value(bit, facts)
 
-    def _resolve_data_value(
-        self, bit: SigBit, facts: Dict[SigBit, bool]
-    ) -> Optional[bool]:
-        """Decide a data-port bit's value on this path (Figure 2)."""
-        return self._bit_value(bit, facts)
+    def _resolve_data_values(
+        self, bits: List[SigBit], facts: Dict[SigBit, bool]
+    ) -> List[Optional[bool]]:
+        """Decide the values of a data operand's non-constant bits on this
+        path (Figure 2), one entry per bit.  The baseline only knows
+        identical signals; smaRTLy overrides this hook with one inference
+        per operand (:mod:`repro.core.redundancy`)."""
+        return [self._bit_value(bit, facts) for bit in bits]
 
     def _substitute(self, spec: SigSpec, facts: Dict[SigBit, bool]) -> Tuple[SigSpec, int]:
-        """Replace known control bits inside a data spec with constants."""
-        new_bits: List[SigBit] = []
+        """Replace the data-spec bits decided on this path with constants."""
+        bits = list(spec)
+        open_at = [
+            i for i, bit in enumerate(bits) if not self.sigmap.map_bit(bit).is_const
+        ]
+        values = self._resolve_data_values([bits[i] for i in open_at], facts)
         substituted = 0
-        for bit in spec:
-            if self.sigmap.map_bit(bit).is_const:
-                new_bits.append(bit)
-                continue
-            value = self._resolve_data_value(bit, facts)
-            if value is None:
-                new_bits.append(bit)
-            else:
-                new_bits.append(BIT1 if value else BIT0)
+        for i, value in zip(open_at, values):
+            if value is not None:
+                bits[i] = BIT1 if value else BIT0
                 substituted += 1
-        return SigSpec(new_bits), substituted
+        return SigSpec(bits), substituted
 
     # -- rewiring --------------------------------------------------------------------
 
@@ -519,6 +520,16 @@ class OptMuxtree(MuxtreePass):
         mux.n = len(keep)
         mux.set_port("S", SigSpec(new_s))
         mux.set_port("B", new_b)
+        # an edge names its pmux branch by index: re-number the edges of
+        # the kept branches' children, or bypassing one of them would
+        # rewrite whichever branch now sits at its old index
+        for new, old in enumerate(keep):
+            child_name = self._mux_of(b[old * width:(old + 1) * width])
+            if new == old or child_name is None:
+                continue
+            edge = self.parent_edge.get(child_name)
+            if edge is not None and edge[0] is mux and edge[2] == old:
+                self.parent_edge[child_name] = (mux, "B", new)
 
     def _continue_into(self, child_name: Optional[str],
                        facts: Dict[SigBit, bool]) -> None:

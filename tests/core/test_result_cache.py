@@ -2,9 +2,10 @@
 
 The cache memoizes inference and exhaustive-simulation outcomes keyed by
 sub-graph content signatures (the SAT oracle's verdict-cache scheme).  It
-must be a pure acceleration: every flow produces byte-identical areas with
-the cache on or off, while fixpoint rounds re-asking the same undecided
-queries hit instead of recomputing.
+must be a pure acceleration: every flow produces byte-identical netlists,
+areas and pass stats (its own ``rcache_*`` counters aside) with the cache
+on or off, while fixpoint rounds re-asking the same undecided queries hit
+instead of recomputing.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import pytest
 
 from repro.api import Session, SmartlyOptions
 from repro.core.cache import ResultCache
+from repro.equiv import CI_CORPUS
 from repro.equiv.differential import random_module
 from repro.ir import Circuit
+from repro.ir.verilog_writer import verilog_str
+from repro.workloads import CASE_NAMES, build_case
 
 
 def _chain_module(name="chain"):
@@ -358,6 +362,44 @@ class TestTransparency:
                 engine=engine,
             ).run("smartly")
             assert on.optimized_area == off.optimized_area, engine
+
+
+def _run_outcome(module, flow, engine, cache):
+    """The optimized netlist and the pass stats of one run, without the
+    cache's own counters and the wall-clock readings."""
+    report = Session(
+        module, options=SmartlyOptions(use_result_cache=cache), engine=engine
+    ).run(flow)
+    stats = {
+        key: value for key, value in report.pass_stats.items()
+        if not key.rsplit(".", 1)[-1].startswith("rcache_")
+        and "wallclock" not in key
+    }
+    return verilog_str(module), stats
+
+
+@pytest.mark.parametrize("engine", ("incremental", "eager"))
+@pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
+class TestCacheInvariance:
+    """Every netlist and every counter but the cache's own reads the
+    same with the cache on and off: a ``resolve`` hit replays only what
+    its key covers (the raw ball size of a query is its own)."""
+
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_table2_case(self, case, flow, engine):
+        on = _run_outcome(build_case(case), flow, engine, cache=True)
+        off = _run_outcome(build_case(case), flow, engine, cache=False)
+        assert on == off
+
+    def test_fuzz_corpus(self, flow, engine):
+        for seed in CI_CORPUS[:16]:
+            on = _run_outcome(
+                random_module(seed, width=8, n_units=4), flow, engine, True
+            )
+            off = _run_outcome(
+                random_module(seed, width=8, n_units=4), flow, engine, False
+            )
+            assert on == off, seed
 
 
 class TestStructuralSharing:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
+from repro.core import SatRedundancy
 from repro.equiv import assert_equivalent
 from repro.equiv.differential import random_module
 from repro.frontend import compile_verilog
@@ -112,6 +113,30 @@ class TestPmux:
         gold = m.clone()
         result = OptMuxtree().run(m)
         assert result.stats.get("pmux_branches_removed", 0) >= 1
+        assert_equivalent(gold, m)
+
+
+    @pytest.mark.parametrize("n_branches", [2, 3])
+    @pytest.mark.parametrize("make_pass", [OptMuxtree, SatRedundancy])
+    def test_child_of_shrunk_pmux_rewires_its_own_branch(
+        self, make_pass, n_branches
+    ):
+        """On the ``s = 0`` path the pmux drops branch 0, so its branch-1
+        child moves to index 0 before the child's select ``t = 1``
+        bypasses it.  An edge still naming index 1 overflowed the port
+        with two branches and rewrote the third branch with three."""
+        c = Circuit("t")
+        s, t, u = c.input("s"), c.input("t"), c.input("u")
+        a, b, d, e, f, g = (c.input(n, 4) for n in "abdefg")
+        child = c.mux(a, b, t)
+        arms = [(s, d), (t, child), (u, e)][:n_branches]
+        c.output("y", c.mux(c.pmux(f, arms), g, s))
+        m = c.module
+        gold = m.clone()
+        result = make_pass().run(m)
+        OptClean().run(m)
+        assert result.stats["pmux_branches_removed"] == 1
+        assert result.stats["muxes_bypassed"] == 1
         assert_equivalent(gold, m)
 
 
