@@ -1,32 +1,25 @@
 """Persistent sub-graph result cache: content-signature memoization.
 
-The SAT oracle (:mod:`repro.sat.oracle`) memoizes *solver verdicts* keyed by
-sub-graph content signatures.  The other two rungs of the redundancy pass's
-decision ladder — the Table-I inference rules and exhaustive simulation —
-were recomputed from scratch whenever a dirty region was re-traversed, even
-though their answers are pure functions of exactly the same key.
-
-:class:`ResultCache` closes that gap.  Keys are the canonical name-free
-signature of :func:`repro.ir.struct_hash.struct_signature` — equal for
-renamed, cloned or independently built isomorphic sub-graphs, so entries
-are shared across modules, suite jobs and (via :meth:`export`/
-:meth:`merge`) worker processes.  Per-cell version bumps still invalidate:
-the signature encodes each cell's current connections directly, and the
+Keys are the canonical name-free signature of
+:func:`repro.ir.struct_hash.struct_signature` — equal for renamed,
+cloned or independently built isomorphic sub-graphs, so entries are
+shared across modules, suite jobs and (via :meth:`export`/:meth:`merge`)
+worker processes.  Per-cell version bumps still invalidate: the
+signature encodes each cell's current connections directly, and the
 identity→signature memo (:class:`~repro.ir.struct_hash.StructKeyMemo`)
 re-canonicalises whenever a version moves.  The key embeds everything
-inference and simulation consume — that is precisely what makes the
-oracle's verdict cache safe across pass generations (see
-:meth:`repro.sat.oracle.SatOracle.begin_pass`), and the same argument
-applies verbatim here.  The reference path for this keying is no cache
-at all (``SmartlyOptions(use_result_cache=False)``).
+the redundancy pass's decision ladder consumes — the same argument that
+makes the SAT oracle's verdict cache safe across pass generations (see
+:meth:`repro.sat.oracle.SatOracle.begin_pass`).  The reference path for
+this keying is no cache at all (``SmartlyOptions(use_result_cache=False)``).
 
-The redundancy pass keys its control queries only.  A ``resolve`` entry
-memoizes a whole control-ladder resolution with the notes it made;
-the raw ball sizes are not among them, since the reduced sub-graph's
-signature does not cover the ball, so every query notes its own.  A
-data operand is one uncached query (one inference per group of bits
-that share a sub-graph): it costs less than the signatures that would
-key it, and it stores nothing here.
+The redundancy pass writes one kind here, ``resolve``: one entry per
+control query, holding the whole inference → simulation → SAT
+resolution with the notes it made.  The raw ball sizes are not among
+those notes, since the reduced sub-graph's signature does not cover the
+ball, so every query notes its own.  A data operand is one uncached
+query (one inference per group of bits that share a sub-graph): it
+costs less than the signatures that would key it.
 
 A cache may read through a *parent*: a read-only mapping (another
 cache's :meth:`export`, or the live :meth:`view` of a shared one) that
@@ -35,9 +28,9 @@ without copying the cache it starts from: it reads the parent, stores
 what it learns in its own entries, and :meth:`export` hands back exactly
 that.
 
-Beyond the per-sub-graph rungs, the cache carries whole-artifact
-kinds keyed by module- or miter-level signatures: ``suite_job``
-(name-stripped :class:`~repro.flow.session.RunReport` replays — see
+Beside the per-sub-graph ``resolve`` entries, the cache carries
+whole-artifact kinds keyed by module- or miter-level signatures:
+``suite_job`` (name-stripped :class:`~repro.flow.session.RunReport` replays — see
 :func:`repro.flow.session._run_suite_job` and
 :meth:`~repro.flow.session.Session.run_hierarchy`), ``hier_netlist``
 (optimized module clones that isomorphic-instance replay swaps into
@@ -99,8 +92,6 @@ class ResultCache:
         self._appended = 0
         self.counters: Counter = Counter()
         self._struct_memo = StructKeyMemo()
-        #: ``(sub-graph, sigmap, signature)`` of the last :meth:`key_for`
-        self._last_signed: Tuple[Any, Any, str] = (None, None, "")
         #: guards mutation sweeps and snapshot iteration: thread-suite
         #: workers merge deltas into the shared session cache while the
         #: owner may be exporting a snapshot for the next job (or the
@@ -114,8 +105,7 @@ class ResultCache:
     def struct_memo(self) -> StructKeyMemo:
         """The labeling memo.  Owners hand it to their
         :class:`~repro.sat.oracle.SatOracle` so one canonicalization per
-        sub-graph state serves resolve keys, rung keys and verdict keys
-        alike."""
+        sub-graph state serves resolve keys and verdict keys alike."""
         return self._struct_memo
 
     def __len__(self) -> int:
@@ -147,23 +137,16 @@ class ResultCache:
     ) -> Tuple:
         """The memo key of one analysis over one sub-graph.
 
-        ``kind`` separates analyses ("infer", "sim", ...); ``extra``
-        carries analysis parameters that change the answer (budgets,
-        thresholds).  The sub-graph contributes its canonical name-free
-        signature (``sigmap`` resolves raw connection bits exactly like
-        the analyses do).
-
-        The rungs of one query (resolve, infer, sim, sat) key the same
-        :class:`~repro.core.subgraph.SubGraph`, a snapshot of that query:
-        its signature is computed on the first key and reused.
+        ``kind`` names the analysis (``"resolve"``); ``extra`` carries
+        its parameters that change the answer (budgets, thresholds).  The
+        sub-graph contributes its canonical name-free signature
+        (``sigmap`` resolves raw connection bits exactly like the
+        analyses do).
         """
-        last, last_sigmap, signature = self._last_signed
-        if last is not subgraph or last_sigmap is not sigmap:
-            signature = self._struct_memo.signature(
-                subgraph.cells, subgraph.target, subgraph.known,
-                inputs=subgraph.inputs, sigmap=sigmap,
-            )
-            self._last_signed = (subgraph, sigmap, signature)
+        signature = self._struct_memo.signature(
+            subgraph.cells, subgraph.target, subgraph.known,
+            inputs=subgraph.inputs, sigmap=sigmap,
+        )
         return (kind, signature, extra)
 
     def lookup(self, key: Tuple) -> Tuple[bool, Any]:

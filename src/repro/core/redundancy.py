@@ -15,13 +15,15 @@ Theorem II.1 support grouping, and escalates through three deciders:
 Above ``sat_threshold`` free inputs the query is forgone (the paper's
 safeguard against the optimizer becoming the synthesis bottleneck).
 
-A data operand is one query: its undecided bits are grouped by the
+A control query has one memo: a :class:`ResultCache` ``resolve`` entry,
+keyed by the reduced sub-graph, holds the whole ladder's outcome and the
+notes it made; the rungs themselves run inference, simulation and the
+oracle directly (the oracle keeps its own verdict cache).  A data operand
+is one query with no memo: its undecided bits are grouped by the
 neighbour cells that fix their distance-``data_k`` ball, and each group
 gets one extraction and one run of the inference rules (the data rung
-poses no simulation or SAT query).  Nothing of it is memoized across
-queries, because one inference per operand costs less than the
-signatures that would key it; the :class:`ResultCache` ``resolve`` memo
-serves control queries only.
+poses no simulation or SAT query), because one inference per operand
+costs less than the signatures that would key it.
 
 A contradiction (both polarities unsatisfiable, or inconsistent facts)
 means the path into this mux can never be active; the branch is then pruned
@@ -32,7 +34,7 @@ observed.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, State
@@ -45,8 +47,6 @@ from ..sim.eval import eval_cell_masks
 from .cache import ResultCache
 from .inference import InferenceResult, infer
 from .subgraph import SubGraph, extract_subgraph
-
-_FactsKey = Tuple[SigBit, FrozenSet[Tuple[SigBit, bool]]]
 
 
 @register_pass
@@ -65,12 +65,11 @@ class SatRedundancy(OptMuxtree):
     entries in the pass stats, alongside ``sat_wallclock_us`` (total time
     spent inside SAT decisions, either path).
 
-    Control queries memoize whole resolutions in the result cache,
-    keyed by the reduced sub-graph; the size counters of each query's own
-    ball are noted outside the replayed notes.  Data operands are
-    resolved uncached, one inference per group of bits that share a
-    sub-graph (:meth:`_resolve_data_values`); only the per-execute
-    ``_data_cache`` remembers a bit already decided under the same facts.
+    A control query memoizes its whole resolution as one ``resolve``
+    entry of the result cache, keyed by the reduced sub-graph; the size
+    counters of each query's own ball are noted outside the replayed
+    notes.  Data operands are resolved uncached, one inference per group
+    of bits that share a sub-graph (:meth:`_resolve_data_values`).
     """
 
     name = "smartly_sat"
@@ -83,7 +82,6 @@ class SatRedundancy(OptMuxtree):
         sat_threshold: int = 64,
         max_conflicts: int = 2000,
         max_gates: int = 500,
-        data_inference: bool = True,
         use_oracle: bool = True,
         use_result_cache: bool = True,
     ):
@@ -93,16 +91,14 @@ class SatRedundancy(OptMuxtree):
         self.sat_threshold = sat_threshold
         self.max_conflicts = max_conflicts
         self.max_gates = max_gates
-        self.data_inference = data_inference
         self.use_oracle = use_oracle
         self.use_result_cache = use_result_cache
         self._oracle: Optional[SatOracle] = None
-        #: persistent memo for inference/simulation outcomes, keyed by
+        #: persistent memo of control-query resolutions, keyed by
         #: sub-graph content signatures; a Session injects its own
         #: (:meth:`attach_result_cache`) to share one instance across
         #: runs and modules
         self._result_cache: Optional[ResultCache] = None
-        self._data_cache: Dict[_FactsKey, Optional[bool]] = {}
         self._sat_time = 0.0
         self._generation_open = False
         #: a cell edit can change the verdict of any control whose
@@ -133,7 +129,6 @@ class SatRedundancy(OptMuxtree):
         )
 
     def _with_oracle(self, module: Module, result: PassResult, body) -> None:
-        self._data_cache.clear()
         self._sat_time = 0.0
         self._generation_open = False
         if not self.use_result_cache:
@@ -147,7 +142,7 @@ class SatRedundancy(OptMuxtree):
             self._oracle = SatOracle(
                 module,
                 # one canonicalization per sub-graph state serves the
-                # resolve/rung keys and the verdict keys alike
+                # resolve keys and the verdict keys alike
                 struct_memo=cache.struct_memo if cache is not None else None,
             )
         owners = {"rcache_": self._result_cache, "oracle_": self._oracle}
@@ -180,9 +175,8 @@ class SatRedundancy(OptMuxtree):
 
     def _resolve_data_values(self, bits, facts):
         values = super()._resolve_data_values(bits, facts)
-        if not self.data_inference or not facts:
+        if not facts:
             return values
-        facts_key = frozenset(facts.items())
         view = self.index.canonical_view()
         # the positions of each undecided bit that needs a sub-graph (a bit
         # read twice is asked once), and those bits by their neighbour
@@ -200,10 +194,6 @@ class SatRedundancy(OptMuxtree):
             if view.driver(bid) is None:
                 # a free source bit can only be decided by a direct fact
                 # (handled above); skip the expensive sub-graph machinery
-                continue
-            key = (cbit, facts_key)
-            if key in self._data_cache:
-                values[pos] = self._data_cache[key]
                 continue
             asked[cbit] = [pos]
             groups.setdefault(view.neighbours(bid), []).append(cbit)
@@ -224,7 +214,6 @@ class SatRedundancy(OptMuxtree):
                 value = inference.value_of(cbit)
                 if value is not None:
                     note("data_inferred")
-            self._data_cache[(cbit, facts_key)] = value
             for pos in positions:
                 values[pos] = value
         return values
@@ -273,23 +262,16 @@ class SatRedundancy(OptMuxtree):
         cache = self._result_cache
         if cache is None:
             # reference path: run the ladder directly
-            value, _storable = self._resolve_ladder(
-                subgraph, facts, self.result.note
-            )
-            return value
+            return self._resolve_ladder(subgraph, self.result.note)[0]
 
         # whole resolutions memoize on the reduced sub-graph — the
         # target's and the fact bits' fanin cones, i.e. exactly the
         # content every ladder rung is a pure function of — so a hit
-        # skips all three rungs (and their per-rung lookups) in one step,
-        # and exported entries let warm-started suite workers skip them
-        # too.
+        # skips all three rungs in one step, and exported entries let
+        # warm-started suite workers skip them too.
         key = cache.key_for(
             "resolve", subgraph,
-            extra=(
-                self.sim_threshold, self.sat_threshold,
-                self.max_conflicts, bool(facts),
-            ),
+            extra=(self.sim_threshold, self.sat_threshold, self.max_conflicts),
             sigmap=self.sigmap,
         )
         hit, outcome = cache.lookup(key)
@@ -304,19 +286,16 @@ class SatRedundancy(OptMuxtree):
             notes.append((name, amount))
             self.result.note(name, amount)
 
-        value, storable = self._resolve_ladder(subgraph, facts, note)
+        value, storable = self._resolve_ladder(subgraph, note)
         if storable:
             cache.store(key, (value, tuple(notes)))
         return value
 
     def _resolve_ladder(
-        self,
-        subgraph: SubGraph,
-        facts: Dict[SigBit, bool],
-        note: Callable[..., None],
+        self, subgraph: SubGraph, note: Callable[..., None]
     ) -> Tuple[Optional[bool], bool]:
         """The inference → simulation → SAT ladder over one control
-        sub-graph.
+        sub-graph, posed under non-empty path facts.
 
         Returns ``(value, storable)``; ``storable`` is False only for
         budget-exhausted SAT outcomes, which depend on the CNF variable
@@ -324,80 +303,37 @@ class SatRedundancy(OptMuxtree):
         isomorphic sub-graphs.  Counters go through ``note`` so the
         structural resolve memo can record them for replay.
         """
-        # 1. inference rules (Table I); the outcome is a pure function of
-        # the sub-graph, so it memoizes in the content-signature cache
-        contradiction, value = self._infer_outcome(subgraph)
-        if contradiction:
-            if facts:
-                note("dead_paths")
-                return False, True  # path never active: either branch sound
-            return None, True
+        # 1. inference rules (Table I)
+        inference = infer(subgraph, self.index, subgraph.known)
+        if inference.contradiction:
+            note("dead_paths")
+            return False, True  # path never active: either branch sound
+        value = inference.value_of(subgraph.target)
         if value is not None:
             note("ctrl_inferred")
             return value, True
 
-        # 2. exhaustive simulation for small input counts (memoized too)
+        # 2. exhaustive simulation for small input counts
         if subgraph.num_inputs <= self.sim_threshold:
             note("sim_queries")
-            outcome = self._sim_outcome(subgraph)
+            outcome = self._simulate(subgraph)
             if outcome == "dead":
-                decided: Optional[bool] = None
-                if facts:
-                    note("dead_paths")
-                    decided = False
-            else:
-                decided = outcome
-            if decided is not None:
+                note("dead_paths")
+                outcome = False
+            if outcome is not None:
                 note("ctrl_sim_decided")
-            return decided, True
+            return outcome, True
 
         # 3. SAT for medium input counts
         if subgraph.num_inputs <= self.sat_threshold:
             note("sat_queries")
-            decided = self._sat_decide(subgraph, facts, note)
+            decided = self._sat_decide(subgraph, note)
             if decided is not None:
                 note("ctrl_sat_decided")
             return decided, decided is not None
 
         note("skipped_large")
         return None, True
-
-    # -- memoized analysis outcomes -------------------------------------------------------
-
-    def _infer_outcome(self, subgraph: SubGraph) -> Tuple[bool, Optional[bool]]:
-        """``(contradiction, forced value)`` of the inference engine, memoized
-        by the sub-graph's content signature (see :class:`ResultCache`)."""
-        cache = self._result_cache
-        key = None
-        if cache is not None:
-            key = cache.key_for("infer", subgraph, sigmap=self.sigmap)
-            hit, outcome = cache.lookup(key)
-            if hit:
-                return outcome
-        inference = infer(subgraph, self.index, subgraph.known)
-        outcome = (
-            inference.contradiction,
-            None if inference.contradiction
-            else inference.value_of(subgraph.target),
-        )
-        if key is not None:
-            cache.store(key, outcome)
-        return outcome
-
-    def _sim_outcome(self, subgraph: SubGraph):
-        """Exhaustive-simulation outcome (``"dead"`` | True | False | None),
-        memoized like :meth:`_infer_outcome`."""
-        cache = self._result_cache
-        key = None
-        if cache is not None:
-            key = cache.key_for("sim", subgraph, sigmap=self.sigmap)
-            hit, outcome = cache.lookup(key)
-            if hit:
-                return outcome
-        outcome = self._simulate(subgraph)
-        if key is not None:
-            cache.store(key, outcome)
-        return outcome
 
     # -- exhaustive simulation ------------------------------------------------------------
 
@@ -458,55 +394,28 @@ class SatRedundancy(OptMuxtree):
     # -- SAT decision --------------------------------------------------------------------------
 
     def _sat_decide(
-        self,
-        subgraph: SubGraph,
-        facts: Dict[SigBit, bool],
-        note: Callable[..., None],
+        self, subgraph: SubGraph, note: Callable[..., None]
     ) -> Optional[bool]:
         start = time.perf_counter()
         try:
-            if self._oracle is not None:
-                # decided two-polarity outcomes are semantic properties of
-                # the structure, so they memoize in the (exportable) result
-                # cache — this is what lets warm-started suite workers
-                # skip the SAT rung entirely
-                cache = self._result_cache
-                key = None
-                if cache is not None:
-                    key = cache.key_for(
-                        "sat", subgraph, extra=(self.max_conflicts,),
-                        sigmap=self.sigmap,
-                    )
-                    hit, outcome = cache.lookup(key)
-                    if hit:
-                        value, dead = outcome
-                        if dead and facts:
-                            note("dead_paths")
-                        return value
-                if not self._generation_open:
-                    # the sigmap snapshot only exists once the base-class
-                    # execute() has run, so the generation opens lazily
-                    self._oracle.begin_pass(self.sigmap)
-                    self._generation_open = True
-                decision = self._oracle.decide(
-                    subgraph, max_conflicts=self.max_conflicts
-                )
-                if decision.dead and facts:
-                    note("dead_paths")
-                if key is not None and decision.value is not None:
-                    # budget-exhausted (None) outcomes stay uncached here:
-                    # they are solver-path-dependent, not structural facts
-                    cache.store(key, (decision.value, decision.dead))
-                return decision.value
-            return self._sat_decide_fresh(subgraph, facts, note)
+            if self._oracle is None:
+                return self._sat_decide_fresh(subgraph, note)
+            if not self._generation_open:
+                # the sigmap snapshot only exists once the base-class
+                # execute() has run, so the generation opens lazily
+                self._oracle.begin_pass(self.sigmap)
+                self._generation_open = True
+            decision = self._oracle.decide(
+                subgraph, max_conflicts=self.max_conflicts
+            )
+            if decision.dead:
+                note("dead_paths")
+            return decision.value
         finally:
             self._sat_time += time.perf_counter() - start
 
     def _sat_decide_fresh(
-        self,
-        subgraph: SubGraph,
-        facts: Dict[SigBit, bool],
-        note: Callable[..., None],
+        self, subgraph: SubGraph, note: Callable[..., None]
     ) -> Optional[bool]:
         """Reference implementation: fresh solver + re-encoding per query.
 
@@ -527,17 +436,11 @@ class SatRedundancy(OptMuxtree):
         can_be_true = solver.solve(
             assumptions + [target_lit], max_conflicts=self.max_conflicts
         )
-        if can_be_true is False:
-            # check for a dead path (both polarities impossible)
-            can_be_false = solver.solve(
-                assumptions + [-target_lit], max_conflicts=self.max_conflicts
-            )
-            if can_be_false is False and facts:
-                note("dead_paths")
-            return False
         can_be_false = solver.solve(
             assumptions + [-target_lit], max_conflicts=self.max_conflicts
         )
-        if can_be_false is False:
-            return True
-        return None
+        if can_be_true is False:
+            if can_be_false is False:
+                note("dead_paths")  # both polarities impossible
+            return False
+        return True if can_be_false is False else None

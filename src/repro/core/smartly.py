@@ -17,7 +17,7 @@ strategy itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..ir.module import Module
 from ..opt.opt_muxtree import OptMuxtree
@@ -50,7 +50,8 @@ class SmartlyOptions:
     #: answer SAT queries through the persistent incremental oracle
     #: (False = historic fresh-solver-per-query reference path)
     use_oracle: bool = True
-    #: memoize inference/simulation/SAT outcomes in a persistent
+    #: memoize control-query resolutions (the whole inference →
+    #: simulation → SAT ladder) in a persistent
     #: :class:`~repro.core.cache.ResultCache` keyed by canonical
     #: name-independent structural signatures, so isomorphic sub-graphs
     #: from renamed modules, clones or other processes share entries
@@ -73,7 +74,7 @@ class Smartly(Pass):
     def __init__(self, options: Optional[SmartlyOptions] = None, **overrides):
         opts = options if options is not None else SmartlyOptions()
         if overrides:
-            known = {f.name for f in fields(SmartlyOptions)}
+            known = self.option_names()
             for key in overrides:
                 if key not in known:
                     raise TypeError(f"unknown smaRTLy option {key!r}")
@@ -110,6 +111,12 @@ class Smartly(Pass):
             # subsumes it) the baseline identical-signal pruning must still
             # run, exactly like the paper's Rebuild-only configuration
             self._stages.append(OptMuxtree())
+
+    @classmethod
+    def option_names(cls) -> Set[str]:
+        """The :class:`SmartlyOptions` fields, which a flow script gives
+        as overrides."""
+        return {f.name for f in fields(SmartlyOptions)}
 
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point)

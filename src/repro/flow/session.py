@@ -372,7 +372,7 @@ class Session:
     * falls back to an ordinary full run otherwise (``"none"``).
 
     A session-wide :class:`~repro.core.cache.ResultCache` is injected into
-    every incremental flow, so inference/simulation outcomes memoize
+    every incremental flow, so control-query resolutions memoize
     across rounds, runs and modules (``rcache_*`` pass stats).  Eager runs
     bypass all of this — they are the differential-testing reference.
 

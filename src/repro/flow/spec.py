@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.smartly import SmartlyOptions
-from ..opt.pass_base import Pass, known_passes, make_pass
+from ..opt.pass_base import Pass, known_passes, make_pass, pass_option_names
 
 #: statement name reserved for the repetition directive
 FIXPOINT_DIRECTIVE = "fixpoint"
@@ -221,12 +221,21 @@ class FlowSpec:
         return [step.instantiate() for step in self.steps]
 
     def validate(self) -> None:
-        """Raise if any step names an unregistered pass."""
+        """Raise if any step names an unregistered pass or gives it an
+        option its constructor does not take; builds no pass."""
         known = set(known_passes())
         for step in self.steps:
             if step.pass_name not in known:
                 raise FlowScriptError(
                     f"unknown pass {step.pass_name!r}; known: {sorted(known)}"
+                )
+            accepted = pass_option_names(step.pass_name)
+            unknown = sorted(set(step.options_dict) - accepted)
+            if unknown:
+                raise FlowScriptError(
+                    f"step {str(step)!r}: {step.pass_name} takes no option "
+                    f"{', '.join(map(repr, unknown))}; it takes: "
+                    f"{', '.join(sorted(accepted)) or 'none'}"
                 )
 
     # -- identity --------------------------------------------------------------

@@ -27,6 +27,7 @@ byte-identical on final netlist areas.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -267,6 +268,15 @@ class Pass:
     #: an edit to notice every new opportunity it could create
     dirty_radius = 1
 
+    @classmethod
+    def option_names(cls) -> Set[str]:
+        """The options a flow script may give this pass: the named
+        parameters of its constructor."""
+        return {
+            name for name, param in inspect.signature(cls).parameters.items()
+            if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+        }
+
     def execute(self, module: Module, result: PassResult) -> None:
         raise NotImplementedError
 
@@ -329,6 +339,13 @@ def make_pass(name: str, **options) -> Pass:
 def known_passes() -> List[str]:
     _ensure_registered()
     return sorted(_REGISTRY)
+
+
+def pass_option_names(name: str) -> Set[str]:
+    """The options the registered pass ``name`` takes
+    (:meth:`Pass.option_names`)."""
+    _ensure_registered()
+    return _REGISTRY[name].option_names()
 
 
 class PassManager:

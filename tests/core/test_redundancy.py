@@ -136,18 +136,6 @@ class TestDataPortInference:
         assert result.stats.get("dataport_bits_substituted", 0) >= 1
         assert_equivalent(gold, m)
 
-    def test_data_inference_can_be_disabled(self):
-        c = Circuit("t")
-        B, C = c.input("B", 4), c.input("C", 4)
-        S, R = c.input("S"), c.input("R")
-        derived = c.or_(S, R)
-        data = SigSpec(list(derived) + list(B[1:]))
-        inner = c.mux(B, data, c.input("T"))
-        c.output("Y", c.mux(C, inner, S))
-        m = c.module
-        result = SatRedundancy(data_inference=False).run(m)
-        assert result.stats.get("data_inferred", 0) == 0
-
 
 class TestPmuxInteraction:
     def test_onehot_nested_pmux_collapses(self):

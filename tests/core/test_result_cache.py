@@ -1,6 +1,6 @@
 """The content-signature result cache: transparency and reuse.
 
-The cache memoizes inference and exhaustive-simulation outcomes keyed by
+The cache memoizes whole control-query resolutions (``resolve``) keyed by
 sub-graph content signatures (the SAT oracle's verdict-cache scheme).  It
 must be a pure acceleration: every flow produces byte-identical netlists,
 areas and pass stats (its own ``rcache_*`` counters aside) with the cache
@@ -364,11 +364,26 @@ class TestTransparency:
             assert on.optimized_area == off.optimized_area, engine
 
 
-def _run_outcome(module, flow, engine, cache):
+#: engine and smartly options of each cache-invariance lane; the sim0
+#: lanes send every control query that inference leaves open to SAT
+#: (the default thresholds never reach it on these designs), through the
+#: oracle and through the fresh-solver reference path
+LANES = {
+    "incremental": ("incremental", {}),
+    "eager": ("eager", {}),
+    "sim0": ("incremental", {"sim_threshold": 0}),
+    "sim0-fresh": ("incremental", {"sim_threshold": 0, "use_oracle": False}),
+}
+
+
+def _run_outcome(module, flow, lane, cache):
     """The optimized netlist and the pass stats of one run, without the
     cache's own counters and the wall-clock readings."""
+    engine, options = LANES[lane]
     report = Session(
-        module, options=SmartlyOptions(use_result_cache=cache), engine=engine
+        module,
+        options=SmartlyOptions(use_result_cache=cache, **options),
+        engine=engine,
     ).run(flow)
     stats = {
         key: value for key, value in report.pass_stats.items()
@@ -378,7 +393,7 @@ def _run_outcome(module, flow, engine, cache):
     return verilog_str(module), stats
 
 
-@pytest.mark.parametrize("engine", ("incremental", "eager"))
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
 class TestCacheInvariance:
     """Every netlist and every counter but the cache's own reads the
@@ -386,20 +401,51 @@ class TestCacheInvariance:
     its key covers (the raw ball size of a query is its own)."""
 
     @pytest.mark.parametrize("case", CASE_NAMES)
-    def test_table2_case(self, case, flow, engine):
-        on = _run_outcome(build_case(case), flow, engine, cache=True)
-        off = _run_outcome(build_case(case), flow, engine, cache=False)
+    def test_table2_case(self, case, flow, lane):
+        on = _run_outcome(build_case(case), flow, lane, cache=True)
+        off = _run_outcome(build_case(case), flow, lane, cache=False)
         assert on == off
 
-    def test_fuzz_corpus(self, flow, engine):
+    def test_fuzz_corpus(self, flow, lane):
         for seed in CI_CORPUS[:16]:
             on = _run_outcome(
-                random_module(seed, width=8, n_units=4), flow, engine, True
+                random_module(seed, width=8, n_units=4), flow, lane, True
             )
             off = _run_outcome(
-                random_module(seed, width=8, n_units=4), flow, engine, False
+                random_module(seed, width=8, n_units=4), flow, lane, False
             )
             assert on == off, seed
+
+
+class TestLadderEntries:
+    """The smartly ladder keeps one memo per control query: ``resolve``
+    is the only entry kind it reads or writes, since its rungs keep no
+    memo of their own and data queries none at all."""
+
+    KINDS = {"resolve", "suite_job", "cec", "hier_netlist"}
+
+    @pytest.mark.parametrize("sim_threshold", (8, 0))
+    @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
+    @pytest.mark.parametrize("design", ("ac97_ctrl", "random_module"))
+    def test_only_resolve_entries(self, design, flow, sim_threshold):
+        module = (
+            build_case(design) if design in CASE_NAMES
+            else random_module(1002, width=8, n_units=4)
+        )
+        session = Session(
+            module, options=SmartlyOptions(sim_threshold=sim_threshold)
+        )
+        report = session.run(flow)
+        kinds = {key[0] for key in session.export_cache()}
+        assert "resolve" in kinds and kinds <= self.KINDS, kinds
+        rcache = [
+            key.rsplit(".", 1)[-1] for key in report.pass_stats
+            if key.rsplit(".", 1)[-1].startswith("rcache_")
+        ]
+        assert rcache, report.pass_stats
+        assert all(name.startswith("rcache_resolve_") for name in rcache), (
+            rcache
+        )
 
 
 class TestStructuralSharing:

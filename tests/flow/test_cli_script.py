@@ -53,6 +53,21 @@ def test_script_subcommand_rejects_unknown_pass(verilog, capsys):
     assert "unknown pass 'nonsense'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "script", ["smartly_sat bogus=1", "smartly bogus=1", "opt_expr bogus=1"]
+)
+def test_script_subcommand_rejects_unknown_option(script, verilog, capsys):
+    """An option the pass's constructor does not take is a bad flow
+    script: exit 2 and one error line naming the step, before any pass
+    is built."""
+    rc = main(["script", f"opt_clean; {script}", verilog])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: step {script!r}: ")
+    assert "'bogus'" in err
+
+
 def test_script_subcommand_rejects_empty_script(verilog, capsys):
     rc = main(["script", "  ", verilog])
     assert rc == 2

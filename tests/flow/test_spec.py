@@ -161,6 +161,18 @@ class TestCompositionAndBuild:
         with pytest.raises(FlowScriptError):
             spec.validate()
 
+    def test_validate_checks_option_names_against_the_pass(self):
+        FlowSpec.parse(
+            "opt_clean remove_wires=false; smartly_sat k=2; "
+            "smartly sat_threshold=8 rebuild=false"
+        ).validate()
+        # smartly takes the SmartlyOptions fields, not its constructor's
+        # ``options`` object
+        for script in ("smartly options=1", "smartly_sat max_rounds=2",
+                       "opt_muxtree k=2"):
+            with pytest.raises(FlowScriptError, match="takes no option"):
+                FlowSpec.parse(script).validate()
+
     def test_build_fresh_instances(self):
         spec = FlowSpec.parse("opt_clean")
         assert spec.build()[0] is not spec.build()[0]
