@@ -41,6 +41,7 @@ class AigMapper(celllib.LoweringEmitter):
         when it has a usable one."""
         self.module = module
         self.index = index if index is not None else current_index(module)
+        self._canon = self.index.sigmap.get
         self.aig = AIG()
         self.bit_lit: Dict[SigBit, int] = {}
         self._sources: Optional[Dict[SigBit, str]] = None
@@ -55,34 +56,28 @@ class AigMapper(celllib.LoweringEmitter):
             spec = celllib.spec_for(cell.type)
             if spec.lower is not None:
                 spec.lower(self, cell)
-        sigmap = self.index.sigmap
+        lit = self.lit
+        add_output = self.aig.add_output
         for wire in self.module.outputs:
             for i, bit in enumerate(wire.bits):
-                self.aig.add_output(
-                    self.lit(sigmap.map_bit(bit)), f"{wire.name}[{i}]"
-                )
+                add_output(lit(bit), f"{wire.name}[{i}]")
         for cell in self.module.cells.values():
             for pname in celllib.spec_for(cell.type).next_state_ports:
                 for i, bit in enumerate(cell.connections[pname]):
-                    self.aig.add_output(
-                        self.lit(sigmap.map_bit(bit)), f"{cell.name}.{pname}[{i}]"
-                    )
+                    add_output(lit(bit), f"{cell.name}.{pname}[{i}]")
         # instance bindings are boundary observables: parent cones feeding a
         # child count toward the parent's area (matching what those cones
         # would cost after flattening) and are compared by the miter
         for instance in self.module.instances.values():
             for pname in sorted(instance.connections):
                 for i, bit in enumerate(instance.connections[pname]):
-                    self.aig.add_output(
-                        self.lit(sigmap.map_bit(bit)),
-                        f"{instance.name}.{pname}[{i}]",
-                    )
+                    add_output(lit(bit), f"{instance.name}.{pname}[{i}]")
         return self.aig
 
     # -- LoweringEmitter protocol ------------------------------------------------
 
     def lit(self, bit: SigBit) -> int:
-        cbit = self.index.sigmap.map_bit(bit)
+        cbit = self._canon(bit, bit)
         if cbit.is_const:
             if cbit.state is State.S1:
                 return TRUE_LIT
@@ -94,12 +89,11 @@ class AigMapper(celllib.LoweringEmitter):
         return lit
 
     def port_lits(self, cell: Cell, port: str) -> List[int]:
-        return [self.lit(bit) for bit in cell.connections[port]]
+        return list(map(self.lit, cell.connections[port].bits))
 
     def set_output(self, cell: Cell, port: str, lits: List[int]) -> None:
-        sigmap = self.index.sigmap
-        for bit, lit in zip(cell.connections[port], lits):
-            self.bit_lit[sigmap.map_bit(bit)] = lit
+        bits = cell.connections[port].bits
+        self.bit_lit.update(zip(map(self._canon, bits, bits), lits))
 
     @property
     def false_lit(self) -> int:
@@ -119,12 +113,12 @@ class AigMapper(celllib.LoweringEmitter):
         (``<u[0]>``; the offset after the last ``[`` keeps names apart)."""
         if self._sources is not None:
             return self._sources
-        sigmap = self.index.sigmap
+        canon = self._canon
         comb_driver = self.index.comb_driver
         found: Dict[SigBit, str] = {}
 
         def declare(bit: SigBit, name: Optional[str] = None) -> None:
-            cbit = sigmap.map_bit(bit)
+            cbit = canon(bit, bit)
             if cbit.is_const or cbit in found:
                 return
             if comb_driver(cbit) is None:
@@ -146,9 +140,8 @@ class AigMapper(celllib.LoweringEmitter):
                     declare(bit, f"{instance.name}.{pname}[{i}]")
         # any remaining undriven bits read by cells or outputs
         for cell in self.module.cells.values():
-            for pname in celllib.spec_for(cell.type).input_ports:
-                for bit in cell.connections[pname]:
-                    declare(bit)
+            for bit in cell.input_bits():
+                declare(bit)
         for wire in self.module.outputs:
             for bit in wire.bits:
                 declare(bit)

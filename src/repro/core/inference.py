@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.cells import CellType, input_ports
+from ..ir.cells import CellType
 from ..ir.module import Cell
 from ..ir.signals import SigBit, State
 from ..ir.walker import NetIndex
@@ -48,15 +48,16 @@ class InferenceEngine:
     def __init__(self, subgraph: SubGraph, index: NetIndex):
         self.subgraph = subgraph
         self.index = index
-        self.sigmap = index.sigmap
+        self._canon = get = index.sigmap.get
         # local bit -> cells maps (restricted to the sub-graph)
         self.driver: Dict[SigBit, Cell] = {}
         self.readers: Dict[SigBit, List[Cell]] = {}
         for cell in subgraph.cells:
-            for bit in cell.output_bits():
-                self.driver[self.sigmap.map_bit(bit)] = cell
-            for bit in cell.input_bits():
-                cbit = self.sigmap.map_bit(bit)
+            bits = cell.output_bits()
+            for cbit in map(get, bits, bits):
+                self.driver[cbit] = cell
+            bits = cell.input_bits()
+            for cbit in map(get, bits, bits):
                 if not cbit.is_const:
                     self.readers.setdefault(cbit, []).append(cell)
         self.values: Dict[SigBit, bool] = {}
@@ -66,7 +67,7 @@ class InferenceEngine:
     # -- assignment --------------------------------------------------------------
 
     def _get(self, bit: SigBit) -> Optional[bool]:
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self._canon(bit, bit)
         if cbit.is_const:
             if cbit.state is State.S1:
                 return True
@@ -82,7 +83,7 @@ class InferenceEngine:
         return State.S1 if value else State.S0
 
     def _set(self, bit: SigBit, value: bool) -> None:
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self._canon(bit, bit)
         if cbit.is_const:
             if cbit.state is State.Sx:
                 return
@@ -135,7 +136,7 @@ class InferenceEngine:
     def _forward(self, cell: Cell) -> None:
         inputs = {
             pname: [self._state(bit) for bit in cell.connections[pname]]
-            for pname in input_ports(cell.type)
+            for pname in cell.input_ports
         }
         outputs = eval_cell_ternary(cell, inputs)
         for pname, states in outputs.items():
@@ -279,7 +280,7 @@ class InferenceEngine:
             # not equal: if every pair but one is pinned equal, that pair differs
             open_pairs: List[Tuple[SigBit, SigBit]] = []
             for abit, bbit in pairs:
-                if self.sigmap.map_bit(abit) == self.sigmap.map_bit(bbit):
+                if self._canon(abit, abit) is self._canon(bbit, bbit):
                     continue  # structurally equal
                 a, b = self._get(abit), self._get(bbit)
                 if a is not None and b is not None:

@@ -168,7 +168,7 @@ class SatRedundancy(OptMuxtree):
             # no path knowledge yet: only constants could decide the control,
             # and opt_expr already folds constant cones
             return None
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         if cbit.is_const:
             return None  # x constant: undecidable by design
         return self._deep_resolve(cbit, facts)
@@ -183,10 +183,11 @@ class SatRedundancy(OptMuxtree):
         # cells (the driver first), which fix a cell-walked ball
         asked: Dict[SigBit, List[int]] = {}
         groups: Dict[Tuple[Cell, ...], List[SigBit]] = {}
+        get = self.sigmap.get
         for pos, bit in enumerate(bits):
             if values[pos] is not None:
                 continue
-            cbit = self.sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit in asked:
                 asked[cbit].append(pos)
                 continue
@@ -352,15 +353,13 @@ class SatRedundancy(OptMuxtree):
         for bit, val in subgraph.known.items():
             values.setdefault(bit, mask if val else 0)
 
-        sigmap = self.sigmap
+        get = self.sigmap.get
 
         def bit_mask(bit: SigBit) -> int:
-            cbit = sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit.is_const:
                 return mask if cbit.state is State.S1 else 0
             return values.get(cbit, 0)
-
-        from ..ir.cells import input_ports
 
         # internal known bits are *not* pinned: their computed masks feed the
         # path-consistency selector below (source knowns stay pinned because
@@ -368,12 +367,12 @@ class SatRedundancy(OptMuxtree):
         for cell in subgraph.cells:  # already topologically ordered
             inputs = {
                 p: [bit_mask(b) for b in cell.connections[p]]
-                for p in input_ports(cell.type)
+                for p in cell.input_ports
             }
             outputs = eval_cell_masks(cell, inputs, mask)
             for pname, masks in outputs.items():
-                for bit, m in zip(cell.connections[pname], masks):
-                    values[sigmap.map_bit(bit)] = m
+                bits = cell.connections[pname].bits
+                values.update(zip(map(get, bits, bits), masks))
 
         # restrict to vectors where the internal known facts hold
         selector = mask

@@ -155,7 +155,7 @@ class MuxtreeRestructure(MuxtreePass):
         The driving cell (if any) is recorded in ``self._last_ctrl_cell``.
         """
         self._last_ctrl_cell = None
-        cbit = self.sigmap.map_bit(ctrl_bit)
+        cbit = self.sigmap.get(ctrl_bit, ctrl_bit)
         if cbit.is_const:
             return None
         driver = self.index.comb_driver(cbit)
@@ -223,7 +223,7 @@ class MuxtreeRestructure(MuxtreePass):
         self._disjunction_cells = {}
 
         def walk(bit: SigBit) -> Optional[List[Cube]]:
-            cbit = self.sigmap.map_bit(bit)
+            cbit = self.sigmap.get(bit, bit)
             driver = self.index.comb_driver(cbit)
             if driver is not None and driver.width == 1 and driver.type in (
                 CellType.OR,
@@ -402,7 +402,8 @@ class MuxtreeRestructure(MuxtreePass):
         tree_mux_names = {c.name for c in tree.mux_cells}
         removable = []
         for cell in tree.ctrl_cells.values():
-            out_bits = [self.sigmap.map_bit(b) for b in cell.output_bits()]
+            out_bits = cell.output_bits()
+            out_bits = list(map(self.sigmap.get, out_bits, out_bits))
             ok = True
             for bit in out_bits:
                 if bit in self.output_bits:
@@ -445,12 +446,11 @@ class MuxtreeRestructure(MuxtreePass):
         old_y = tree.root.connections["Y"]
         # the old root Y merges into the rebuilt tree's alias class; its
         # true readers seed the next dirty round (see PassResult.touch_readers)
+        y_bits = old_y.bits
         self._result.touch_readers(
             reader.name
-            for bit in old_y
-            for reader, _port, _off in self.index.readers.get(
-                self.sigmap.map_bit(bit), ()
-            )
+            for cbit in map(self.sigmap.get, y_bits, y_bits)
+            for reader, _port, _off in self.index.readers.get(cbit, ())
         )
         self.module.remove_cell(tree.root)
         self.module.connect(old_y, new_root_spec)

@@ -17,7 +17,7 @@ strategy itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from ..ir.module import Module
 from ..opt.opt_muxtree import OptMuxtree
@@ -74,7 +74,7 @@ class Smartly(Pass):
     def __init__(self, options: Optional[SmartlyOptions] = None, **overrides):
         opts = options if options is not None else SmartlyOptions()
         if overrides:
-            known = self.option_names()
+            known = self.option_defaults()
             for key in overrides:
                 if key not in known:
                     raise TypeError(f"unknown smaRTLy option {key!r}")
@@ -113,10 +113,10 @@ class Smartly(Pass):
             self._stages.append(OptMuxtree())
 
     @classmethod
-    def option_names(cls) -> Set[str]:
-        """The :class:`SmartlyOptions` fields, which a flow script gives
-        as overrides."""
-        return {f.name for f in fields(SmartlyOptions)}
+    def option_defaults(cls) -> Dict[str, Any]:
+        """The :class:`SmartlyOptions` fields and their defaults: a flow
+        script gives them as overrides."""
+        return {f.name: f.default for f in fields(SmartlyOptions)}
 
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point)

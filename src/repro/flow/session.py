@@ -56,7 +56,6 @@ from ..equiv.miter import check_signatures, io_signature
 from ..events import EventBus, Observer
 from ..ir import design as design_mod
 from ..ir import module as ir_module
-from ..ir.cells import output_ports
 from ..ir.design import Design, DesignEdit
 from ..ir.module import Module, ModuleEdit
 from ..ir.struct_hash import module_signature
@@ -103,7 +102,7 @@ def _pending_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
     def record(edit: ModuleEdit) -> None:
         base(edit)
         if edit.kind == ir_module.CELL_REMOVED and edit.ports:
-            outs = set(output_ports(edit.cell.type))
+            outs = edit.cell.output_ports
             for pname, spec in edit.ports.items():
                 if pname in outs:
                     for bit in spec:
@@ -325,7 +324,7 @@ class _PendingEdits:
     ``start_revision`` anchors the window: a stored :class:`_FlowState`
     whose revision equals it is exactly one edit-set behind the module, so
     its pass state plus this dirty set seed a correct incremental re-run.
-    ``compactions`` snapshots the live index's union-find compaction
+    ``compactions`` snapshots the live index's alias-map compaction
     counter: the window holds *raw* bits resolved through the sigmap only
     at seed time, and a compaction in between may have dropped the alias
     entries dead window bits still need — seeding across one is refused.

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.smartly import SmartlyOptions
-from ..opt.pass_base import Pass, known_passes, make_pass, pass_option_names
+from ..opt.pass_base import Pass, known_passes, make_pass, pass_option_defaults
 
 #: statement name reserved for the repetition directive
 FIXPOINT_DIRECTIVE = "fixpoint"
@@ -58,6 +58,17 @@ def _parse_value(text: str) -> Any:
     except ValueError:
         pass
     return text
+
+
+def _fits(value: Any, default: Any) -> bool:
+    """Whether an option value has the kind of the option's default: a
+    bool is not an int, an int may stand for a float, and an option whose
+    default is None takes any value."""
+    if default is None:
+        return True
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def _format_value(value: Any) -> str:
@@ -221,22 +232,32 @@ class FlowSpec:
         return [step.instantiate() for step in self.steps]
 
     def validate(self) -> None:
-        """Raise if any step names an unregistered pass or gives it an
-        option its constructor does not take; builds no pass."""
+        """Raise if any step names an unregistered pass, gives it an
+        option its constructor does not take, or gives an option a value
+        of another kind than the option's default (a bool is not an int;
+        an int may stand for a float); builds no pass."""
         known = set(known_passes())
         for step in self.steps:
             if step.pass_name not in known:
                 raise FlowScriptError(
                     f"unknown pass {step.pass_name!r}; known: {sorted(known)}"
                 )
-            accepted = pass_option_names(step.pass_name)
-            unknown = sorted(set(step.options_dict) - accepted)
+            defaults = pass_option_defaults(step.pass_name)
+            unknown = sorted(set(step.options_dict) - set(defaults))
             if unknown:
                 raise FlowScriptError(
                     f"step {str(step)!r}: {step.pass_name} takes no option "
                     f"{', '.join(map(repr, unknown))}; it takes: "
-                    f"{', '.join(sorted(accepted)) or 'none'}"
+                    f"{', '.join(sorted(defaults)) or 'none'}"
                 )
+            for key, value in step.options_dict.items():
+                default = defaults[key]
+                if not _fits(value, default):
+                    raise FlowScriptError(
+                        f"step {str(step)!r}: option {key} of "
+                        f"{step.pass_name} takes {type(default).__name__} "
+                        f"values, not {_format_value(value)}"
+                    )
 
     # -- identity --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cells import CellType, output_ports
+from .cells import CellType
 from .module import Cell, Module
 from .signals import SigBit, SigLike, SigSpec, State, concat
 
@@ -59,7 +59,7 @@ class Circuit:
 
     def _cell(self, ctype: CellType, n: int = 1, **ports: SigLike) -> SigSpec:
         cell = self.module.add_cell(ctype, n=n, **ports)
-        return cell.connections[output_ports(ctype)[0]]
+        return cell.connections[cell.output_ports[0]]
 
     def _binary(self, ctype: CellType, a: SigLike, b: SigLike) -> SigSpec:
         a_spec = SigSpec.coerce(a)

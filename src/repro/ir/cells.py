@@ -207,15 +207,25 @@ def output_ports(ctype: CellType) -> Tuple[str, ...]:
     return _OUTPUT_PORTS[ctype]
 
 
-def expected_width(ctype: CellType, port: str, width: int, n: int = 1) -> int:
-    """Resolve a port's width expression against the cell parameters."""
-    expr = _PORT_WIDTHS[ctype].get(port)
+def port_widths(ctype: CellType) -> Dict[str, object]:
+    """``{port name: width expression}`` of a cell type."""
+    return _PORT_WIDTHS[ctype]
+
+
+def resolve_width(expr: object, width: int, n: int = 1) -> int:
+    """A port width expression evaluated against the cell parameters."""
     if expr == "W":
         return width
     if expr == "N":
         return n
     if expr == "W*N":
         return width * n
+    return int(expr)  # literal
+
+
+def expected_width(ctype: CellType, port: str, width: int, n: int = 1) -> int:
+    """Resolve a port's width expression against the cell parameters."""
+    expr = _PORT_WIDTHS[ctype].get(port)
     if expr is None:
         raise KeyError(f"cell {ctype} has no port {port!r}")
-    return int(expr)  # literal
+    return resolve_width(expr, width, n)

@@ -25,14 +25,14 @@ from typing import (
 
 from .cells import (
     CellType,
-    MUX_TYPES,
     PortDir,
-    expected_width,
     input_ports,
     output_ports,
     port_spec,
+    port_widths,
+    resolve_width,
 )
-from .signals import SigBit, SigLike, SigSpec, Wire
+from .signals import SigBit, SigLike, SigSpec, Wire, trusted_spec
 
 # -- structural edit notifications ---------------------------------------------
 
@@ -84,7 +84,8 @@ class Cell:
     """
 
     __slots__ = ("name", "type", "width", "n", "connections", "attributes",
-                 "version", "_module")
+                 "version", "_module", "input_ports", "output_ports",
+                 "_port_widths")
 
     def __init__(self, name: str, ctype: CellType, width: int, n: int = 1):
         if width < 1:
@@ -93,6 +94,12 @@ class Cell:
             raise ValueError(f"cell {name!r}: n must be >= 1")
         self.name = name
         self.type = ctype
+        #: the type's input and output port names in spec order, and each
+        #: port's width expression: a cell's type never changes, so they
+        #: are looked up once here instead of per query
+        self.input_ports = input_ports(ctype)
+        self.output_ports = output_ports(ctype)
+        self._port_widths = port_widths(ctype)
         self.width = width
         self.n = n
         self.connections: Dict[str, SigSpec] = {}
@@ -101,6 +108,19 @@ class Cell:
         #: owning module once registered (set by Module, cleared on removal);
         #: rewires of registered cells publish ModuleEdit notifications
         self._module: Optional["Module"] = None
+
+    def __getstate__(self):
+        # the default slots state minus the derived port tables: a cell
+        # pickles exactly as it did before they existed
+        return (None, {name: getattr(self, name) for name in _CELL_STATE})
+
+    def __setstate__(self, state) -> None:
+        for key, value in state[1].items():
+            setattr(self, key, value)
+        ctype = self.type
+        self.input_ports = input_ports(ctype)
+        self.output_ports = output_ports(ctype)
+        self._port_widths = port_widths(ctype)
 
     def port(self, name: str) -> SigSpec:
         """The SigSpec connected to the given port."""
@@ -112,7 +132,10 @@ class Cell:
         Bare ints/bools are sized to the port; explicit signals must match
         the port width exactly — silent resizing hides real bugs.
         """
-        want = expected_width(self.type, name, self.width, self.n)
+        expr = self._port_widths.get(name)
+        if expr is None:
+            raise KeyError(f"cell {self.type} has no port {name!r}")
+        want = resolve_width(expr, self.width, self.n)
         if isinstance(spec, (int, bool)):
             sig = SigSpec.coerce(spec, want)
         else:
@@ -137,19 +160,22 @@ class Cell:
 
     @property
     def is_mux(self) -> bool:
-        return self.type in MUX_TYPES
+        ctype = self.type
+        return ctype is CellType.MUX or ctype is CellType.PMUX
 
     def input_bits(self) -> List[SigBit]:
         """All bits feeding the cell's input ports, in port order."""
         bits: List[SigBit] = []
-        for name in input_ports(self.type):
-            bits.extend(self.connections[name])
+        connections = self.connections
+        for name in self.input_ports:
+            bits.extend(connections[name].bits)
         return bits
 
     def output_bits(self) -> List[SigBit]:
         bits: List[SigBit] = []
-        for name in output_ports(self.type):
-            bits.extend(self.connections[name])
+        connections = self.connections
+        for name in self.output_ports:
+            bits.extend(connections[name].bits)
         return bits
 
     def pmux_branch(self, index: int) -> SigSpec:
@@ -165,6 +191,11 @@ class Cell:
         return f"Cell({self.name}: {self.type} W={self.width}" + (
             f" N={self.n})" if self.n != 1 else ")"
         )
+
+
+#: the slots a pickled :class:`Cell` carries
+_CELL_STATE = ("name", "type", "width", "n", "connections", "attributes",
+               "version", "_module")
 
 
 class Instance:
@@ -347,13 +378,14 @@ class Module:
             except ValueError as exc:
                 raise ValueError(f"cell {name!r}: {exc}") from None
         cell = Cell(name, ctype, width, n)
-        for pname, _direction, _expr in port_spec(ctype):
+        layout = port_spec(ctype)
+        for pname, _direction, _expr in layout:
             if pname in ports:
                 cell.set_port(pname, ports[pname])
-        for pname, direction, _expr in port_spec(ctype):
+        for pname, direction, expr in layout:
             if pname not in cell.connections:
                 if direction is PortDir.OUT:
-                    want = expected_width(ctype, pname, width, n)
+                    want = resolve_width(expr, width, n)
                     out = self.add_wire(f"{name}.{pname}", want)
                     cell.set_port(pname, out)
                 else:
@@ -535,43 +567,45 @@ class DriverConflictError(Exception):
 
 
 class SigMap:
-    """Union-find over bits that resolves alias connections to canonical bits.
+    """Flat alias map that resolves alias connections to canonical bits.
 
-    Mirrors Yosys ``SigMap``: after construction, :meth:`map_bit` returns the
-    canonical representative of any bit — constants win over wires, and
-    earlier-declared wires win over later ones, so results are deterministic.
-    Aliasing two different constants is a short circuit, not a merge:
-    :meth:`add` raises :class:`DriverConflictError` for it.
+    Mirrors Yosys ``SigMap``: after construction every bit has one
+    canonical representative — constants win over wires, and otherwise the
+    driver side (``b`` of :meth:`add`) keeps its root, so results are
+    deterministic.  Aliasing two different constants is a short circuit,
+    not a merge: :meth:`add` raises :class:`DriverConflictError` for it.
+
+    Every non-root bit maps straight to its root, so canonicalizing a bit
+    is one C call through the bound :attr:`get`: ``get(bit, bit)`` (a root,
+    or a bit never aliased, maps to itself), and a tuple of bits maps as
+    ``tuple(map(get, bits, bits))``.  A root→members index lets a union
+    re-point only the losing class (a lone member is stored inline, a list
+    only from the second member on).  A union therefore costs O(size of the
+    losing class): an alias chain connected in reverse order (each new bit
+    driving the class built so far) is quadratic in its length.
     """
 
-    def __init__(self, module: Optional[Module] = None):
-        self._parent: Dict[SigBit, SigBit] = {}
-        if module is not None:
-            for lhs, rhs in module.connections:
-                for lbit, rbit in zip(lhs, rhs):
-                    self.add(lbit, rbit)
+    __slots__ = ("_root", "_members", "get")
 
-    def _find(self, bit: SigBit) -> SigBit:
-        """The canonical representative of ``bit`` (one dict probe when
-        ``bit`` is its own root)."""
-        get = self._parent.get
-        root = get(bit)
-        if root is None:
-            return bit
-        step = get(root)
-        if step is None:
-            return root
-        while step is not None:
-            root, step = step, get(step)
-        # path compression
-        parent = self._parent
-        while bit is not root:
-            parent[bit], bit = root, parent[bit]
-        return root
+    def __init__(self, module: Optional[Module] = None):
+        #: non-root bit -> its root
+        self._root: Dict[SigBit, SigBit] = {}
+        #: root -> its one non-root member, or a list of two or more
+        self._members: Dict[SigBit, Union[SigBit, List[SigBit]]] = {}
+        #: ``get(bit, bit)`` is ``bit``'s canonical representative; the dict
+        #: it is bound to is only ever mutated in place, so a ``get`` taken
+        #: once stays valid across unions and :meth:`compact`
+        self.get = self._root.get
+        if module is not None:
+            add = self.add
+            for lhs, rhs in module.connections:
+                for lbit, rbit in zip(lhs.bits, rhs.bits):
+                    add(lbit, rbit)
 
     def add(self, a: SigBit, b: SigBit) -> None:
         """Declare bits ``a`` and ``b`` to be the same net."""
-        ra, rb = self._find(a), self._find(b)
+        root = self._root
+        ra, rb = root.get(a, a), root.get(b, b)
         if ra is rb:
             return
         # prefer constants as representatives, then keep rb (the driver side)
@@ -580,39 +614,76 @@ class SigMap:
                 raise DriverConflictError(
                     f"aliasing {a!r} and {b!r} shorts constant {ra!r} to {rb!r}"
                 )
-            self._parent[rb] = ra
+            ra, rb = rb, ra
+        # ra's class joins rb's: re-point ra and its members at rb
+        root[ra] = rb
+        members = self._members
+        moved = members.pop(ra, None)
+        if moved is not None:
+            if moved.__class__ is not list:
+                moved = [moved]
+            for bit in moved:
+                root[bit] = rb
+            moved.append(ra)
+        kept = members.get(rb)
+        if kept is None:
+            members[rb] = ra if moved is None else moved
+            return
+        if kept.__class__ is not list:
+            kept = members[rb] = [kept]
+        if moved is None:
+            kept.append(ra)
         else:
-            self._parent[ra] = rb
+            kept.extend(moved)
 
-    # every layer maps bits through here; the alias saves a call per bit
-    map_bit = _find
+    def map_bit(self, bit: SigBit) -> SigBit:
+        """The canonical representative of ``bit`` (``get(bit, bit)``)."""
+        return self._root.get(bit, bit)
 
     def __len__(self) -> int:
-        """Number of union-find entries (bits with a non-trivial parent)."""
-        return len(self._parent)
+        """Number of non-root bits (bits that map to another bit)."""
+        return len(self._root)
 
     def compact(self, live: Iterable[SigBit]) -> int:
         """Generation compaction: keep only entries for ``live`` bits.
 
-        Long-lived incremental sessions accumulate union-find entries for
-        bits whose wires and aliases are long gone (safe — stale entries
-        for dead bits are never queried — but unbounded).  Compaction
-        rewrites the structure as a flat two-level forest over exactly the
-        live bits, *preserving every live bit's current representative*,
-        so driver/reader maps keyed by canonical bits stay valid verbatim.
-        Returns the number of entries dropped.
+        Long-lived incremental sessions accumulate entries for bits whose
+        wires and aliases are long gone (safe — stale entries for dead
+        bits are never queried — but unbounded).  Compaction drops every
+        entry but those of live non-root bits, *preserving every live bit's
+        current representative*, so driver/reader maps keyed by canonical
+        bits stay valid verbatim.  The map is rewritten in place, so a
+        :attr:`get` bound before the compaction answers correctly after
+        it.  Returns the number of entries dropped.
         """
-        new_parent: Dict[SigBit, SigBit] = {}
+        root = self._root
+        get = root.get
+        kept: Dict[SigBit, SigBit] = {}
         for bit in live:
-            root = self._find(bit)
-            if root is not bit:
-                new_parent[bit] = root
-        dropped = len(self._parent) - len(new_parent)
-        self._parent = new_parent
+            rep = get(bit)
+            if rep is not None:
+                kept[bit] = rep
+        dropped = len(root) - len(kept)
+        root.clear()
+        root.update(kept)
+        members = self._members
+        members.clear()
+        for bit, rep in kept.items():
+            have = members.get(rep)
+            if have is None:
+                members[rep] = bit
+            elif have.__class__ is list:
+                have.append(bit)
+            else:
+                members[rep] = [have, bit]
         return dropped
 
     def map_spec(self, spec: SigSpec) -> SigSpec:
-        return SigSpec(map(self._find, spec))
+        """``spec`` with every bit canonical; ``spec`` itself when no bit
+        moves."""
+        bits = spec.bits
+        mapped = tuple(map(self._root.get, bits, bits))
+        return spec if mapped == bits else trusted_spec(mapped)
 
     def __call__(self, value: Union[SigBit, SigSpec]) -> Union[SigBit, SigSpec]:
         if isinstance(value, SigBit):

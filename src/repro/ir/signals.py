@@ -118,7 +118,7 @@ class Wire:
 
     def __getitem__(self, index) -> Union["SigBit", "SigSpec"]:
         if isinstance(index, slice):
-            return SigSpec(self._bits[index])
+            return trusted_spec(self._bits[index])
         return self._bits[index]
 
     def __len__(self) -> int:
@@ -142,7 +142,7 @@ class SigBit:
     through ``SigBit(wire, i)`` and so lands on the interned object.
     """
 
-    __slots__ = ("wire", "offset", "state")
+    __slots__ = ("wire", "offset", "state", "is_const")
 
     def __new__(
         cls,
@@ -162,10 +162,6 @@ class SigBit:
 
     def __setattr__(self, name, value):
         raise AttributeError("SigBit is immutable")
-
-    @property
-    def is_const(self) -> bool:
-        return self.state is not None
 
     @property
     def is_wire(self) -> bool:
@@ -198,6 +194,8 @@ def _new_bit(wire: Optional[Wire], offset: int, state: Optional[State]) -> SigBi
     object.__setattr__(bit, "wire", wire)
     object.__setattr__(bit, "offset", offset)
     object.__setattr__(bit, "state", state)
+    #: a slot, not a property: every per-bit loop asks it
+    object.__setattr__(bit, "is_const", state is not None)
     return bit
 
 
@@ -251,7 +249,7 @@ class SigSpec:
 
     @staticmethod
     def from_wire(wire: Wire) -> "SigSpec":
-        return SigSpec(wire._bits)
+        return trusted_spec(wire._bits)
 
     @staticmethod
     def from_const(value: int, width: int) -> "SigSpec":
@@ -327,7 +325,7 @@ class SigSpec:
 
     def __getitem__(self, index) -> Union[SigBit, "SigSpec"]:
         if isinstance(index, slice):
-            return SigSpec(self._bits[index])
+            return trusted_spec(self._bits[index])
         return self._bits[index]
 
     def __eq__(self, other) -> bool:
@@ -352,22 +350,22 @@ class SigSpec:
         bits = list(self._bits)
         for other in others:
             bits.extend(other._bits)
-        return SigSpec(bits)
+        return trusted_spec(tuple(bits))
 
     def repeat(self, count: int) -> "SigSpec":
-        return SigSpec(self._bits * count)
+        return trusted_spec(self._bits * count)
 
     def extend(self, width: int, signed: bool = False) -> "SigSpec":
         """Zero-extend (or sign-extend) / truncate to ``width`` bits."""
         if width < 0:
             raise ValueError("width must be >= 0")
         if width <= len(self._bits):
-            return SigSpec(self._bits[:width])
+            return trusted_spec(self._bits[:width])
         if signed and self._bits:
             pad = self._bits[-1]
         else:
             pad = BIT0
-        return SigSpec(self._bits + (pad,) * (width - len(self._bits)))
+        return trusted_spec(self._bits + (pad,) * (width - len(self._bits)))
 
     @property
     def is_const(self) -> bool:
@@ -427,6 +425,21 @@ class SigSpec:
                 parts.append(f"{bit.wire.name}[{bit.offset}]")
             i = j + 1
         return "SigSpec(" + "{" + ",".join(reversed(parts)) + "}" + ")"
+
+
+_new_spec = object.__new__
+_set_bits = SigSpec._bits.__set__
+_set_hash = SigSpec._hash.__set__
+
+
+def trusted_spec(bits: Tuple[SigBit, ...]) -> SigSpec:
+    """A :class:`SigSpec` over ``bits``, a tuple of bits already checked:
+    the constructor's per-bit validation is skipped, so it is for bits
+    read out of a wire or another spec."""
+    spec = _new_spec(SigSpec)
+    _set_bits(spec, bits)
+    _set_hash(spec, hash(bits))
+    return spec
 
 
 def concat(*specs: SigLike) -> SigSpec:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cells import CellType, input_ports, output_ports
+from .cells import CellType
 from .module import Cell, Instance, Module, SigMap
 from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
 
@@ -91,9 +91,17 @@ _CONST_OPERANDS: Dict[SigBit, _Operand] = {
 }
 _TYPE_NAMES: Dict[CellType, str] = {ctype: str(ctype) for ctype in CellType}
 
+#: a bound alias lookup: ``get(bit, bit)`` is ``bit``'s canonical bit
+AliasGet = Callable[[SigBit, SigBit], SigBit]
 
-def _identity_map(bit: SigBit) -> SigBit:
-    return bit
+
+#: the alias lookup of a module without alias connections: ``get(bit,
+#: bit)`` is ``bit``, like :attr:`~repro.ir.module.SigMap.get` (the dict
+#: it is bound to stays empty)
+_NO_ALIASES: AliasGet = {}.get
+
+#: canonical input bits of one cell: ``((port, bits), ...)`` in port order
+_Fanin = Tuple[Tuple[str, Tuple[SigBit, ...]], ...]
 
 
 class _Canon:
@@ -106,31 +114,47 @@ class _Canon:
     reference cells labeled after it without recursion).  ``table`` is
     the ``canonical bit -> operand`` map :meth:`encode` builds once the
     labeling is done: the three constants, every input label and every
-    driven bit, so each port bit encodes with one lookup.
+    driven bit, so each port bit encodes with one lookup.  Each cell's
+    input bits are canonicalized once (:meth:`fanin`) and shared by the
+    labeling, the fingerprints and the encoding.
     """
 
-    __slots__ = ("driven", "mapb", "cell_label", "input_label", "order",
-                 "table")
+    __slots__ = ("driven", "get", "cell_label", "input_label", "order",
+                 "table", "_fanin")
 
     def __init__(
         self,
         driven: Dict[SigBit, Tuple[Cell, str, int]],
-        mapb: Callable[[SigBit], SigBit],
+        get: AliasGet,
     ):
         self.driven = driven
-        self.mapb = mapb
+        self.get = get
         self.cell_label: Dict[int, int] = {}
         self.input_label: Dict[SigBit, int] = {}
         self.order: List[Cell] = []
         self.table: Dict[SigBit, _Operand] = {}
+        self._fanin: Dict[int, _Fanin] = {}
+
+    def fanin(self, cell: Cell) -> _Fanin:
+        """``cell``'s canonical input bits per input port, mapped once."""
+        ports = self._fanin.get(id(cell))
+        if ports is None:
+            get = self.get
+            connections = cell.connections
+            ports = []
+            for port in cell.input_ports:
+                bits = connections[port].bits
+                ports.append((port, tuple(map(get, bits, bits))))
+            ports = self._fanin[id(cell)] = tuple(ports)
+        return ports
 
     def label_cone(self, root: SigBit) -> None:
-        """Assign labels over ``root``'s fanin cone, first-visit order."""
-        mapb = self.mapb
+        """Assign labels over the fanin cone of canonical bit ``root``,
+        first-visit order."""
         driven = self.driven
         cell_label = self.cell_label
         input_label = self.input_label
-        stack = [mapb(root)]
+        stack = [root]
         while stack:
             bit = stack.pop()
             if bit.state is not None:  # a constant
@@ -145,12 +169,7 @@ class _Canon:
                 continue
             cell_label[id(cell)] = len(cell_label)
             self.order.append(cell)
-            connections = cell.connections
-            kids = [
-                mapb(b)
-                for port in input_ports(cell.type)
-                for b in connections[port]
-            ]
+            kids = [b for _port, bits in self.fanin(cell) for b in bits]
             # reversed push: pop order == declared port order, LSB first
             kids.reverse()
             stack.extend(kids)
@@ -162,9 +181,9 @@ class _Canon:
             return
         self.cell_label[id(cell)] = len(self.cell_label)
         self.order.append(cell)
-        for port in input_ports(cell.type):
-            for bit in cell.connections[port]:
-                self.label_cone(self.mapb(bit))
+        for _port, bits in self.fanin(cell):
+            for bit in bits:
+                self.label_cone(bit)
 
     def operand(self, bit: SigBit) -> _Operand:
         """The canonical encoding of one (already canonical) bit; valid
@@ -189,36 +208,31 @@ class _Canon:
             label = cell_label.get(id(cell))
             if label is not None:
                 table[bit] = ("d", label, port, offset)
-        mapb = self.mapb
         lookup = table.get
         operand = self.operand
         encoded = []
         for cell in self.order:
-            connections = cell.connections
-            ports = []
-            for port in input_ports(cell.type):
-                operands = []
-                for b in connections[port]:
-                    cbit = mapb(b)
-                    operands.append(lookup(cbit) or operand(cbit))
-                ports.append((port, tuple(operands)))
+            ports = tuple(
+                (port, tuple(lookup(b) or operand(b) for b in bits))
+                for port, bits in self.fanin(cell)
+            )
             encoded.append(
-                (_TYPE_NAMES[cell.type], cell.width, cell.n, tuple(ports))
+                (_TYPE_NAMES[cell.type], cell.width, cell.n, ports)
             )
         return tuple(encoded)
 
 
 def _driven_map(
-    cells: Sequence[Cell], mapb: Callable[[SigBit], SigBit]
+    cells: Sequence[Cell], get: AliasGet
 ) -> Dict[SigBit, Tuple[Cell, str, int]]:
     driven: Dict[SigBit, Tuple[Cell, str, int]] = {}
     for cell in cells:
-        for port in output_ports(cell.type):
+        for port in cell.output_ports:
             spec = cell.connections.get(port)
             if spec is None:
                 continue
-            for offset, bit in enumerate(spec):
-                cbit = mapb(bit)
+            bits = spec.bits
+            for offset, cbit in enumerate(map(get, bits, bits)):
                 if not cbit.is_const:
                     driven[cbit] = (cell, port, offset)
     return driven
@@ -227,7 +241,7 @@ def _driven_map(
 def _merkle_fingerprints(
     cells: Sequence[Cell],
     driven: Dict[SigBit, Tuple[Cell, str, int]],
-    mapb: Callable[[SigBit], SigBit],
+    fanin: Callable[[Cell], _Fanin],
     colors: Optional[Dict[SigBit, str]] = None,
 ) -> Dict[int, str]:
     """Bottom-up per-cell structural fingerprints (free inputs abstract).
@@ -253,9 +267,8 @@ def _merkle_fingerprints(
             parts: List[Tuple] = [
                 (_TYPE_NAMES[current.type], current.width, current.n)
             ]
-            for port in input_ports(current.type):
-                for bit in current.connections[port]:
-                    cbit = mapb(bit)
+            for _port, bits in fanin(current):
+                for cbit in bits:
                     if cbit.is_const:
                         parts.append(_CONST_OPERANDS[cbit])
                         continue
@@ -296,7 +309,7 @@ def _merkle_fingerprints(
 def _refined_fingerprints(
     cells: Sequence[Cell],
     driven: Dict[SigBit, Tuple[Cell, str, int]],
-    mapb: Callable[[SigBit], SigBit],
+    fanin: Callable[[Cell], _Fanin],
     base: Dict[int, str],
     rounds: int = 3,
 ) -> Dict[int, str]:
@@ -317,9 +330,8 @@ def _refined_fingerprints(
     for _ in range(max(1, rounds)):
         reader_sig: Dict[SigBit, List[Tuple]] = {}
         for cell in cells:
-            for port in input_ports(cell.type):
-                for offset, bit in enumerate(cell.connections[port]):
-                    cbit = mapb(bit)
+            for port, bits in fanin(cell):
+                for offset, cbit in enumerate(bits):
                     if cbit.is_const or cbit in driven:
                         continue
                     reader_sig.setdefault(cbit, []).append(
@@ -332,7 +344,7 @@ def _refined_fingerprints(
             for bit, entries in reader_sig.items()
         }
         new_fingerprints = _merkle_fingerprints(
-            cells, driven, mapb, colors=new_colors
+            cells, driven, fanin, colors=new_colors
         )
         if new_fingerprints == fingerprints and new_colors == colors:
             break
@@ -344,22 +356,23 @@ def _canonicalize(
     cells: Sequence[Cell],
     roots: Sequence[SigBit],
     sigmap: Optional[SigMap],
-) -> Tuple[str, _Canon, Callable[[SigBit], SigBit]]:
+) -> Tuple[str, _Canon, AliasGet]:
     """Facts-independent phase: label + encode, digest the core payload.
 
     ``roots`` anchor the traversal (a sub-graph's target, or a module's
     output bits) and their operand encodings fold into the core, so the
     signature pins down which bits the caller is asking about.
     """
-    mapb = sigmap.map_bit if sigmap is not None else _identity_map
-    driven = _driven_map(cells, mapb)
-    canon = _Canon(driven, mapb)
-    croots = [mapb(root) for root in roots]
+    get = sigmap.get if sigmap is not None else _NO_ALIASES
+    driven = _driven_map(cells, get)
+    canon = _Canon(driven, get)
+    croots = [get(root, root) for root in roots]
     for root in croots:
         canon.label_cone(root)
     remaining = [c for c in cells if id(c) not in canon.cell_label]
     if remaining:
-        fingerprints = _merkle_fingerprints(remaining, driven, mapb)
+        fanin = canon.fanin
+        fingerprints = _merkle_fingerprints(remaining, driven, fanin)
         order_key = {id(c): (fingerprints[id(c)],) for c in remaining}
         if len({fingerprints[id(c)] for c in remaining}) < len(remaining):
             # tied fingerprints: iterate WL refinement so independently
@@ -367,7 +380,7 @@ def _canonicalize(
             # extends (never replaces) the base key, so tie-free graphs
             # keep their exact pre-refinement signatures
             refined = _refined_fingerprints(
-                remaining, driven, mapb, fingerprints
+                remaining, driven, fanin, fingerprints
             )
             order_key = {
                 id(c): (fingerprints[id(c)], refined[id(c)])
@@ -377,8 +390,9 @@ def _canonicalize(
         # sequence order — see module docs
         remaining.sort(key=lambda c: order_key[id(c)])
         for cell in remaining:
-            for bit in cell.output_bits():
-                canon.label_cone(mapb(bit))
+            bits = cell.output_bits()
+            for cbit in map(get, bits, bits):
+                canon.label_cone(cbit)
             canon.label_cell(cell)
     core = (
         len(canon.order),
@@ -389,18 +403,18 @@ def _canonicalize(
     digest = hashlib.blake2b(
         repr(core).encode("utf-8"), digest_size=16
     ).hexdigest()
-    return digest, canon, mapb
+    return digest, canon, get
 
 
 def _fold_facts(
     core_digest: str,
     canon: _Canon,
-    mapb: Callable[[SigBit], SigBit],
+    get: AliasGet,
     known: Dict[SigBit, bool],
 ) -> StructSignature:
     """Hash the facts (and the core) into the final signature."""
     fold = tuple(sorted(
-        (canon.operand(mapb(bit)), bool(value))
+        (canon.operand(get(bit, bit)), bool(value))
         for bit, value in known.items()
     ))
     return hashlib.blake2b(
@@ -421,8 +435,8 @@ def struct_signature(
     bits to canonical representatives exactly like the analyses the
     signature keys (pass None for modules without alias connections).
     """
-    digest, canon, mapb = _canonicalize(cells, (target,), sigmap)
-    return _fold_facts(digest, canon, mapb, known)
+    digest, canon, get = _canonicalize(cells, (target,), sigmap)
+    return _fold_facts(digest, canon, get, known)
 
 
 def subgraph_signature(subgraph, sigmap: Optional[SigMap] = None) -> StructSignature:
@@ -468,7 +482,7 @@ def module_signature(
     for inst in module.instances.values():
         roots.extend(inst.binding_bits())
     cells = list(module.cells.values())
-    digest, canon, mapb = _canonicalize(cells, roots, sigmap)
+    digest, canon, get = _canonicalize(cells, roots, sigmap)
     if not module.instances:
         return digest
     entries = []
@@ -477,7 +491,7 @@ def module_signature(
         if child_signatures is not None:
             child = child_signatures.get(child, child)
         bindings = tuple(sorted(
-            (port, tuple(canon.operand(mapb(bit)) for bit in spec))
+            (port, tuple(canon.operand(get(bit, bit)) for bit in spec))
             for port, spec in inst.connections.items()
         ))
         entries.append((child, bindings))
@@ -532,10 +546,10 @@ class StructKeyMemo:
         sigmap: Optional[SigMap] = None,
     ) -> StructSignature:
         """The structural signature, with the labeling phase memoized."""
-        mapb = sigmap.map_bit if sigmap is not None else _identity_map
+        get = sigmap.get if sigmap is not None else _NO_ALIASES
         ident = (
             tuple((cell.name, cell.version) for cell in cells),
-            mapb(target),
+            get(target, target),
             tuple(inputs),
             frozenset(known),
         )
@@ -544,7 +558,7 @@ class StructKeyMemo:
             self.hits += 1
         else:
             self.misses += 1
-            digest, canon, _core_mapb = _canonicalize(
+            digest, canon, _core_get = _canonicalize(
                 cells, (target,), sigmap
             )
             core = (digest, canon.table)
@@ -555,7 +569,7 @@ class StructKeyMemo:
         digest, table = core
         fold = []
         for bit, value in known.items():
-            operand = table.get(mapb(bit))
+            operand = table.get(get(bit, bit))
             if operand is None:
                 # a fact outside the labeled sub-graph: never produced by
                 # the extraction paths — recompute fresh, do not share

@@ -13,7 +13,7 @@ Two modes:
   reference path);
 * ``module.net_index()`` — a **live** instance subscribed to the module's
   edit-notification channel: every ``set_port``/``connect``/``add_cell``/
-  ``remove_cell`` patches the driver/reader maps, the alias union-find and
+  ``remove_cell`` patches the driver/reader maps, the flat alias map and
   the memoized topological order in place, so optimization passes share one
   index across the whole pipeline instead of rebuilding at every entry.
 
@@ -51,7 +51,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import module as module_mod
-from .cells import CellType, input_ports, output_ports
+from .cells import CellType
 from .module import Cell, DriverConflictError, Module, ModuleEdit
 from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
 
@@ -81,13 +81,13 @@ class NetIndex:
         self._view: Optional[CanonicalView] = None
         self._frozen = 0
         self._pending: List[ModuleEdit] = []
-        #: generation-compaction bookkeeping for the live alias union-find
+        #: generation-compaction bookkeeping for the live alias map
         #: (dead-entry reclamation; see :meth:`_maybe_compact`)
         self._removal_events = 0
         self._replaying = False
         self._compact_deferred = False
         #: entry count at the last live-bit sweep; the O(module) sweep
-        #: re-runs only after the union-find doubles past it
+        #: re-runs only after the alias map doubles past it
         self._compact_floor = 128
         self.compactions = 0
         self._build()
@@ -95,30 +95,39 @@ class NetIndex:
             module.add_listener(self._on_edit)
 
     def _build(self) -> None:
-        map_bit = self.sigmap.map_bit
+        get = self.sigmap.get
+        driver = self.driver
+        readers = self.readers
         for cell in self.module.cells.values():
-            for pname in output_ports(cell.type):
-                for offset, bit in enumerate(cell.connections[pname]):
-                    cbit = map_bit(bit)
+            connections = cell.connections
+            for pname in cell.output_ports:
+                bits = connections[pname].bits
+                for offset, cbit in enumerate(map(get, bits, bits)):
                     if cbit.is_const:
                         raise DriverConflictError(
                             f"cell {cell.name!r} drives constant bit {cbit!r}"
                         )
-                    if cbit in self.driver:
-                        other = self.driver[cbit][0]
+                    if cbit in driver:
+                        other = driver[cbit][0]
                         raise DriverConflictError(
                             f"bit {cbit!r} driven by both {other.name!r} "
                             f"and {cell.name!r}"
                         )
-                    self.driver[cbit] = (cell, pname, offset)
-            for pname in input_ports(cell.type):
-                for offset, bit in enumerate(cell.connections[pname]):
-                    cbit = map_bit(bit)
+                    driver[cbit] = (cell, pname, offset)
+            for pname in cell.input_ports:
+                bits = connections[pname].bits
+                for offset, cbit in enumerate(map(get, bits, bits)):
                     if cbit.is_const:
                         continue
-                    self.readers.setdefault(cbit, []).append((cell, pname, offset))
+                    entry = (cell, pname, offset)
+                    entries = readers.get(cbit)
+                    if entries is None:
+                        readers[cbit] = [entry]
+                    else:
+                        entries.append(entry)
         for wire in self.module.outputs:
-            self._output_bits.update(map(map_bit, wire.bits))
+            bits = wire.bits
+            self._output_bits.update(map(get, bits, bits))
         for instance in self.module.instances.values():
             self._observe_instance(instance)
 
@@ -130,8 +139,8 @@ class NetIndex:
         undriven sources (harmless to observe) and input-side bindings must
         keep their parent fanin cones alive under ``opt_clean``.
         """
-        for bit in instance.binding_bits():
-            self._output_bits.add(self.sigmap.map_bit(bit))
+        bits = instance.binding_bits()
+        self._output_bits.update(map(self.sigmap.get, bits, bits))
 
     # -- live maintenance ----------------------------------------------------
 
@@ -172,7 +181,7 @@ class NetIndex:
                     self._maybe_compact()
 
     def _note_generation_reset(self) -> None:
-        """The alias union-find just lost its stale dead-bit entries.
+        """The alias map just lost its stale dead-bit entries.
 
         Consumers holding *raw* bits they resolve lazily — Session
         pending-edit windows, the pass engine's round carry — would
@@ -187,18 +196,18 @@ class NetIndex:
         kind = edit.kind
         if kind == module_mod.PORT_CHANGED:
             self._topo_cache = None
-            is_out = edit.port in output_ports(edit.cell.type)
+            is_out = edit.port in edit.cell.output_ports
             if edit.old is not None:
                 self._deindex_port(edit.cell, edit.port, edit.old, is_out)
             self._index_port(edit.cell, edit.port, edit.new, is_out)
         elif kind == module_mod.CELL_ADDED:
             self._topo_cache = None
-            outs = set(output_ports(edit.cell.type))
+            outs = edit.cell.output_ports
             for pname, spec in edit.ports.items():
                 self._index_port(edit.cell, pname, spec, pname in outs)
         elif kind == module_mod.CELL_REMOVED:
             self._topo_cache = None
-            outs = set(output_ports(edit.cell.type))
+            outs = edit.cell.output_ports
             for pname, spec in edit.ports.items():
                 self._deindex_port(edit.cell, pname, spec, pname in outs)
         elif kind == module_mod.CONNECTED:
@@ -208,7 +217,8 @@ class NetIndex:
         elif kind == module_mod.WIRE_ADDED:
             wire = edit.wire
             if wire.port_output:
-                self._output_bits.update(map(self.sigmap.map_bit, wire.bits))
+                bits = wire.bits
+                self._output_bits.update(map(self.sigmap.get, bits, bits))
         elif kind == module_mod.INSTANCE_ADDED:
             self._observe_instance(edit.instance)
         # INSTANCE_REMOVED keeps its binding bits observable: a bit may be
@@ -217,7 +227,7 @@ class NetIndex:
         # CONNECTIONS_REPLACED / WIRE_REMOVED need no patching: opt_clean
         # only drops aliases whose lhs class is unreachable from any cell
         # port, kept connection or module output, so the canonical mapping
-        # of every queriable bit is unchanged (stale union-find entries for
+        # of every queriable bit is unchanged (stale alias-map entries for
         # dead bits are harmless).
         if kind in (
             module_mod.CELL_REMOVED,
@@ -231,7 +241,7 @@ class NetIndex:
                 else:
                     self._maybe_compact()
 
-    # -- union-find generation compaction ------------------------------------
+    # -- alias-map generation compaction -------------------------------------
 
     def _live_bits(self) -> Set[SigBit]:
         """Every bit the module can still canonically mention: alias
@@ -253,10 +263,10 @@ class NetIndex:
         return live
 
     def _maybe_compact(self) -> None:
-        """Compact the alias union-find when dead entries dominate.
+        """Compact the alias map when dead entries dominate.
 
         Removal-heavy sessions (opt_clean reaping thousands of bypassed
-        muxes over many runs) leave the union-find full of entries for
+        muxes over many runs) leave the alias map full of entries for
         bits no live netlist object mentions.  When the entry count grows
         past twice the module's live-bit population, the structure is
         rewritten over exactly the live bits — representatives preserved,
@@ -264,7 +274,7 @@ class NetIndex:
         :meth:`~repro.ir.module.SigMap.compact`).  The O(module) live-bit
         sweep is doubly amortized: checked every 64 removal events, and
         only once the entry count has doubled since the previous sweep
-        (``_compact_floor``), so modules whose union-find is mostly live
+        (``_compact_floor``), so modules whose alias map is mostly live
         never pay repeated fruitless sweeps.
 
         Compaction intentionally keeps no entries for dead bits, so any
@@ -285,29 +295,34 @@ class NetIndex:
 
     def _index_port(self, cell: Cell, pname: str, spec: SigSpec,
                     is_out: bool) -> None:
-        map_bit = self.sigmap.map_bit
+        bits = spec.bits
+        canon = map(self.sigmap.get, bits, bits)
         if is_out:
-            for offset, bit in enumerate(spec):
-                cbit = map_bit(bit)
+            driver = self.driver
+            for offset, cbit in enumerate(canon):
                 entry = (cell, pname, offset)
-                if cbit.is_const or cbit in self.driver:
+                if cbit.is_const or cbit in driver:
                     # transient conflict: tolerated until the losing cell is
                     # removed; queries raise if observed in the meantime
                     self._extra_drivers.setdefault(cbit, []).append(entry)
                 else:
-                    self.driver[cbit] = entry
+                    driver[cbit] = entry
         else:
-            for offset, bit in enumerate(spec):
-                cbit = map_bit(bit)
+            readers = self.readers
+            for offset, cbit in enumerate(canon):
                 if cbit.is_const:
                     continue
-                self.readers.setdefault(cbit, []).append((cell, pname, offset))
+                entry = (cell, pname, offset)
+                entries = readers.get(cbit)
+                if entries is None:
+                    readers[cbit] = [entry]
+                else:
+                    entries.append(entry)
 
     def _deindex_port(self, cell: Cell, pname: str, spec: SigSpec,
                       is_out: bool) -> None:
-        map_bit = self.sigmap.map_bit
-        for offset, bit in enumerate(spec):
-            cbit = map_bit(bit)
+        bits = spec.bits
+        for offset, cbit in enumerate(map(self.sigmap.get, bits, bits)):
             if is_out:
                 cur = self.driver.get(cbit)
                 if cur is not None and cur[0] is cell and cur[1] == pname \
@@ -344,12 +359,13 @@ class NetIndex:
 
     def _merge(self, lbit: SigBit, rbit: SigBit) -> None:
         """Union two alias classes and re-key their map entries."""
-        ra = self.sigmap.map_bit(lbit)
-        rb = self.sigmap.map_bit(rbit)
+        get = self.sigmap.get
+        ra = get(lbit, lbit)
+        rb = get(rbit, rbit)
         if ra is rb:
             return
         self.sigmap.add(ra, rb)
-        root = self.sigmap.map_bit(ra)
+        root = get(ra, ra)
         loser = rb if root is ra else ra
         if root.is_const:
             # constants carry no reader lists (matches the snapshot builder);
@@ -384,11 +400,11 @@ class NetIndex:
     # -- basic queries -------------------------------------------------------
 
     def canonical(self, bit: SigBit) -> SigBit:
-        return self.sigmap.map_bit(bit)
+        return self.sigmap.get(bit, bit)
 
     def driver_cell(self, bit: SigBit) -> Optional[Cell]:
         """The combinational-or-dff cell driving ``bit``, or None."""
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         entry = self.driver.get(cbit)
         if self._extra_drivers and cbit in self._extra_drivers:
             other = self._extra_drivers[cbit][0][0]
@@ -407,14 +423,14 @@ class NetIndex:
 
     def is_source(self, bit: SigBit) -> bool:
         """True for constants, module inputs, dff outputs and undriven bits."""
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         if cbit.is_const:
             return True
         return self.comb_driver(cbit) is None
 
     def is_output_bit(self, bit: SigBit) -> bool:
         """True when any alias of ``bit`` is a module output bit."""
-        return self.sigmap.map_bit(bit) in self._output_bits
+        return self.sigmap.get(bit, bit) in self._output_bits
 
     @property
     def output_bits(self) -> Set[SigBit]:
@@ -422,17 +438,19 @@ class NetIndex:
         return self._output_bits
 
     def fanout_count(self, bit: SigBit) -> int:
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         count = len(self.readers.get(cbit, ()))
         if cbit.wire is not None and cbit.wire.port_output:
             count += 1
         return count
 
     def cell_fanin_bits(self, cell: Cell) -> List[SigBit]:
-        return [self.sigmap.map_bit(b) for b in cell.input_bits()]
+        bits = cell.input_bits()
+        return list(map(self.sigmap.get, bits, bits))
 
     def cell_fanout_bits(self, cell: Cell) -> List[SigBit]:
-        return [self.sigmap.map_bit(b) for b in cell.output_bits()]
+        bits = cell.output_bits()
+        return list(map(self.sigmap.get, bits, bits))
 
     def canonical_view(self) -> "CanonicalView":
         """The int-id view of this index, built on first use.
@@ -502,7 +520,8 @@ class NetIndex:
         ``max_depth`` bounds the number of *cell* levels crossed; ``None``
         means unbounded.  DFF cells are not crossed.
         """
-        start = [self.sigmap.map_bit(b) for b in bits]
+        get = self.sigmap.get
+        start = [get(b, b) for b in bits]
         seen: Set[SigBit] = set(start)
         frontier = start
         depth = 0
@@ -524,7 +543,8 @@ class NetIndex:
         self, bits: Iterable[SigBit], max_depth: Optional[int] = None
     ) -> Set[SigBit]:
         """All canonical bits reachable forwards from ``bits`` (inclusive)."""
-        start = [self.sigmap.map_bit(b) for b in bits]
+        get = self.sigmap.get
+        start = [get(b, b) for b in bits]
         seen: Set[SigBit] = set(start)
         frontier = start
         depth = 0
@@ -548,7 +568,7 @@ class NetIndex:
 
     def is_ancestor(self, s: SigBit, t: SigBit) -> bool:
         """True iff ``s`` lies in the combinational fanin cone of ``t``."""
-        return self.sigmap.map_bit(s) in self.fanin_cone([t])
+        return self.sigmap.get(s, s) in self.fanin_cone([t])
 
 
 class CombLoopError(Exception):
@@ -603,11 +623,12 @@ class CanonicalView:
     invalidation.
     """
 
-    __slots__ = ("index", "bits", "_ids", "_cells", "_drivers", "_neighbours",
-                 "_adjacent")
+    __slots__ = ("index", "bits", "_canon", "_ids", "_cells", "_drivers",
+                 "_neighbours", "_adjacent")
 
     def __init__(self, index: NetIndex):
         self.index = index
+        self._canon = index.sigmap.get
         #: id -> canonical bit
         self.bits: List[SigBit] = [BIT0, BIT1, BITX]
         self._ids: Dict[SigBit, int] = {BIT0: 0, BIT1: 1, BITX: 2}
@@ -618,7 +639,7 @@ class CanonicalView:
 
     def bit_id(self, bit: SigBit) -> int:
         """The id of ``bit``'s canonical representative."""
-        cbit = self.index.sigmap.map_bit(bit)
+        cbit = self._canon(bit, bit)
         bid = self._ids.get(cbit)
         if bid is None:
             bid = self._ids[cbit] = len(self.bits)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set
 
-from ..ir.cells import CellType, input_ports
+from ..ir.cells import CellType
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit
 from ..ir.walker import NetIndex
@@ -75,15 +75,18 @@ class OptClean(Pass):
                 live_cells.add(cell.name)
                 worklist.extend(index.cell_fanin_bits(cell))
 
+        get = index.sigmap.get
         for wire in module.outputs:
-            for bit in wire.bits:
-                mark_bit(index.sigmap.map_bit(bit))
+            bits = wire.bits
+            for cbit in map(get, bits, bits):
+                mark_bit(cbit)
         for instance in module.instances.values():
             # instance bindings are observable at the boundary: parent logic
             # feeding a child input must survive even though no local cell
             # or output reads it
-            for bit in instance.binding_bits():
-                mark_bit(index.sigmap.map_bit(bit))
+            bits = instance.binding_bits()
+            for cbit in map(get, bits, bits):
+                mark_bit(cbit)
         for cell in module.cells.values():
             if cell.type is CellType.DFF:
                 live_cells.add(cell.name)
@@ -101,7 +104,9 @@ class OptClean(Pass):
 
     def _reap_dead(self, module: Module, result: PassResult, index: NetIndex,
                    dirty: DirtySet) -> int:
-        sigmap = index.sigmap
+        get = index.sigmap.get
+        readers = index.readers
+        driver = index.driver
         queue = deque(sorted(dirty.dead_candidates(index)))
         queued = set(queue)
         removed = 0
@@ -112,16 +117,17 @@ class OptClean(Pass):
             if cell is None or cell.type is CellType.DFF:
                 continue
             dead = True
-            for bit in cell.output_bits():
-                cbit = sigmap.map_bit(bit)
-                if index.readers.get(cbit) or index.is_output_bit(cbit):
+            bits = cell.output_bits()
+            for cbit in map(get, bits, bits):
+                if readers.get(cbit) or index.is_output_bit(cbit):
                     dead = False
                     break
             if not dead:
                 continue
             fanin: Set[str] = set()
-            for bit in cell.input_bits():
-                entry = index.driver.get(sigmap.map_bit(bit))
+            bits = cell.input_bits()
+            for cbit in map(get, bits, bits):
+                entry = driver.get(cbit)
                 if entry is not None and entry[0].is_combinational:
                     fanin.add(entry[0].name)
             module.remove_cell(cell)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from ..ir.cells import CellType, input_ports
+from ..ir.cells import CellType
 from ..ir.module import Cell, Module
 from ..ir.signals import BIT0, BIT1, SigBit, SigSpec, State, const_bit
 from ..sim.eval import eval_cell_ternary
@@ -53,7 +53,7 @@ class OptExpr(Pass):
         the sigmap per sweep), fold candidates come off a queue: the dirty
         closure seeds it, and every successful fold enqueues the readers of
         the folded output, whose inputs just became (more) constant.  The
-        live index's union-find absorbs each new alias immediately, so
+        live index's alias map absorbs each new alias immediately, so
         canonicalisation stays exact without any rebuild.
         """
         from ..ir import module as module_mod
@@ -81,10 +81,9 @@ class OptExpr(Pass):
                     continue
                 # capture downstream cells before the fold rewires the net
                 affected = set()
-                for bit in cell.output_bits():
-                    for rcell, _port, _off in index.readers.get(
-                        sigmap.map_bit(bit), ()
-                    ):
+                bits = cell.output_bits()
+                for cbit in map(sigmap.get, bits, bits):
+                    for rcell, _port, _off in index.readers.get(cbit, ()):
                         affected.add(rcell.name)
                 if self._try_cell(module, cell, sigmap, result):
                     affected.update(new_cells)  # e.g. pmux lowered to a mux
@@ -119,10 +118,10 @@ class OptExpr(Pass):
 
         # canonicalise inputs so constants propagated by earlier folds are seen
         states: Dict[str, List[State]] = {}
-        for pname in input_ports(t):
-            spec = sigmap.map_spec(conn[pname])
+        for pname in cell.input_ports:
             states[pname] = [
-                bit.state if bit.is_const else State.Sx for bit in spec
+                bit.state if bit.is_const else State.Sx
+                for bit in sigmap.map_spec(conn[pname]).bits
             ]
 
         # 1. full constant folding via ternary evaluation

@@ -18,7 +18,7 @@ import os
 from collections import deque
 from typing import Dict, Optional, Tuple
 
-from ..ir.cells import CellType, input_ports, output_ports
+from ..ir.cells import CellType
 from ..ir.module import Module
 from ..ir.signals import SigBit
 from .pass_base import DirtySet, Pass, PassResult, register_pass
@@ -85,10 +85,9 @@ class OptMerge(Pass):
     def _cell_key(self, cell, sigmap) -> Optional[Tuple]:
         if cell.type is CellType.DFF and not self.merge_dff:
             return None
-        specs = [
-            tuple(sigmap.map_spec(cell.connections[p]))
-            for p in input_ports(cell.type)
-        ]
+        map_spec = sigmap.map_spec
+        connections = cell.connections
+        specs = [map_spec(connections[p]).bits for p in cell.input_ports]
         if cell.type in _COMMUTATIVE:
             # any total order consistent within this sweep would merge
             # correctly; a run-stable one additionally makes results
@@ -113,7 +112,7 @@ class OptMerge(Pass):
                     table[key] = cell.name
                     continue
                 survivor = module.cells[survivor_name]
-                for pname in output_ports(cell.type):
+                for pname in cell.output_ports:
                     module.connect(cell.connections[pname], survivor.connections[pname])
                 module.remove_cell(cell)
                 result.bump("cells_merged")
@@ -122,7 +121,7 @@ class OptMerge(Pass):
     def execute_incremental(
         self, module: Module, result: PassResult, dirty: Optional[DirtySet]
     ) -> None:
-        """Worklist dedup over the live index's union-find.
+        """Worklist dedup over the live index's alias map.
 
         The structural-key table persists on the pass object between rounds:
         a full seeding sweep builds it once, later rounds re-key only the
@@ -164,12 +163,11 @@ class OptMerge(Pass):
             # merge `cell` into `owner_cell`; readers of the duplicate's
             # outputs canonicalise differently afterwards, so revisit them
             affected = set()
-            for bit in cell.output_bits():
-                for rcell, _port, _off in index.readers.get(
-                    sigmap.map_bit(bit), ()
-                ):
+            bits = cell.output_bits()
+            for cbit in map(sigmap.get, bits, bits):
+                for rcell, _port, _off in index.readers.get(cbit, ()):
                     affected.add(rcell.name)
-            for pname in output_ports(cell.type):
+            for pname in cell.output_ports:
                 module.connect(cell.connections[pname], owner_cell.connections[pname])
             module.remove_cell(cell)
             key_of.pop(name, None)

@@ -81,7 +81,7 @@ def mux_of_spec(index: NetIndex, spec: SigSpec) -> Optional[str]:
     mux outputs is needed to answer it.
     """
     sigmap = index.sigmap
-    bits = tuple(sigmap.map_spec(spec))
+    bits = sigmap.map_spec(spec).bits
     if not bits or bits[0].is_const:
         return None
     entry = index.driver.get(bits[0])
@@ -90,7 +90,7 @@ def mux_of_spec(index: NetIndex, spec: SigSpec) -> Optional[str]:
     cell = entry[0]
     if not cell.is_mux:
         return None
-    if tuple(sigmap.map_spec(cell.connections["Y"])) != bits:
+    if sigmap.map_spec(cell.connections["Y"]).bits != bits:
         return None
     return cell.name
 
@@ -111,7 +111,7 @@ def compute_internal_edge(
     if child is None or not child.is_mux:
         return None
     sigmap = index.sigmap
-    y_bits = tuple(sigmap.map_spec(child.connections["Y"]))
+    y_bits = sigmap.map_spec(child.connections["Y"]).bits
     reader_edges: Set[Tuple[str, str]] = set()
     for bit in y_bits:
         if index.is_output_bit(bit):
@@ -165,6 +165,7 @@ def dirty_tree_roots(
             name = edge[0].name
         return name
 
+    get = index.sigmap.get
     roots: Set[str] = set()
     for name in closure:
         cell = module.cells.get(name)
@@ -173,10 +174,9 @@ def dirty_tree_roots(
         if cell.is_mux:
             roots.add(root_of(name))
             continue
-        for bit in cell.output_bits():
-            for reader, _port, _off in index.readers.get(
-                index.sigmap.map_bit(bit), ()
-            ):
+        bits = cell.output_bits()
+        for cbit in map(get, bits, bits):
+            for reader, _port, _off in index.readers.get(cbit, ()):
                 if reader.is_mux:
                     roots.add(root_of(reader.name))
     return roots
@@ -222,7 +222,7 @@ def _match_edge(
     sigmap, parent: Cell, pname: str, y_bits: Tuple[SigBit, ...]
 ) -> Optional[Edge]:
     """Check the parent port (or one pmux branch) is exactly the child Y."""
-    spec = tuple(sigmap.map_spec(parent.connections[pname]))
+    spec = sigmap.map_spec(parent.connections[pname]).bits
     if parent.type is CellType.MUX or pname == "A":
         return (parent, pname, None) if spec == y_bits else None
     # pmux B port: the child must be exactly one whole branch slice
@@ -301,7 +301,7 @@ class OptMuxtree(MuxtreePass):
     # -- fact handling -------------------------------------------------------------
 
     def _bit_value(self, bit: SigBit, facts: Dict[SigBit, bool]) -> Optional[bool]:
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         if cbit.is_const:
             if cbit.state is State.S1:
                 return True
@@ -329,9 +329,10 @@ class OptMuxtree(MuxtreePass):
 
     def _substitute(self, spec: SigSpec, facts: Dict[SigBit, bool]) -> Tuple[SigSpec, int]:
         """Replace the data-spec bits decided on this path with constants."""
-        bits = list(spec)
+        bits = list(spec.bits)
+        get = self.sigmap.get
         open_at = [
-            i for i, bit in enumerate(bits) if not self.sigmap.map_bit(bit).is_const
+            i for i, bit in enumerate(bits) if not get(bit, bit).is_const
         ]
         values = self._resolve_data_values([bits[i] for i in open_at], facts)
         substituted = 0
@@ -357,12 +358,11 @@ class OptMuxtree(MuxtreePass):
             # root: alias the output and delete the cell.  The bypass merges
             # Y into new_spec's alias class, so the recorder cannot see Y's
             # own readers — report them explicitly for the next dirty round.
+            y_bits = mux.connections["Y"].bits
             self.result.touch_readers(
                 reader.name
-                for bit in mux.connections["Y"]
-                for reader, _port, _off in self.index.readers.get(
-                    self.sigmap.map_bit(bit), ()
-                )
+                for cbit in map(self.sigmap.get, y_bits, y_bits)
+                for reader, _port, _off in self.index.readers.get(cbit, ())
             )
             self.module.connect(mux.connections["Y"], new_spec)
             self.module.remove_cell(mux)
@@ -476,7 +476,8 @@ class OptMuxtree(MuxtreePass):
             self._shrink_pmux(mux, keep)
 
         # now traverse surviving branches and the default
-        s_bits = [self.sigmap.map_bit(b) for b in mux.connections["S"]]
+        s_bits = mux.connections["S"].bits
+        s_bits = list(map(self.sigmap.get, s_bits, s_bits))
         for i in range(mux.n):
             branch_facts = dict(facts)
             for j in range(i):

@@ -31,11 +31,11 @@ import inspect
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..ir import module as module_mod
 from ..ir.module import Module, ModuleEdit
-from ..ir.signals import SigBit
+from ..ir.signals import BIT0, BIT1, BITX, SigBit
 
 
 def prefixed(prefix: str, counts: Mapping[str, int]) -> Dict[str, int]:
@@ -108,6 +108,10 @@ class PassResult:
         self.touched_fanin_bits |= other.touched_fanin_bits
 
 
+#: the constant bits, which no closure frontier holds
+_CONSTS = frozenset((BIT0, BIT1, BITX))
+
+
 @dataclass
 class DirtySet:
     """The seed of one incremental round: edits from the previous round."""
@@ -149,35 +153,29 @@ class DirtySet:
           untouched by construction, and walking them would degenerate
           the closure to the whole module.
         """
-        map_bit = index.sigmap.map_bit
+        get = index.sigmap.get
         module = index.module
+        driver = index.driver
         names: Set[str] = set()
-        frontier: Set[SigBit] = set()
-        for bit in self.bits:
-            cbit = map_bit(bit)
-            if not cbit.is_const:
-                frontier.add(cbit)
+        frontier: Set[SigBit] = set(map(get, self.bits, self.bits))
         for name in self.cells:
             cell = module.cells.get(name)
             if cell is None:
                 continue
             names.add(name)
-            for bit in cell.output_bits():
-                cbit = map_bit(bit)
-                if not cbit.is_const:
-                    frontier.add(cbit)
+            bits = cell.output_bits()
+            frontier.update(map(get, bits, bits))
+        frontier.difference_update(_CONSTS)
         if frontier:
+            readers = index.readers
             for cbit in index.fanout_cone(frontier, max_depth=radius):
-                entry = index.driver.get(cbit)
+                entry = driver.get(cbit)
                 if entry is not None:
                     names.add(entry[0].name)
-                for cell, _port, _off in index.readers.get(cbit, ()):
+                for cell, _port, _off in readers.get(cbit, ()):
                     names.add(cell.name)
-        for bit in self.fanin_bits:
-            cbit = map_bit(bit)
-            if cbit.is_const:
-                continue
-            entry = index.driver.get(cbit)
+        for cbit in map(get, self.fanin_bits, self.fanin_bits):
+            entry = driver.get(cbit)
             if entry is not None:
                 names.add(entry[0].name)
         return names
@@ -186,14 +184,13 @@ class DirtySet:
         """Cells that may have *become* dead: a cell dies only by losing a
         reader, so candidates are the drivers of every recorded bit plus
         the touched cells themselves — no cone walk at all."""
-        map_bit = index.sigmap.map_bit
+        get = index.sigmap.get
+        driver = index.driver
         module = index.module
         names = {name for name in self.cells if name in module.cells}
-        for bit in self.bits | self.fanin_bits:
-            cbit = map_bit(bit)
-            if cbit.is_const:
-                continue
-            entry = index.driver.get(cbit)
+        bits = self.bits | self.fanin_bits
+        for cbit in map(get, bits, bits):
+            entry = driver.get(cbit)
             if entry is not None:
                 names.add(entry[0].name)
         return names
@@ -207,8 +204,6 @@ def _touch_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
     Input-side bits (rewired port specs, removed-cell inputs, alias rhs)
     land in ``touched_fanin_bits`` — only their drivers are revisited.
     """
-    from ..ir.cells import output_ports
-
     def frontier(spec) -> None:
         for bit in spec:
             if not bit.is_const:
@@ -224,7 +219,7 @@ def _touch_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
         if kind == module_mod.PORT_CHANGED:
             cell = edit.cell
             result.touched_cells.add(cell.name)
-            if edit.port in output_ports(cell.type):
+            if edit.port in cell.output_ports:
                 if edit.old is not None:
                     frontier(edit.old)
                 frontier(edit.new)
@@ -235,7 +230,7 @@ def _touch_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
         elif kind == module_mod.CELL_ADDED:
             cell = edit.cell
             result.touched_cells.add(cell.name)
-            outs = set(output_ports(cell.type))
+            outs = cell.output_ports
             for pname, spec in edit.ports.items():
                 if pname in outs:
                     frontier(spec)
@@ -251,7 +246,7 @@ def _touch_recorder(result: PassResult) -> Callable[[ModuleEdit], None]:
             for spec in edit.ports.values():
                 fanin(spec)
         elif kind == module_mod.CONNECTED:
-            # same reasoning: the union-find keeps the rhs representative,
+            # same reasoning: the alias map keeps the rhs representative,
             # and the affected lhs-class readers are recorded by the pass
             fanin(edit.lhs)
             fanin(edit.rhs)
@@ -269,11 +264,12 @@ class Pass:
     dirty_radius = 1
 
     @classmethod
-    def option_names(cls) -> Set[str]:
-        """The options a flow script may give this pass: the named
-        parameters of its constructor."""
+    def option_defaults(cls) -> Dict[str, Any]:
+        """The options a flow script may give this pass, each with its
+        default: the named parameters of its constructor."""
         return {
-            name for name, param in inspect.signature(cls).parameters.items()
+            name: param.default
+            for name, param in inspect.signature(cls).parameters.items()
             if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
         }
 
@@ -341,11 +337,11 @@ def known_passes() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def pass_option_names(name: str) -> Set[str]:
-    """The options the registered pass ``name`` takes
-    (:meth:`Pass.option_names`)."""
+def pass_option_defaults(name: str) -> Dict[str, Any]:
+    """The options the registered pass ``name`` takes, each with its
+    default (:meth:`Pass.option_defaults`)."""
     _ensure_registered()
-    return _REGISTRY[name].option_names()
+    return _REGISTRY[name].option_defaults()
 
 
 class PassManager:
@@ -397,7 +393,7 @@ class PassManager:
 
     @staticmethod
     def _sigmap_generation(module: Module) -> Optional[int]:
-        """The live index's union-find generation, or None before one
+        """The live index's alias-map generation, or None before one
         exists (a fresh build is current for every bit recorded after it,
         so creation mid-run is not a reset)."""
         index = module._net_index
@@ -496,7 +492,7 @@ class PassManager:
             )
             any_change = any_change or round_change
             # raw carry/seed bits are resolved against the sigmap only when
-            # consumed; a union-find generation reset (compaction or full
+            # consumed; an alias-map generation reset (compaction or full
             # rebuild) in between orphans them, so escalate to a full round
             # instead of trusting — and never *converge* on a round whose
             # own seeds may have been orphaned mid-round

@@ -51,7 +51,7 @@ class CircuitEncoder(celllib.LoweringEmitter):
 
     def bit_lit(self, bit: SigBit) -> int:
         """The AIGER literal of a bit (a fresh variable for unseen bits)."""
-        cbit = self.sigmap.map_bit(bit)
+        cbit = self.sigmap.get(bit, bit)
         lit = self._lits.get(cbit)
         if lit is None:
             lit = self._lits[cbit] = self._fresh_lit()
@@ -80,7 +80,7 @@ class CircuitEncoder(celllib.LoweringEmitter):
         context met as a free input before its driver — is constrained
         equal to it instead."""
         for bit, lit in zip(cell.connections[port], lits):
-            cbit = self.sigmap.map_bit(bit)
+            cbit = self.sigmap.get(bit, bit)
             bound = self._lits.get(cbit)
             if bound is None:
                 self._lits[cbit] = lit

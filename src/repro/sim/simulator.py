@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..ir.cells import CellType, input_ports, output_ports
+from ..ir.cells import CellType
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, SigSpec, State
 from ..ir.walker import NetIndex
@@ -40,10 +40,10 @@ class Simulator:
         """All non-constant source bits: inputs, dff outputs, undriven wires."""
         seen = set()
         sources: List[SigBit] = []
-        sigmap = self.index.sigmap
+        get = self.index.sigmap.get
 
         def visit(bit: SigBit) -> None:
-            cbit = sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit.is_const or cbit in seen:
                 return
             if self.index.comb_driver(cbit) is None:
@@ -76,13 +76,13 @@ class Simulator:
         Keys of ``assignment`` are canonicalised; missing sources are ``x``.
         The returned map holds a state for every canonical bit encountered.
         """
-        sigmap = self.index.sigmap
+        get = self.index.sigmap.get
         values: Dict[SigBit, State] = {}
         for bit, state in assignment.items():
-            values[sigmap.map_bit(bit)] = state
+            values[get(bit, bit)] = state
 
         def bit_value(bit: SigBit) -> State:
-            cbit = sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit.is_const:
                 return cbit.state
             return values.get(cbit, State.Sx)
@@ -90,22 +90,22 @@ class Simulator:
         for cell in self._topo:
             inputs = {
                 p: [bit_value(b) for b in cell.connections[p]]
-                for p in input_ports(cell.type)
+                for p in cell.input_ports
             }
             outputs = eval_cell_ternary(cell, inputs)
             for pname, states in outputs.items():
                 for bit, state in zip(cell.connections[pname], states):
-                    values[sigmap.map_bit(bit)] = state
+                    values[get(bit, bit)] = state
         return values
 
     def spec_states(
         self, spec: SigSpec, values: Mapping[SigBit, State]
     ) -> List[State]:
         """Read a SigSpec out of a ``run_states`` result."""
-        sigmap = self.index.sigmap
+        get = self.index.sigmap.get
         result = []
         for bit in spec:
-            cbit = sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit.is_const:
                 result.append(cbit.state)
             else:
@@ -154,13 +154,13 @@ class Simulator:
         vector.  Returns a mask for every canonical bit.
         """
         mask = (1 << nvec) - 1
-        sigmap = self.index.sigmap
+        get = self.index.sigmap.get
         values: Dict[SigBit, int] = {}
         for bit, m in source_masks.items():
-            values[sigmap.map_bit(bit)] = m & mask
+            values[get(bit, bit)] = m & mask
 
         def bit_value(bit: SigBit) -> int:
-            cbit = sigmap.map_bit(bit)
+            cbit = get(bit, bit)
             if cbit.is_const:
                 if cbit.state is State.S1:
                     return mask
@@ -170,12 +170,12 @@ class Simulator:
         for cell in self._topo:
             inputs = {
                 p: [bit_value(b) for b in cell.connections[p]]
-                for p in input_ports(cell.type)
+                for p in cell.input_ports
             }
             outputs = eval_cell_masks(cell, inputs, mask)
             for pname, masks in outputs.items():
                 for bit, m in zip(cell.connections[pname], masks):
-                    values[sigmap.map_bit(bit)] = m
+                    values[get(bit, bit)] = m
         return values
 
     def random_masks(

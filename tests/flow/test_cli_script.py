@@ -68,6 +68,23 @@ def test_script_subcommand_rejects_unknown_option(script, verilog, capsys):
     assert "'bogus'" in err
 
 
+@pytest.mark.parametrize(
+    "script", ["smartly k=abc", "smartly_sat sat_threshold=true",
+               "opt_merge merge_dff=1"]
+)
+def test_script_subcommand_rejects_option_value_of_wrong_kind(
+    script, verilog, capsys
+):
+    """A value of another kind than the option's default is a bad flow
+    script: exit 2 and one error line naming the step, not a traceback
+    from the pass constructor."""
+    rc = main(["script", f"opt_clean; {script}", verilog])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: step {script!r}: option ")
+
+
 def test_script_subcommand_rejects_empty_script(verilog, capsys):
     rc = main(["script", "  ", verilog])
     assert rc == 2

@@ -173,6 +173,30 @@ class TestCompositionAndBuild:
             with pytest.raises(FlowScriptError, match="takes no option"):
                 FlowSpec.parse(script).validate()
 
+    def test_validate_checks_option_values_against_the_default(self):
+        """A value must have the kind of the option's default (the
+        constructor's, or for smartly the SmartlyOptions field's): a bool
+        is not an int, and an int may stand for a float."""
+        FlowSpec.parse(
+            "smartly k=6 sat=false; smartly_sat max_conflicts=10; "
+            "smartly_rebuild max_height_factor=2 min_gain=0; "
+            "opt_merge merge_dff=true"
+        ).validate()
+        for script, option in (
+            ("smartly k=abc", "k"),
+            ("smartly k=true", "k"),
+            ("smartly k=1.5", "k"),
+            ("smartly sat=1", "sat"),
+            ("smartly_sat data_k=two", "data_k"),
+            ("smartly_rebuild max_height_factor=false", "max_height_factor"),
+            ("opt_clean remove_wires=0", "remove_wires"),
+        ):
+            with pytest.raises(FlowScriptError) as err:
+                FlowSpec.parse(script).validate()
+            assert str(err.value).startswith(
+                f"step {script!r}: option {option} of "
+            ), str(err.value)
+
     def test_build_fresh_instances(self):
         spec = FlowSpec.parse("opt_clean")
         assert spec.build()[0] is not spec.build()[0]
