@@ -8,9 +8,8 @@ This benchmark proves the canonical structural-hashing subsystem
 (:mod:`repro.ir.struct_hash`) fixes both without changing any result:
 
 1. **Transparency** — byte-identical optimized areas between the default
-   (structural keys for the result cache and the oracle's verdicts) and
-   the memo-free reference (``use_result_cache=False, use_oracle=False``:
-   every outcome recomputed, a fresh solver per query), for all 5
+   (structural keys for the result cache) and the memo-free reference
+   (``use_result_cache=False``: every outcome recomputed), for all 5
    presets, across a corpus of random workload modules.  Asserted
    unconditionally.
 2. **Cross-module sharing** — on a design of renamed clones (every wire
@@ -43,8 +42,8 @@ from repro.ir.struct_hash import renamed_copy
 #: base workload: one seed, several renamed clones of it
 BASE_SEED = 2101
 PARITY_SEEDS = (2101, 2102, 2103)
-#: memoizes nothing: no result cache, no oracle verdict cache
-MEMO_FREE = SmartlyOptions(use_result_cache=False, use_oracle=False)
+#: memoizes nothing: no result cache
+MEMO_FREE = SmartlyOptions(use_result_cache=False)
 N_CLONES = 4
 WIDTH, N_UNITS = 5, 6
 

@@ -433,8 +433,6 @@ def _format_cache_stats(stats: dict) -> str:
     )
     parts = []
     for kind in kinds:
-        if kind.startswith("oracle"):
-            continue  # oracle counters print via their own summary line
         hits = stats.get(f"{kind}_hits", 0)
         total = hits + stats.get(f"{kind}_misses", 0)
         rate = 100.0 * hits / total if total else 0.0
@@ -442,11 +440,6 @@ def _format_cache_stats(stats: dict) -> str:
     for key in ("evictions", "merged", "entries"):
         if stats.get(key):
             parts.append(f"{key}={stats[key]}")
-    if stats.get("oracle_cache_hits") is not None:
-        parts.append(
-            f"oracle-verdicts {stats.get('oracle_cache_hits', 0)}"
-            f"/{stats.get('oracle_queries', 0)}"
-        )
     return ", ".join(parts) if parts else "no cache traffic"
 
 

@@ -8,18 +8,19 @@ worker processes.  Per-cell version bumps still invalidate: the
 signature encodes each cell's current connections directly, and the
 identity→signature memo (:class:`~repro.ir.struct_hash.StructKeyMemo`)
 re-canonicalises whenever a version moves.  The key embeds everything
-the redundancy pass's decision ladder consumes — the same argument that
-makes the SAT oracle's verdict cache safe across pass generations (see
-:meth:`repro.sat.oracle.SatOracle.begin_pass`).  The reference path for
-this keying is no cache at all (``SmartlyOptions(use_result_cache=False)``).
+the redundancy pass's decision ladder consumes, so an entry stays valid
+across pass generations: an alias connection that re-canonicalises a
+boundary bit changes the key.  The reference path for this keying is no
+cache at all (``SmartlyOptions(use_result_cache=False)``).
 
 The redundancy pass writes one kind here, ``resolve``: one entry per
 control query, holding the whole inference → simulation → SAT
-resolution with the notes it made.  The raw ball sizes are not among
-those notes, since the reduced sub-graph's signature does not cover the
-ball, so every query notes its own.  A data operand is one uncached
-query (one inference per group of bits that share a sub-graph): it
-costs less than the signatures that would key it.
+resolution with the notes it made (every outcome but a SAT budget-out,
+which depends on the solver's variable order).  The raw ball sizes are
+not among those notes, since the reduced sub-graph's signature does not
+cover the ball, so every query notes its own.  A data operand is one
+uncached query (one inference per group of bits that share a
+sub-graph): it costs less than the signatures that would key it.
 
 A cache may read through a *parent*: a read-only mapping (another
 cache's :meth:`export`, or the live :meth:`view` of a shared one) that
@@ -45,9 +46,9 @@ One cache instance is intended to live as long as its owner: the
 rounds and runs, and :class:`~repro.flow.session.Session` injects a single
 session-wide instance into every flow it builds so entries persist across
 rounds, runs *and* modules of the same design.  Entries are bounded with
-oldest-half eviction, like the oracle's verdict cache — netlist mutation
-permanently orphans keys of unreachable structures, so the population
-must not grow with session lifetime.
+oldest-half eviction — netlist mutation permanently orphans keys of
+unreachable structures, so the population must not grow with session
+lifetime.
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ class ResultCache:
         #: size during iteration``.  ``lookup`` stays lock-free: a plain
         #: ``dict.get`` is atomic under the GIL and is the hot path.
         self._lock = threading.Lock()
-
-    @property
-    def struct_memo(self) -> StructKeyMemo:
-        """The labeling memo.  Owners hand it to their
-        :class:`~repro.sat.oracle.SatOracle` so one canonicalization per
-        sub-graph state serves resolve keys and verdict keys alike."""
-        return self._struct_memo
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -17,13 +17,13 @@ safeguard against the optimizer becoming the synthesis bottleneck).
 
 A control query has one memo: a :class:`ResultCache` ``resolve`` entry,
 keyed by the reduced sub-graph, holds the whole ladder's outcome and the
-notes it made; the rungs themselves run inference, simulation and the
-oracle directly (the oracle keeps its own verdict cache).  A data operand
-is one query with no memo: its undecided bits are grouped by the
-neighbour cells that fix their distance-``data_k`` ball, and each group
-gets one extraction and one run of the inference rules (the data rung
-poses no simulation or SAT query), because one inference per operand
-costs less than the signatures that would key it.
+notes it made; the rungs themselves run inference, simulation and SAT
+directly, and keep no memo of their own.  A data operand is one query
+with no memo: its undecided bits are grouped by the neighbour cells that
+fix their distance-``data_k`` ball, and each group gets one extraction
+and one run of the inference rules (the data rung poses no simulation
+or SAT query), because one inference per operand costs less than the
+signatures that would key it.
 
 A contradiction (both polarities unsatisfiable, or inconsistent facts)
 means the path into this mux can never be active; the branch is then pruned
@@ -41,8 +41,6 @@ from ..ir.signals import SigBit, State
 from ..opt.pass_base import DirtySet, PassResult, prefixed, register_pass
 from ..opt.opt_muxtree import OptMuxtree
 from ..sat.oracle import SatOracle
-from ..sat.solver import Solver
-from ..sat.tseitin import CircuitEncoder
 from ..sim.eval import eval_cell_masks
 from .cache import ResultCache
 from .inference import InferenceResult, infer
@@ -53,17 +51,11 @@ from .subgraph import SubGraph, extract_subgraph
 class SatRedundancy(OptMuxtree):
     """Muxtree pruning with logic inferencing over sub-graphs + SAT.
 
-    SAT queries go through a persistent :class:`~repro.sat.oracle.SatOracle`
-    (``use_oracle=True``, the default): sub-graph CNF is encoded once per
-    distinct sub-graph, repeated queries hit the verdict cache, and learned
-    clauses carry over between queries.  ``use_oracle=False`` keeps the
-    historic fresh-``Solver``-per-query path as the reference
-    implementation the oracle is differentially tested against.  The pass
-    owns its oracle, built per module on first use, so counters and
-    contexts persist across the optimization rounds one instance runs on
-    the same module.  Oracle counters are reported as ``oracle_*``
-    entries in the pass stats, alongside ``sat_wallclock_us`` (total time
-    spent inside SAT decisions, either path).
+    SAT queries go through one :class:`~repro.sat.oracle.SatOracle`,
+    built with the pass: each query encodes its sub-graph into a fresh
+    solver.  The oracle's counters are reported as ``oracle_*`` entries
+    in the pass stats, alongside ``sat_wallclock_us`` (total time spent
+    inside SAT decisions).
 
     A control query memoizes its whole resolution as one ``resolve``
     entry of the result cache, keyed by the reduced sub-graph; the size
@@ -82,7 +74,6 @@ class SatRedundancy(OptMuxtree):
         sat_threshold: int = 64,
         max_conflicts: int = 2000,
         max_gates: int = 500,
-        use_oracle: bool = True,
         use_result_cache: bool = True,
     ):
         self.k = k
@@ -91,16 +82,14 @@ class SatRedundancy(OptMuxtree):
         self.sat_threshold = sat_threshold
         self.max_conflicts = max_conflicts
         self.max_gates = max_gates
-        self.use_oracle = use_oracle
         self.use_result_cache = use_result_cache
-        self._oracle: Optional[SatOracle] = None
+        self._oracle = SatOracle()
         #: persistent memo of control-query resolutions, keyed by
         #: sub-graph content signatures; a Session injects its own
         #: (:meth:`attach_result_cache`) to share one instance across
         #: runs and modules
         self._result_cache: Optional[ResultCache] = None
         self._sat_time = 0.0
-        self._generation_open = False
         #: a cell edit can change the verdict of any control whose
         #: distance-k sub-graph contains it, i.e. of muxes up to k+1 hops
         #: away — the incremental engine's closure must reach that far
@@ -116,35 +105,23 @@ class SatRedundancy(OptMuxtree):
 
     def execute(self, module: Module, result: PassResult) -> None:
         self._with_oracle(
-            module, result, lambda: OptMuxtree.execute(self, module, result)
+            result, lambda: OptMuxtree.execute(self, module, result)
         )
 
     def execute_incremental(
         self, module: Module, result: PassResult, dirty: Optional[DirtySet]
     ) -> None:
         self._with_oracle(
-            module,
             result,
             lambda: OptMuxtree.execute_incremental(self, module, result, dirty),
         )
 
-    def _with_oracle(self, module: Module, result: PassResult, body) -> None:
+    def _with_oracle(self, result: PassResult, body) -> None:
         self._sat_time = 0.0
-        self._generation_open = False
         if not self.use_result_cache:
             self._result_cache = None
         elif self._result_cache is None:
             self._result_cache = ResultCache()
-        if not self.use_oracle:
-            self._oracle = None
-        elif self._oracle is None or self._oracle.module is not module:
-            cache = self._result_cache
-            self._oracle = SatOracle(
-                module,
-                # one canonicalization per sub-graph state serves the
-                # resolve keys and the verdict keys alike
-                struct_memo=cache.struct_memo if cache is not None else None,
-            )
         owners = {"rcache_": self._result_cache, "oracle_": self._oracle}
         before = {
             prefix: owner.counters.copy()
@@ -298,11 +275,12 @@ class SatRedundancy(OptMuxtree):
         """The inference → simulation → SAT ladder over one control
         sub-graph, posed under non-empty path facts.
 
-        Returns ``(value, storable)``; ``storable`` is False only for
-        budget-exhausted SAT outcomes, which depend on the CNF variable
-        order the solver saw and therefore must not be replayed for
-        isomorphic sub-graphs.  Counters go through ``note`` so the
-        structural resolve memo can record them for replay.
+        Returns ``(value, storable)``; ``storable`` is False only for a
+        SAT budget-out, which depends on the CNF variable order the
+        solver saw and therefore must not be replayed for isomorphic
+        sub-graphs (a free control, satisfiable both ways, is a fact of
+        the structure and is stored).  Counters go through ``note`` so
+        the structural resolve memo can record them for replay.
         """
         # 1. inference rules (Table I)
         inference = infer(subgraph, self.index, subgraph.known)
@@ -328,10 +306,16 @@ class SatRedundancy(OptMuxtree):
         # 3. SAT for medium input counts
         if subgraph.num_inputs <= self.sat_threshold:
             note("sat_queries")
-            decided = self._sat_decide(subgraph, note)
-            if decided is not None:
+            start = time.perf_counter()
+            decision = self._oracle.decide(
+                subgraph, self.sigmap, max_conflicts=self.max_conflicts
+            )
+            self._sat_time += time.perf_counter() - start
+            if decision.dead:
+                note("dead_paths")  # both polarities impossible
+            if decision.value is not None:
                 note("ctrl_sat_decided")
-            return decided, decided is not None
+            return decision.value, not decision.budget_out
 
         note("skipped_large")
         return None, True
@@ -389,57 +373,3 @@ class SatRedundancy(OptMuxtree):
         if (~target_mask & mask) & selector == 0:
             return True
         return None
-
-    # -- SAT decision --------------------------------------------------------------------------
-
-    def _sat_decide(
-        self, subgraph: SubGraph, note: Callable[..., None]
-    ) -> Optional[bool]:
-        start = time.perf_counter()
-        try:
-            if self._oracle is None:
-                return self._sat_decide_fresh(subgraph, note)
-            if not self._generation_open:
-                # the sigmap snapshot only exists once the base-class
-                # execute() has run, so the generation opens lazily
-                self._oracle.begin_pass(self.sigmap)
-                self._generation_open = True
-            decision = self._oracle.decide(
-                subgraph, max_conflicts=self.max_conflicts
-            )
-            if decision.dead:
-                note("dead_paths")
-            return decision.value
-        finally:
-            self._sat_time += time.perf_counter() - start
-
-    def _sat_decide_fresh(
-        self, subgraph: SubGraph, note: Callable[..., None]
-    ) -> Optional[bool]:
-        """Reference implementation: fresh solver + re-encoding per query.
-
-        Kept as the ground truth the oracle path is differentially tested
-        against (``tests/sat/test_oracle.py``) and benchmarked against
-        (``benchmarks/bench_oracle.py``).
-        """
-        solver = Solver()
-        encoder = CircuitEncoder(solver, self.sigmap)
-        for cell in subgraph.cells:
-            encoder.encode_cell(cell)
-        assumptions = [
-            encoder.lit(bit) if val else -encoder.lit(bit)
-            for bit, val in subgraph.known.items()
-        ]
-        target_lit = encoder.lit(subgraph.target)
-
-        can_be_true = solver.solve(
-            assumptions + [target_lit], max_conflicts=self.max_conflicts
-        )
-        can_be_false = solver.solve(
-            assumptions + [-target_lit], max_conflicts=self.max_conflicts
-        )
-        if can_be_true is False:
-            if can_be_false is False:
-                note("dead_paths")  # both polarities impossible
-            return False
-        return True if can_be_false is False else None

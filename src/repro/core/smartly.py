@@ -47,9 +47,6 @@ class SmartlyOptions:
     max_conflicts: int = 2000
     #: raw neighbourhood cap before Theorem II.1 reduction
     max_gates: int = 500
-    #: answer SAT queries through the persistent incremental oracle
-    #: (False = historic fresh-solver-per-query reference path)
-    use_oracle: bool = True
     #: memoize control-query resolutions (the whole inference →
     #: simulation → SAT ladder) in a persistent
     #: :class:`~repro.core.cache.ResultCache` keyed by canonical
@@ -102,7 +99,6 @@ class Smartly(Pass):
                     sat_threshold=opts.sat_threshold,
                     max_conflicts=opts.max_conflicts,
                     max_gates=opts.max_gates,
-                    use_oracle=opts.use_oracle,
                     use_result_cache=opts.use_result_cache,
                 )
             )

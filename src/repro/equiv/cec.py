@@ -33,8 +33,8 @@ miter share the verdict, while independently built twins at worst miss
 conservatively.  Only hard SAT verdicts are stored (never ``budget``,
 ``sim`` or ``fold`` outcomes), so a hit replays a proof, not a guess; a
 cached non-equivalence carries no counterexample (``method="cached"``).
-Unlike the oracle's in-process verdict memo, these entries survive
-``export()``/``merge()`` warm-starts across processes.
+These entries survive ``export()``/``merge()`` warm-starts across
+processes.
 
 Sweeping changes neither the cache key nor the verdicts: the key is
 still the digest of the miter itself, built before any sweep, and a

@@ -21,8 +21,8 @@ Event kinds (``FlowEvent.kind``) and their payload keys:
 ``pass_finished``         pipeline, pass, round, module, changed, stats,
                           runtime_s — ``stats`` carries the pass's counters,
                           including the SAT stage's query/budget numbers and
-                          the incremental oracle's ``oracle_*`` counters
-                          (queries, cache_hits, conflicts, ...: the growth of
+                          its ``oracle_*`` counters (queries, solver_calls,
+                          conflicts, learned_clauses: the growth of
                           :attr:`repro.sat.oracle.SatOracle.counters` over
                           the pass) plus its ``sat_wallclock_us`` timing
 ``round_finished``        pipeline, round, module, changed, touched_cells

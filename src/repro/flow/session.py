@@ -156,9 +156,9 @@ class RunReport:
     rounds: int = 0
     runtime_s: float = 0.0
     equivalence_checked: bool = False
-    #: aggregated SAT-oracle counters (queries, cache_hits, conflicts, ...)
-    #: from every ``oracle_*`` pass stat; empty when no oracle-backed pass
-    #: ran (see :attr:`repro.sat.oracle.SatOracle.counters`)
+    #: aggregated SAT-oracle counters (queries, solver_calls, conflicts,
+    #: learned_clauses) from every ``oracle_*`` pass stat; empty when no
+    #: pass posed a SAT query (see :attr:`repro.sat.oracle.SatOracle.counters`)
     oracle_stats: Dict[str, int] = field(default_factory=dict)
     #: which pass engine ran the flow: ``"incremental"`` (dirty-set
     #: worklists over the shared live NetIndex) or ``"eager"`` (historic
@@ -307,9 +307,9 @@ class HierarchyReport:
 @dataclass
 class _FlowState:
     """Per-(module, flow) design-incremental state: the pass objects whose
-    internal caches (oracle contexts, merge tables, result-cache handles)
-    match the module, the design revision at which the flow last converged,
-    and the report it produced."""
+    internal caches (merge tables, result-cache handles) match the
+    module, the design revision at which the flow last converged, and the
+    report it produced."""
 
     passes: List[Pass]
     revision: int

@@ -1,9 +1,7 @@
 """Canonical structural signatures: name-independent sub-graph hashing.
 
-The content-signature caches (:class:`~repro.core.cache.ResultCache`, the
-:class:`~repro.sat.oracle.SatOracle` verdict memo) key sub-graphs by the
-ordered ``(cell name, version)`` tuple of their cells plus canonical
-boundary bits.  Those keys are *identity* keys: they can never collide
+An *identity* key — the ordered ``(cell name, version)`` tuple of a
+sub-graph's cells plus its canonical boundary bits — can never collide
 across modules, clones or runs — which also means structurally identical
 sub-graphs from a renamed module, a cloned suite job, or an independently
 built isomorphic region can never share a cache entry, and worker
@@ -512,8 +510,8 @@ class StructKeyMemo:
     without touching a cell (``module.connect`` folding a boundary bit to
     a constant, merging two inputs, …) changes the input list or a fact
     bit and misses.  Fact *values* deliberately stay out: the labeling is
-    facts-independent, so the polarity variants the traversal and the
-    oracle's two-polarity protocol generate pay only a sorted fold.
+    facts-independent, so the fact-value variants the traversal
+    generates pay only a sorted fold.
 
     Cached entries are pure — the core digest plus the canonicalization's
     ``bit → operand encoding`` table (the constants and the labeled

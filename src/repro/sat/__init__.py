@@ -1,6 +1,6 @@
 """MiniSAT-style CDCL SAT solving, a CNF container, Tseitin encoding through
-the cell-semantics registry, and the incremental
-:class:`~repro.sat.oracle.SatOracle`."""
+the cell-semantics registry, and the :class:`~repro.sat.oracle.SatOracle`
+kernel the redundancy pass and the equivalence checker query."""
 
 from .cnf import CNF
 from .oracle import Decision, SatOracle

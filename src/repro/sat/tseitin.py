@@ -76,9 +76,8 @@ class CircuitEncoder(celllib.LoweringEmitter):
 
     def set_output(self, cell: Cell, port: str, lits: List[int]) -> None:
         """Bind each output bit to its computed literal.  A bit that
-        already has one — a constant, or a bit an incremental oracle
-        context met as a free input before its driver — is constrained
-        equal to it instead."""
+        already has one — a constant, or a bit met as a free input before
+        its driver — is constrained equal to it instead."""
         for bit, lit in zip(cell.connections[port], lits):
             cbit = self.sigmap.get(bit, bit)
             bound = self._lits.get(cbit)

@@ -1,9 +1,9 @@
 """The content-signature result cache: transparency and reuse.
 
 The cache memoizes whole control-query resolutions (``resolve``) keyed by
-sub-graph content signatures (the SAT oracle's verdict-cache scheme).  It
-must be a pure acceleration: every flow produces byte-identical netlists,
-areas and pass stats (its own ``rcache_*`` counters aside) with the cache
+sub-graph content signatures.  It must be a pure acceleration: every flow
+produces byte-identical netlists, areas and pass stats (its own
+``rcache_*`` counters and the SAT solves it saves aside) with the cache
 on or off, while fixpoint rounds re-asking the same undecided queries hit
 instead of recomputing.
 """
@@ -18,6 +18,7 @@ from repro.equiv import CI_CORPUS
 from repro.equiv.differential import random_module
 from repro.ir import Circuit
 from repro.ir.verilog_writer import verilog_str
+from repro.sat.solver import Solver
 from repro.workloads import CASE_NAMES, build_case
 
 
@@ -366,19 +367,20 @@ class TestTransparency:
 
 #: engine and smartly options of each cache-invariance lane; the sim0
 #: lanes send every control query that inference leaves open to SAT
-#: (the default thresholds never reach it on these designs), through the
-#: oracle and through the fresh-solver reference path
+#: (the default thresholds never reach it on these designs), and a
+#: one-conflict budget sends budget-outs through the cache too
 LANES = {
     "incremental": ("incremental", {}),
     "eager": ("eager", {}),
     "sim0": ("incremental", {"sim_threshold": 0}),
-    "sim0-fresh": ("incremental", {"sim_threshold": 0, "use_oracle": False}),
+    "sim0-mc1": ("incremental", {"sim_threshold": 0, "max_conflicts": 1}),
 }
 
 
 def _run_outcome(module, flow, lane, cache):
     """The optimized netlist and the pass stats of one run, without the
-    cache's own counters and the wall-clock readings."""
+    cache's own counters, the SAT oracle's and the wall-clock readings;
+    and, apart, the oracle's solver calls, which a hit saves."""
     engine, options = LANES[lane]
     report = Session(
         module,
@@ -387,24 +389,33 @@ def _run_outcome(module, flow, lane, cache):
     ).run(flow)
     stats = {
         key: value for key, value in report.pass_stats.items()
-        if not key.rsplit(".", 1)[-1].startswith("rcache_")
+        if not key.rsplit(".", 1)[-1].startswith(("rcache_", "oracle_"))
         and "wallclock" not in key
     }
-    return verilog_str(module), stats
+    return verilog_str(module), stats, report.oracle_stats.get(
+        "solver_calls", 0
+    )
+
+
+def _assert_invariant(on, off, label):
+    assert on[:2] == off[:2], label
+    # a hit replays a stored outcome instead of solving it again
+    assert on[2] <= off[2], label
 
 
 @pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
 class TestCacheInvariance:
-    """Every netlist and every counter but the cache's own reads the
-    same with the cache on and off: a ``resolve`` hit replays only what
-    its key covers (the raw ball size of a query is its own)."""
+    """Every netlist and every counter but the cache's own and the
+    solver's reads the same with the cache on and off: a ``resolve`` hit
+    replays only what its key covers (the raw ball size of a query is its
+    own), and it never solves more."""
 
     @pytest.mark.parametrize("case", CASE_NAMES)
     def test_table2_case(self, case, flow, lane):
         on = _run_outcome(build_case(case), flow, lane, cache=True)
         off = _run_outcome(build_case(case), flow, lane, cache=False)
-        assert on == off
+        _assert_invariant(on, off, case)
 
     def test_fuzz_corpus(self, flow, lane):
         for seed in CI_CORPUS[:16]:
@@ -414,7 +425,7 @@ class TestCacheInvariance:
             off = _run_outcome(
                 random_module(seed, width=8, n_units=4), flow, lane, False
             )
-            assert on == off, seed
+            _assert_invariant(on, off, seed)
 
 
 class TestLadderEntries:
@@ -446,6 +457,46 @@ class TestLadderEntries:
         assert all(name.startswith("rcache_resolve_") for name in rcache), (
             rcache
         )
+
+
+class TestSatOutcomes:
+    """A free SAT outcome (satisfiable both ways) is a fact of the
+    sub-graph's structure and is stored; a budget-out is not."""
+
+    @staticmethod
+    def _riscv_sim0():
+        session = Session(
+            build_case("riscv"), options=SmartlyOptions(sim_threshold=0)
+        )
+        report = session.run("smartly")
+        stats = {
+            key.rsplit(".", 1)[-1]: value
+            for key, value in report.pass_stats.items()
+        }
+        sat_entries = [
+            value for (kind, *_), (value, notes) in
+            session.export_cache().items()
+            if kind == "resolve" and ("sat_queries", 1) in notes
+        ]
+        return stats, sat_entries
+
+    def test_free_outcome_replays(self):
+        stats, sat_entries = self._riscv_sim0()
+        assert stats["sat_queries"] == 8
+        # three of the eight queries replay a stored free outcome: ten
+        # solves, where asking every one again took sixteen
+        assert stats["rcache_resolve_hits"] == 3
+        assert stats["oracle_solver_calls"] == 10
+        assert None in sat_entries
+
+    def test_budget_out_stores_no_entry(self, monkeypatch):
+        monkeypatch.setattr(
+            Solver, "solve", lambda self, assumptions, max_conflicts=None: None
+        )
+        stats, sat_entries = self._riscv_sim0()
+        # every query is solved: no budget-out is stored to replay
+        assert stats["oracle_solver_calls"] == 2 * stats["sat_queries"] > 0
+        assert sat_entries == []
 
 
 class TestStructuralSharing:

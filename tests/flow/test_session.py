@@ -256,23 +256,30 @@ class TestOracleStatsInReports:
             )
             assert value == raw
 
-    def test_fresh_solver_reference_reports_no_oracle_stats(self):
-        c = Circuit("chain2")
-        sel = c.input("sel", 2)
-        d = [c.input(f"d{i}", 4) for i in range(3)]
-        c.output("y", c.case_(sel, [(0, d[0]), (1, d[1]), (2, d[0])], d[2]))
-        session = Session(
-            c.module,
-            options=SmartlyOptions(sim_threshold=0, rebuild=False,
-                                   use_oracle=False),
-        )
-        report = session.run("smartly-sat")
-        assert report.pass_stats.get("smartly.smartly_sat.sat_queries", 0) > 0
-        assert report.oracle_stats == {}
-        # the SAT time of either path is accounted
-        assert report.pass_stats.get(
+    def test_only_sat_runs_report_sat_stats(self):
+        def run(options):
+            c = Circuit("chain2")
+            sel = c.input("sel", 2)
+            d = [c.input(f"d{i}", 4) for i in range(3)]
+            c.output("y", c.case_(sel, [(0, d[0]), (1, d[1]), (2, d[0])],
+                                  d[2]))
+            return Session(c.module, options=options).run("smartly-sat")
+
+        # simulation decides every query of this chain at the default
+        # threshold: no solver runs, so no oracle stats and no SAT time
+        simmed = run(SmartlyOptions(rebuild=False))
+        assert simmed.pass_stats.get("smartly.smartly_sat.sim_queries", 0) > 0
+        assert "smartly.smartly_sat.sat_queries" not in simmed.pass_stats
+        assert simmed.oracle_stats == {}
+        assert "smartly.smartly_sat.sat_wallclock_us" not in simmed.pass_stats
+        # sim_threshold=0 sends the same queries to a fresh solver each
+        solved = run(SmartlyOptions(sim_threshold=0, rebuild=False))
+        assert solved.pass_stats.get("smartly.smartly_sat.sat_queries", 0) > 0
+        assert solved.oracle_stats["solver_calls"] > 0
+        assert solved.pass_stats.get(
             "smartly.smartly_sat.sat_wallclock_us", 0
         ) > 0
+        assert solved.optimized_area == simmed.optimized_area
 
 
 class TestOneIndexPerJob:

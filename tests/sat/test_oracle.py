@@ -1,54 +1,47 @@
-"""The incremental SAT oracle: exactness vs the fresh-solver reference.
+"""The SAT kernel: ``decide`` against exhaustive simulation, and counters.
 
-The soundness guarantee behind clause reuse is that oracle verdicts are
-*identical* to a fresh ``Solver``-per-query reference as long as the
-netlist does not mutate between queries (and that mutation invalidates the
-affected contexts).  These tests check that guarantee on randomized
-sub-graph queries, plus the query APIs, the verdict cache, and the
-counters that feed ``RunReport``.
+:meth:`SatOracle.decide` encodes a sub-graph through Tseitin lowering into
+a fresh solver.  The redundancy ladder's simulation rung evaluates the
+same sub-graph over every input vector through the cell mask evaluators
+(``eval_cell_masks``), an encoder independent of Tseitin, so on
+sub-graphs small enough to enumerate the two must agree on every value
+and on every dead path.
 """
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import pytest
 
-from repro.core.subgraph import extract_subgraph
+from repro.core.redundancy import SatRedundancy
+from repro.core.subgraph import SubGraph, extract_subgraph
 from repro.ir import Circuit
 from repro.ir.signals import SigBit
 from repro.ir.walker import NetIndex
-from repro.sat.oracle import Decision, SatOracle, signature_of
+from repro.sat.oracle import Decision, SatOracle
 from repro.sat.solver import Solver
-from repro.sat.tseitin import CircuitEncoder
 from tests.conftest import random_circuit
 
+#: the largest sub-graph the cross-check enumerates (2^12 vectors)
+MAX_SIM_INPUTS = 12
 
-def reference_decide(sigmap, subgraph, max_conflicts=None) -> Decision:
-    """Fresh solver + full re-encode per query: the ground-truth protocol
-    (mirrors ``SatRedundancy._sat_decide_fresh``)."""
-    solver = Solver()
-    encoder = CircuitEncoder(solver, sigmap)
-    for cell in subgraph.cells:
-        encoder.encode_cell(cell)
-    assumptions = [
-        encoder.lit(bit) if value else -encoder.lit(bit)
-        for bit, value in subgraph.known.items()
-    ]
-    target = encoder.lit(subgraph.target)
-    can_be_true = solver.solve(assumptions + [target], max_conflicts=max_conflicts)
-    if can_be_true is False:
-        can_be_false = solver.solve(
-            assumptions + [-target], max_conflicts=max_conflicts
-        )
-        return Decision(False, dead=can_be_false is False)
-    can_be_false = solver.solve(assumptions + [-target], max_conflicts=max_conflicts)
-    if can_be_false is False:
-        return Decision(True)
-    return Decision(None)
+
+def simulate_decide(sigmap, subgraph) -> Decision:
+    """The verdict of the ladder's simulation rung on the same sub-graph:
+    the target is forced when every vector that satisfies the facts
+    gives it one value, and the path is dead when no vector does."""
+    rung = SatRedundancy()
+    rung.sigmap = sigmap
+    outcome = rung._simulate(subgraph)
+    if outcome == "dead":
+        return Decision(False, dead=True)
+    return Decision(outcome)
 
 
 def random_queries(module, rng, count):
-    """Yield (sigmap, subgraph) for random targets under random facts."""
+    """Yield (sigmap, subgraph) for random targets under random facts on
+    source bits and on driven bits (which can force a value or make the
+    path dead)."""
     index = NetIndex(module)
     sigmap = index.sigmap
     internal = sorted(
@@ -72,46 +65,33 @@ def random_queries(module, rng, count):
     )
     for _ in range(count):
         target = rng.choice(internal)
+        picked = rng.sample(
+            sources, k=min(len(sources), rng.randint(0, 4))
+        ) + rng.sample(internal, k=rng.randint(0, 2))
         facts: Dict[SigBit, bool] = {
-            bit: rng.random() < 0.5
-            for bit in rng.sample(sources, k=min(len(sources), rng.randint(0, 4)))
+            bit: rng.random() < 0.5 for bit in picked
         }
         subgraph = extract_subgraph(index, target, facts, k=rng.randint(2, 4))
         yield sigmap, subgraph
 
 
 @pytest.mark.parametrize("seed", [3, 17, 91, 404])
-def test_oracle_agrees_with_fresh_solver_reference(seed):
-    """The clause-reuse soundness cross-check on a static netlist."""
+def test_decide_agrees_with_exhaustive_simulation(seed):
     rng = random.Random(seed)
     module = random_circuit(seed, n_ops=14, mux_bias=0.5)
-    oracle = SatOracle(module)
-    index_sigmap = None
-    for sigmap, subgraph in random_queries(module, rng, 40):
-        if index_sigmap is not sigmap:
-            oracle.begin_pass(sigmap)
-            index_sigmap = sigmap
-        expected = reference_decide(sigmap, subgraph)
-        got = oracle.decide(subgraph)
+    oracle = SatOracle()
+    checked = 0
+    for sigmap, subgraph in random_queries(module, rng, 80):
+        if subgraph.num_inputs > MAX_SIM_INPUTS:
+            continue
+        expected = simulate_decide(sigmap, subgraph)
+        got = oracle.decide(subgraph, sigmap)
         assert got == expected, (
-            f"seed {seed}: oracle {got} vs fresh {expected} for target "
+            f"seed {seed}: decide {got} vs simulation {expected} for target "
             f"{subgraph.target} under {subgraph.known}"
         )
-
-
-def test_repeat_queries_hit_the_verdict_cache_with_same_answers(circuits):
-    rng = random.Random(7)
-    module = circuits.random_circuit(7, n_ops=12, mux_bias=0.5)
-    oracle = SatOracle(module)
-    queries = list(random_queries(module, rng, 15))
-    oracle.begin_pass(queries[0][0])
-    first = [oracle.decide(subgraph) for _, subgraph in queries]
-    solver_calls = oracle.counters["solver_calls"]
-    second = [oracle.decide(subgraph) for _, subgraph in queries]
-    assert first == second
-    # the replay answered entirely from the verdict cache
-    assert oracle.counters["solver_calls"] == solver_calls
-    assert oracle.counters["cache_hits"] > 0
+        checked += 1
+    assert checked >= 20, checked
 
 
 def _and_module():
@@ -122,80 +102,84 @@ def _and_module():
     return c.module, a[0], b[0], y[0]
 
 
-def _query_env(module):
-    index = NetIndex(module)
-    return index, index.sigmap
-
-
-def test_can_be_and_implies_on_an_and_gate():
-    module, a, b, y = _and_module()
-    index, sigmap = _query_env(module)
+def _query(module, target, known):
+    """A sub-graph of all of ``module``'s cells, as ``decide`` reads one."""
+    sigmap = NetIndex(module).sigmap
     cells = list(module.cells.values())
-    oracle = SatOracle(module)
-    oracle.begin_pass(sigmap)
-    y = sigmap.map_bit(y)
-    assert oracle.can_be(cells, y, True, {}) is True
-    assert oracle.can_be(cells, y, False, {}) is True
-    # facts force y: the opposite polarity is unsatisfiable
-    assert oracle.can_be(cells, y, False, {a: True, b: True}) is False
-    assert oracle.can_be(cells, y, True, {a: False}) is False
+    subgraph = SubGraph(
+        target=sigmap.map_bit(target), cells=cells, inputs=[], known=known
+    )
+    return subgraph, sigmap
+
+
+def test_decide_on_an_and_gate():
+    module, a, b, y = _and_module()
+    oracle = SatOracle()
+
+    def decide(known):
+        return oracle.decide(*_query(module, y, known))
+
+    # no facts: y is free, satisfiable both ways
+    assert decide({}) == Decision(None)
+    # facts force y
+    assert decide({a: True, b: True}) == Decision(True)
+    assert decide({a: False}) == Decision(False)
     # a alone does not force y to 1
-    assert oracle.can_be(cells, y, False, {a: True}) is True
+    assert decide({a: True}) == Decision(None)
     # contradiction: both polarities impossible under inconsistent facts
-    assert oracle.can_be(cells, y, True, {a: True, b: True, y: False}) is False
+    y = NetIndex(module).sigmap.map_bit(y)
+    assert decide({a: True, b: True, y: False}) == Decision(False, dead=True)
 
 
-def test_mutation_invalidates_the_context():
-    """A cell rewired mid-generation must not be answered stale."""
+def test_decide_sees_a_rewired_cell():
+    """A cell rewired between queries is encoded as it is now."""
     c = Circuit("mut")
     a, b, d = c.input("a"), c.input("b"), c.input("d")
     y = c.and_(a, b)
     c.output("y", y)
     module = c.module
-    index, sigmap = _query_env(module)
-    cells = list(module.cells.values())
-    oracle = SatOracle(module)
-    oracle.begin_pass(sigmap)
-    y = sigmap.map_bit(y[0])
-    assert oracle.can_be(cells, y, False, {a[0]: True, b[0]: True}) is False
+    oracle = SatOracle()
+    subgraph, sigmap = _query(module, y[0], {a[0]: True, b[0]: True})
+    assert oracle.decide(subgraph, sigmap) == Decision(True)
     # rewire the AND's B input to d: the old fact set no longer forces y
     and_cell = next(iter(module.cells.values()))
     and_cell.set_port("B", d)
-    assert oracle.can_be(cells, y, False, {a[0]: True, b[0]: True}) is True
-    assert oracle.can_be(cells, y, False, {a[0]: True, d[0]: True}) is False
+    assert oracle.decide(subgraph, sigmap) == Decision(None)
+    subgraph.known = {a[0]: True, d[0]: True}
+    assert oracle.decide(subgraph, sigmap) == Decision(True)
 
 
-def test_signature_tracks_cell_versions():
-    c = Circuit("sig")
-    a, b = c.input("a"), c.input("b")
-    c.output("y", c.and_(a, b))
-    module = c.module
-    cells = list(module.cells.values())
-    before = signature_of(cells)
-    cells[0].set_port("A", b)
-    after = signature_of(cells)
-    assert before != after
-    assert [name for name, _ in before] == [name for name, _ in after]
-
-
-def test_counters_cover_contexts_and_cache():
+def test_budget_out_is_marked_apart_from_free(monkeypatch):
     module, a, b, y = _and_module()
-    index, sigmap = _query_env(module)
-    cells = list(module.cells.values())
-    oracle = SatOracle(module)
-    oracle.begin_pass(sigmap)
-    y = sigmap.map_bit(y)
-    base = oracle.counters.copy()
-    oracle.can_be(cells, y, True, {})
-    oracle.can_be(cells, y, True, {})  # identical: cache hit
-    oracle.can_be(cells, y, False, {})  # same context, new polarity
-    delta = oracle.counters - base
-    assert delta["queries"] == 3
-    assert delta["cache_hits"] == 1
-    assert delta["solver_calls"] == 2
-    assert delta["contexts_built"] == 1
-    assert delta["contexts_reused"] == 1
-    assert delta["cells_encoded"] == len(cells)
+    oracle = SatOracle()
+    free = _query(module, y, {})
+    forced = _query(module, y, {a: False})
+    assert oracle.decide(*free) == Decision(None)
+    # a solve that runs out of conflicts leaves the value open as a
+    # budget-out; one UNSAT answer still decides it
+    outcomes = iter([None, None, False, None])
+    monkeypatch.setattr(
+        Solver, "solve", lambda self, assumptions, max_conflicts=None:
+        next(outcomes)
+    )
+    assert oracle.decide(*free) == Decision(None, budget_out=True)
+    assert oracle.decide(*forced) == Decision(False)
+
+
+def test_counters_count_every_solve():
+    """Two solves per query and no memo: a repeat is solved again."""
+    module = random_circuit(3, n_ops=14, mux_bias=0.5)
+    queries = list(random_queries(module, random.Random(3), 20))
+    oracle = SatOracle()
+    for sigmap, subgraph in queries + queries:
+        oracle.decide(subgraph, sigmap)
+    counters = oracle.counters
+    assert set(counters) == {
+        "queries", "solver_calls", "conflicts", "learned_clauses"
+    }, counters
+    assert counters["queries"] == counters["solver_calls"] == 4 * len(queries)
+    assert counters["conflicts"] > 0
+    assert counters["learned_clauses"] > 0
 
 
 def test_solve_miter_budget_and_model():

@@ -189,8 +189,8 @@ def test_assumptions_equal_unit_clauses(data):
 
 
 class TestIncrementalClauseAddition:
-    """Clause addition between solve() calls — what the oracle's monotone
-    contexts rely on (encode more cells after earlier queries answered)."""
+    """Clause addition between solve() calls — what the CEC sweep's
+    solver relies on (encode more cones after earlier queries answered)."""
 
     def test_add_clause_after_sat_solve(self):
         s = Solver()
