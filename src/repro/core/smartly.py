@@ -58,7 +58,8 @@ class SmartlyOptions:
     max_sel_width: int = 12
     #: minimum estimated AIG gain before a tree is rebuilt
     min_gain: int = 1
-    #: maximum optimisation rounds (restructure + SAT interleave)
+    #: fixpoint rounds of a smartly preset (restructure + SAT interleave);
+    #: not an option of the smartly pass itself
     max_rounds: int = 4
 
 
@@ -110,9 +111,14 @@ class Smartly(Pass):
 
     @classmethod
     def option_defaults(cls) -> Dict[str, Any]:
-        """The :class:`SmartlyOptions` fields and their defaults: a flow
-        script gives them as overrides."""
-        return {f.name: f.default for f in fields(SmartlyOptions)}
+        """The :class:`SmartlyOptions` fields and their defaults that a
+        flow script gives as overrides: all but ``max_rounds``, which caps
+        a preset's fixpoint loop rather than one pass."""
+        return {
+            f.name: f.default
+            for f in fields(SmartlyOptions)
+            if f.name != "max_rounds"
+        }
 
     def attach_result_cache(self, cache: ResultCache) -> None:
         """Share an externally owned result cache (Session injection point)

@@ -7,7 +7,6 @@ from .differential import (
     DifferentialReport,
     DifferentialResult,
     random_module,
-    roundtrip_result,
     run_differential,
 )
 from .miter import PortMismatchError, build_miter
@@ -22,6 +21,5 @@ __all__ = [
     "build_miter",
     "check_equivalence",
     "random_module",
-    "roundtrip_result",
     "run_differential",
 ]

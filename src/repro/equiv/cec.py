@@ -1,12 +1,13 @@
 """SAT-based combinational equivalence checking.
 
 ``check_equivalence(gold, gate)`` mirrors the paper's "all results passed
-equivalence checking": a fast random-simulation filter finds most
-non-equivalences; the SAT step on the miter then proves equivalence or
-produces a concrete counterexample assignment.  ``gold`` and ``gate`` are
-two modules or two AIGs made by :func:`~repro.aig.aigmap.aig_map`; either
-way :func:`~repro.equiv.miter.build_miter` joins the two sides' AIGs, so
-a pair checks the same in both forms (verdict, method, counterexample and
+equivalence checking": a SAT sweep of the miter proves equivalence or
+produces a concrete counterexample assignment, and the sweep's seeded
+simulation finds most non-equivalences before any solver call.  ``gold``
+and ``gate`` are two modules or two AIGs made by
+:func:`~repro.aig.aigmap.aig_map`; either way
+:func:`~repro.equiv.miter.build_miter` joins the two sides' AIGs, so a
+pair checks the same in both forms (verdict, method, counterexample and
 conflicts).  A checked :meth:`Session.run
 <repro.flow.session.Session.run>` passes the AIGs it maps anyway: the
 pre-flow one and the optimized one it reads its stats from.
@@ -17,11 +18,12 @@ asking one monolithic question: gold and gate share most of their
 structure, so proving and merging their equivalent internal nodes
 bottom-up usually folds the miter to constant 0 after many small SAT
 queries.  Every merge rests on two UNSAT answers, so a proof is exact;
-a miter the sweep cannot fold gets one final query.  Pass an oracle in
-(``oracle=...``) to accumulate query/conflict counters across many
-checks, e.g. a fuzzing session or ``Session.run_suite(check=True)``:
-each miter counts one oracle query, every ``solve()`` of the sweep one
-solver call.
+a miter the sweep cannot fold gets one final query, and one that fires
+on a seeded simulation pattern is refuted before the first query
+(``method="sim"``).  Pass an oracle in (``oracle=...``) to accumulate
+query/conflict counters across many checks, e.g. a fuzzing session or
+``Session.run_suite(check=True)``: each miter counts one oracle query,
+every ``solve()`` of the sweep one solver call.
 
 Decided SAT verdicts can additionally persist in an exportable
 :class:`~repro.core.cache.ResultCache` (``cache=...``): the entry is keyed
@@ -55,7 +57,6 @@ cache.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
@@ -73,11 +74,11 @@ class EquivResult:
     """Outcome of an equivalence check."""
 
     equivalent: bool
-    #: "sim" when random simulation found the mismatch, "fold" when the
-    #: miter folded to a constant, "budget" when the conflict budget ran
-    #: out before a verdict, "cached" when a ResultCache replayed a prior
-    #: SAT verdict (no counterexample on cached refutations), "sat"
-    #: otherwise
+    #: "sim" when one of the SAT sweep's seeded simulation patterns fired
+    #: the miter before any solver call, "fold" when the miter folded to
+    #: a constant, "budget" when the conflict budget ran out before a
+    #: verdict, "cached" when a ResultCache replayed a prior SAT verdict
+    #: (no counterexample on cached refutations), "sat" otherwise
     method: str = "sat"
     #: input-bit-name -> value for the distinguishing assignment (if any)
     counterexample: Dict[str, int] = field(default_factory=dict)
@@ -93,8 +94,6 @@ class EquivResult:
 def check_equivalence(
     gold: Union[Module, AIG],
     gate: Union[Module, AIG],
-    random_vectors: int = 256,
-    seed: int = 0,
     max_conflicts: Optional[int] = None,
     oracle: Optional[SatOracle] = None,
     cache: Optional["ResultCache"] = None,
@@ -117,30 +116,6 @@ def check_equivalence(
         if hit:
             return EquivResult(bool(verdict), method="cached")
 
-    # 1. random-simulation filter
-    if random_vectors > 0 and aig.num_inputs > 0:
-        rng = random.Random(seed)
-        masks = [rng.getrandbits(random_vectors) for _ in range(aig.num_inputs)]
-        values = aig.eval_masks(masks, nvec=random_vectors)
-
-        def lit_val(lit: int) -> int:
-            mask = (1 << random_vectors) - 1
-            if lit >> 1 == 0:
-                value = 0
-            else:
-                value = values[lit >> 1]
-            return (~value & mask) if lit & 1 else value
-
-        diff = lit_val(miter_lit)
-        if diff:
-            vector = (diff & -diff).bit_length() - 1  # lowest set bit
-            cex = {
-                name: (masks[i] >> vector) & 1
-                for i, name in enumerate(aig.input_names)
-            }
-            return EquivResult(False, method="sim", counterexample=cex)
-
-    # 2. SAT proof on the miter
     if miter_lit == 0:
         # miter folded to constant 0 during construction
         return EquivResult(True, method="fold")
@@ -150,9 +125,9 @@ def check_equivalence(
         return EquivResult(False, method="fold", counterexample=cex)
     if oracle is None:
         oracle = SatOracle()
-    conflicts_before = oracle.counters["conflicts"]
+    before = oracle.counters.copy()
     verdict, model = oracle.solve_miter(aig, miter_lit, max_conflicts)
-    conflicts = oracle.counters["conflicts"] - conflicts_before
+    conflicts = oracle.counters["conflicts"] - before["conflicts"]
     if verdict is None:
         return EquivResult(
             False, method="budget", sat_conflicts=conflicts, undecided=True
@@ -165,6 +140,9 @@ def check_equivalence(
         name: int(model.get(i + 1, False))
         for i, name in enumerate(aig.input_names)
     }
+    if oracle.counters["solver_calls"] == before["solver_calls"]:
+        # a seeded simulation pattern fired the miter: nothing to replay
+        return EquivResult(False, method="sim", counterexample=cex)
     if cec_key is not None:
         cache.store(cec_key, False)
     return EquivResult(

@@ -22,9 +22,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
-from ..flow.spec import PRESET_NAMES, FlowSpec
+from ..flow.spec import PRESET_NAMES, FlowSpec, resolve_flow
 from ..ir.builder import Circuit
 from ..ir.module import Module
 from ..sat.oracle import SatOracle
@@ -39,6 +49,9 @@ from ..workloads.generators import (
     unit_priority_if_chain,
     unit_shared_ctrl_tree,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the harness imports its lanes late
+    from ..testing.oracles import Oracle
 
 
 def _unit_menu(rng: random.Random) -> List[Callable[[Circuit, InputPool], Any]]:
@@ -149,89 +162,20 @@ class DifferentialReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def roundtrip_result(seed: int, golden: Module) -> DifferentialResult:
-    """The Yosys-JSON round-trip lane: ``read(write(m))`` must be
-    ``module_signature``-identical to ``m`` (exact structure, not just
-    SAT equivalence — the exporter/reader pair may not rewrite anything).
-    :class:`~repro.testing.oracles.RoundtripOracle` decides it; its
-    failure label (``roundtrip:signature`` or ``roundtrip:error:...``)
-    becomes the result's ``method`` rather than aborting the whole
-    harness run.
-    """
-    from ..testing.oracles import PASS, RoundtripOracle
-
-    label = RoundtripOracle().probe(golden)
-    return DifferentialResult(
-        seed=seed,
-        flow="json-roundtrip",
-        case_name=golden.name,
-        original_area=0,
-        optimized_area=0,
-        equivalent=label == PASS,
-        undecided=False,
-        method="struct_hash" if label == PASS else label,
-    )
-
-
-def _flow_label(flow: Union[str, FlowSpec]) -> str:
-    if isinstance(flow, str):
-        return flow
-    return getattr(flow, "name", None) or str(flow)
-
-
-def _failure_label(result: DifferentialResult) -> str:
-    """The oracle label a failing result corresponds to (reducer target)."""
-    if result.method.startswith(
-        ("crash:", "divergence:", "seeded:", "roundtrip:")
-    ):
-        return result.method
-    if result.undecided:
-        return "cec:undecided"
-    return "cec:counterexample"
-
-
-def _oracle_for(result: DifferentialResult, *, random_vectors: int = 64,
-                max_conflicts: Optional[int] = None):
-    """Map a failing lane result to the oracle that reproduces it.
-
-    Every lane the harness runs — CEC mismatch/undecided, engine
-    divergence, seeded-rerun divergence, json-roundtrip, and crashes —
-    routes to a :mod:`repro.testing.oracles` predicate here, which is
-    what lets :func:`run_differential` auto-shrink any failure.
-    """
-    from ..testing.oracles import (
-        CecOracle,
-        CrashOracle,
-        DivergenceOracle,
-        RoundtripOracle,
-        SeededRerunOracle,
-    )
-
-    if result.flow == "json-roundtrip":
-        return RoundtripOracle()
-    if result.flow.startswith("divergence:"):
-        return DivergenceOracle(flow=result.flow.split(":", 1)[1])
-    if result.flow.startswith("seeded:"):
-        return SeededRerunOracle(flow=result.flow.split(":", 1)[1])
-    if result.method.startswith("crash:"):
-        return CrashOracle(flow=result.flow)
-    return CecOracle(flow=result.flow, random_vectors=random_vectors,
-                     max_conflicts=max_conflicts)
-
-
 def _process_failure(
     report: DifferentialReport,
     result: DifferentialResult,
     golden: Module,
+    lane: "Oracle",
+    label: str,
     *,
     artifacts_dir: Optional[str],
     shrink: bool,
     shrink_probes: int,
-    random_vectors: int,
-    max_conflicts: Optional[int],
     generator: Dict[str, Any],
 ) -> None:
-    """Dump the failing case and (optionally) auto-shrink it.
+    """Dump the failing case and (optionally) auto-shrink it against
+    ``lane``, the oracle that reported ``label``.
 
     The pre-reduction dump happens unconditionally when ``artifacts_dir``
     is set — a failing seed is reproducible even when reduction is
@@ -239,7 +183,6 @@ def _process_failure(
     """
     from ..testing.reduce import NotFailingError, reduce_module, write_repro
 
-    label = _failure_label(result)
     slug = result.flow.replace(":", "-")
     stem = f"seed{result.seed}.{slug}"
     meta = {
@@ -255,15 +198,13 @@ def _process_failure(
         ))
     if not shrink:
         return
-    oracle = _oracle_for(result, random_vectors=random_vectors,
-                         max_conflicts=max_conflicts)
     entry: Dict[str, Any] = {"seed": result.seed, "flow": result.flow,
-                             "oracle": oracle.name, "label": label}
+                             "oracle": lane.name, "label": label}
     try:
-        reduction = reduce_module(golden, oracle, max_probes=shrink_probes)
+        reduction = reduce_module(golden, lane, max_probes=shrink_probes)
     except NotFailingError:
-        # flaky outside the harness run (e.g. shared-oracle state): keep
-        # the original dump, note that the shrink could not confirm it
+        # the lane did not fail again on a fresh probe (a nondeterministic
+        # failure): keep the original dump and say so
         entry["error"] = "not-reproducible"
         report.reductions.append(entry)
         return
@@ -285,7 +226,6 @@ def run_differential(
     *,
     width: int = 4,
     n_units: int = 3,
-    random_vectors: int = 64,
     max_conflicts: Optional[int] = None,
     oracle: Optional[SatOracle] = None,
     on_result: Optional[Callable[[DifferentialResult], None]] = None,
@@ -298,78 +238,80 @@ def run_differential(
 ) -> DifferentialReport:
     """Run the differential harness over ``seeds`` × ``flows``.
 
-    Every flow runs on a private clone; the unoptimized module is the
-    golden reference for every check, so flows cannot mask each other's
-    bugs.  A shared :class:`~repro.sat.oracle.SatOracle` accumulates
-    CEC counters for the whole session (reported in the result).  A flow
-    that raises becomes a failing ``crash:<ExcType>`` result instead of
-    aborting the run.
+    Every lane is a :mod:`repro.testing` oracle probing the unoptimized
+    module, so flows cannot mask each other's bugs.  The CEC lane
+    (:class:`~repro.testing.oracles.CecOracle`) optimizes a private clone
+    per flow and SAT-proves it; a shared
+    :class:`~repro.sat.oracle.SatOracle` accumulates its counters for the
+    whole session (reported in the result).  A flow or check that raises
+    becomes a failing ``crash:<ExcType>`` result instead of aborting the
+    run.
 
     ``roundtrip=True`` adds one ``json-roundtrip`` lane per seed: the
     golden module must survive Yosys-JSON export + re-ingestion with an
-    identical structural signature (see :func:`roundtrip_result`).
+    identical structural signature
+    (:class:`~repro.testing.oracles.RoundtripOracle`).
     ``divergence=True`` / ``seeded=True`` add one engine-divergence /
     seeded-rerun lane per seed × flow (reported as ``divergence:<flow>``
     and ``seeded:<flow>``; opt-in, the fixed CI corpus stays CEC-shaped).
 
     ``artifacts_dir`` dumps every failing seed's generating module as a
     ``.v`` + ``.json`` pair *before* any reduction; ``shrink=True``
-    additionally routes each failure to its matching
-    :mod:`repro.testing` oracle and writes the minimized repro next to
-    it (``seed<seed>.<lane>.min.*``, budget ``shrink_probes``).
+    additionally reduces each failure against the oracle that reported
+    it and writes the minimized repro next to it
+    (``seed<seed>.<lane>.min.*``, budget ``shrink_probes``).
     """
-    from ..flow.session import Session  # local import: flow layer is optional
-    from .cec import check_equivalence
+    # local import: a process that only optimizes (a serve daemon) never
+    # loads the testing layer
+    from ..testing.oracles import PASS, CecOracle, RoundtripOracle, get_oracle
 
     if oracle is None:
         oracle = SatOracle()
     report = DifferentialReport()
     generator = {"width": width, "n_units": n_units}
+    specs = [resolve_flow(flow) for flow in flows]
 
-    def emit(result: DifferentialResult, golden: Module) -> None:
+    def emit(lane: "Oracle", label: str, result: DifferentialResult,
+             golden: Module) -> None:
         report.results.append(result)
         if on_result is not None:
             on_result(result)
-        if not result.ok and (artifacts_dir or shrink):
+        if label != PASS and (artifacts_dir or shrink):
             _process_failure(
-                report, result, golden,
+                report, result, golden, lane, label,
                 artifacts_dir=artifacts_dir, shrink=shrink,
-                shrink_probes=shrink_probes, random_vectors=random_vectors,
-                max_conflicts=max_conflicts,
+                shrink_probes=shrink_probes,
                 generator={**generator, "seed": result.seed},
             )
+
+    def emit_label(lane: "Oracle", label: str, seed: int, golden: Module,
+                   flow: str, passed: str = "oracle") -> None:
+        emit(lane, label, DifferentialResult(
+            seed=seed,
+            flow=flow,
+            case_name=golden.name,
+            original_area=0,
+            optimized_area=0,
+            equivalent=label == PASS,
+            undecided=False,
+            method=passed if label == PASS else label,
+        ), golden)
 
     for seed in seeds:
         golden = random_module(seed, width=width, n_units=n_units)
         if roundtrip:
-            emit(roundtrip_result(seed, golden), golden)
-        for flow in flows:
-            module = golden.clone()
-            try:
-                run = Session(module).run(flow)
-                equiv = check_equivalence(
-                    golden,
-                    module,
-                    random_vectors=random_vectors,
-                    seed=seed,
-                    max_conflicts=max_conflicts,
-                    oracle=oracle,
-                )
-            except Exception as exc:  # noqa: BLE001 — crashes are lane failures
-                emit(DifferentialResult(
-                    seed=seed,
-                    flow=_flow_label(flow),
-                    case_name=golden.name,
-                    original_area=0,
-                    optimized_area=0,
-                    equivalent=False,
-                    undecided=False,
-                    method=f"crash:{type(exc).__name__}",
-                ), golden)
+            lane = RoundtripOracle()
+            emit_label(lane, lane.probe(golden), seed, golden,
+                       "json-roundtrip", passed="struct_hash")
+        for spec in specs:
+            cec = CecOracle(flow=spec, max_conflicts=max_conflicts)
+            label, run, equiv = cec.check(golden, oracle)
+            if equiv is None:  # the flow or the check raised
+                emit_label(cec, label, seed, golden, spec.label)
                 continue
-            emit(DifferentialResult(
+            emit(cec, label, DifferentialResult(
                 seed=seed,
-                flow=run.flow,
+                flow=spec.label,
                 case_name=golden.name,
                 original_area=run.original_area,
                 optimized_area=run.optimized_area,
@@ -378,26 +320,13 @@ def run_differential(
                 method=equiv.method,
                 counterexample=dict(equiv.counterexample),
             ), golden)
-        extra_lanes = []
-        if divergence:
-            extra_lanes.append("divergence")
-        if seeded:
-            extra_lanes.append("seeded")
-        for lane in extra_lanes:
-            from ..testing.oracles import PASS, get_oracle
-
-            for flow in flows:
-                label = get_oracle(lane, flow=flow).probe(golden)
-                emit(DifferentialResult(
-                    seed=seed,
-                    flow=f"{lane}:{_flow_label(flow)}",
-                    case_name=golden.name,
-                    original_area=0,
-                    optimized_area=0,
-                    equivalent=label == PASS,
-                    undecided=False,
-                    method=label if label != PASS else "oracle",
-                ), golden)
+        for name, enabled in (("divergence", divergence), ("seeded", seeded)):
+            if not enabled:
+                continue
+            for spec in specs:
+                lane = get_oracle(name, flow=spec)
+                emit_label(lane, lane.probe(golden), seed, golden,
+                           f"{name}:{spec.label}")
     report.oracle_stats = dict(oracle.counters)
     return report
 
@@ -412,6 +341,5 @@ __all__ = [
     "DifferentialReport",
     "DifferentialResult",
     "random_module",
-    "roundtrip_result",
     "run_differential",
 ]

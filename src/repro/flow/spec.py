@@ -29,7 +29,7 @@ presets via :meth:`FlowSpec.preset`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.smartly import SmartlyOptions
@@ -295,31 +295,24 @@ class FlowSpec:
 # -- presets -------------------------------------------------------------------
 
 
-def _smartly_step_options(
-    options: Optional[SmartlyOptions], overrides: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Collapse options+overrides to the non-default SmartlyOptions fields."""
-    from dataclasses import replace
-
-    resolved = replace(
-        options if options is not None else SmartlyOptions(), **overrides
-    )
-    defaults = SmartlyOptions()
-    return {
-        f.name: getattr(resolved, f.name)
-        for f in fields(SmartlyOptions)
-        if getattr(resolved, f.name) != getattr(defaults, f.name)
-    }
-
-
 def _smartly_preset(
     preset_name: str,
     options: Optional[SmartlyOptions],
     overrides: Dict[str, Any],
     **forced: Any,
 ) -> FlowSpec:
-    step_options = _smartly_step_options(options, {**overrides, **forced})
-    max_rounds = step_options.get("max_rounds", SmartlyOptions().max_rounds)
+    """The smartly pipeline: the smartly step carries the resolved
+    options that differ from the defaults, ``max_rounds`` caps the loop."""
+    resolved = replace(
+        options if options is not None else SmartlyOptions(),
+        **{**overrides, **forced},
+    )
+    defaults = SmartlyOptions()
+    step_options = {
+        name: getattr(resolved, name)
+        for name in pass_option_defaults("smartly")
+        if getattr(resolved, name) != getattr(defaults, name)
+    }
     return FlowSpec(
         (
             PassStep.make("opt_expr"),
@@ -328,7 +321,7 @@ def _smartly_preset(
             PassStep.make("opt_clean"),
         ),
         fixpoint=True,
-        max_rounds=max_rounds,
+        max_rounds=resolved.max_rounds,
         name=preset_name,
     )
 

@@ -46,9 +46,10 @@ class Decision(NamedTuple):
 class SatOracle:
     """SAT queries of one owner, with session-total counters.
 
-    ``counters`` survive every query: ``queries`` (one per polarity
-    :meth:`decide` asks, one per miter), ``solver_calls``, ``conflicts``
-    and ``learned_clauses``, each listed once it has been counted.
+    ``counters`` survive every query: ``queries`` (one per
+    :meth:`decide` and one per miter), ``solver_calls`` (two per
+    :meth:`decide`, every solve of a miter's sweep), ``conflicts`` and
+    ``learned_clauses``, each listed once it has been counted.
     """
 
     def __init__(self):
@@ -63,7 +64,6 @@ class SatOracle:
         before_conflicts = solver.stats.conflicts
         before_learned = len(solver.learned)
         verdict = solver.solve(assumptions, max_conflicts=max_conflicts)
-        self.counters["queries"] += 1
         self.counters["solver_calls"] += 1
         self.counters["conflicts"] += solver.stats.conflicts - before_conflicts
         self.counters["learned_clauses"] += max(
@@ -85,6 +85,7 @@ class SatOracle:
         answer forces the other value; two negative answers also flag a
         dead path.
         """
+        self.counters["queries"] += 1
         solver = Solver()
         encoder = CircuitEncoder(solver, sigmap)
         for cell in subgraph.cells:

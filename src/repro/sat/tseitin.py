@@ -20,7 +20,7 @@ never lets the solver prove more than the circuit guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ..ir import celllib
 from ..ir.module import Cell, SigMap
@@ -41,7 +41,6 @@ class CircuitEncoder(celllib.LoweringEmitter):
         #: the x constant gets one shared variable on first use
         self._lits: Dict[SigBit, int] = {BIT0: FALSE_LIT, BIT1: TRUE_LIT}
         self._false_var: Optional[int] = None
-        self._encoded: Set[int] = set()  # id(cell) of already-encoded cells
 
     @property
     def aig(self) -> "CircuitEncoder":
@@ -76,11 +75,12 @@ class CircuitEncoder(celllib.LoweringEmitter):
 
     def set_output(self, cell: Cell, port: str, lits: List[int]) -> None:
         """Bind each output bit to its computed literal.  A bit that
-        already has one — a constant, or a bit met as a free input before
-        its driver — is constrained equal to it instead."""
+        canonicalizes to a constant with a literal (``BIT0`` and ``BIT1``
+        always have one) keeps it, and the computed literal is
+        constrained equal to it instead."""
         for bit, lit in zip(cell.connections[port], lits):
             cbit = self.sigmap.get(bit, bit)
-            bound = self._lits.get(cbit)
+            bound = self._lits.get(cbit) if cbit.is_const else None
             if bound is None:
                 self._lits[cbit] = lit
             elif bound != lit:
@@ -166,11 +166,11 @@ class CircuitEncoder(celllib.LoweringEmitter):
     # -- cell encoding ---------------------------------------------------------------
 
     def encode_cell(self, cell: Cell) -> None:
-        """Add the cell's CNF definition (idempotent per encoder).  Flip-flops
-        have no lowering: ``Q`` stays a free variable (sequential boundary)."""
-        if id(cell) in self._encoded:
-            return
-        self._encoded.add(id(cell))
+        """Add the cell's CNF definition.  Callers encode each cell once,
+        drivers before their readers (a sub-graph's cells come in that
+        order), so no output bit is met as a free input first.  Flip-flops
+        have no lowering: ``Q`` stays a free variable (sequential
+        boundary)."""
         lower = celllib.spec_for(cell.type).lower
         if lower is not None:
             lower(self, cell)

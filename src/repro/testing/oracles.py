@@ -16,7 +16,8 @@ Probes never mutate their argument (each lane runs on private clones)
 and never raise: unexpected exceptions become ``crash:<ExcType>``
 labels, which makes crashes themselves reducible.
 
-The registry mirrors the five differential lanes:
+The registry mirrors the differential lanes (the harness's CEC lane
+reports a crash of its flow or of its check as ``crash:<ExcType>``):
 
 ========== ========================================================
 name        failure condition
@@ -33,12 +34,17 @@ hier-cec    design scope: ``run_hierarchy`` result not CEC-equivalent
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..ir.cells import CellType
 from ..ir.design import Design
 from ..ir.module import Module
 from ..ir.signals import SigSpec, const_bit
+
+if TYPE_CHECKING:  # pragma: no cover - the flow and equiv layers import late
+    from ..equiv.cec import EquivResult
+    from ..flow.session import RunReport
+    from ..sat.oracle import SatOracle
 
 #: the label meaning "this case does not fail the oracle"
 PASS = "pass"
@@ -87,6 +93,12 @@ def _register(cls: type) -> type:
     return cls
 
 
+def _cec_label(result: "EquivResult") -> str:
+    if result.undecided:
+        return "cec:undecided"
+    return PASS if result.equivalent else "cec:counterexample"
+
+
 @_register
 class CecOracle(Oracle):
     """The main lane: optimize a clone, SAT-compare against the input.
@@ -100,31 +112,31 @@ class CecOracle(Oracle):
     description = "flow output not SAT-equivalent to the input module"
 
     def __init__(self, flow: str = "smartly", options=None,
-                 random_vectors: int = 64,
                  max_conflicts: Optional[int] = None):
         super().__init__(flow, options)
-        self.random_vectors = random_vectors
         self.max_conflicts = max_conflicts
 
-    def probe(self, target: Module) -> str:
+    def check(
+        self, target: Module, oracle: Optional["SatOracle"] = None
+    ) -> Tuple[str, Optional["RunReport"], Optional["EquivResult"]]:
+        """:meth:`probe`'s label with the flow's report and the check's
+        result, each None when a step raised before it; ``oracle`` counts
+        the check's SAT work (a fresh one when None)."""
         from ..equiv.cec import check_equivalence
 
         work = target.clone()
+        run = None
         try:
-            self._session(work).run(self.flow)
+            run = self._session(work).run(self.flow)
             result = check_equivalence(
-                target, work,
-                random_vectors=self.random_vectors,
-                seed=0,
-                max_conflicts=self.max_conflicts,
+                target, work, max_conflicts=self.max_conflicts, oracle=oracle
             )
         except Exception as exc:
-            return _crash_label(exc)
-        if result.undecided:
-            return "cec:undecided"
-        if not result.equivalent:
-            return "cec:counterexample"
-        return PASS
+            return _crash_label(exc), run, None
+        return _cec_label(result), run, result
+
+    def probe(self, target: Module) -> str:
+        return self.check(target)[0]
 
 
 @_register
@@ -273,10 +285,8 @@ class HierCecOracle(Oracle):
     description = "hierarchical flow result not CEC-equivalent per module"
 
     def __init__(self, flow: str = "smartly", options=None,
-                 random_vectors: int = 64,
                  max_conflicts: Optional[int] = None):
         super().__init__(flow, options)
-        self.random_vectors = random_vectors
         self.max_conflicts = max_conflicts
 
     def probe(self, target: Design) -> str:
@@ -287,16 +297,11 @@ class HierCecOracle(Oracle):
         try:
             report = self._session(work).run_hierarchy(self.flow)
             for name in report.order:
-                result = check_equivalence(
-                    golden[name], work[name],
-                    random_vectors=self.random_vectors,
-                    seed=0,
-                    max_conflicts=self.max_conflicts,
-                )
-                if result.undecided:
-                    return "cec:undecided"
-                if not result.equivalent:
-                    return "cec:counterexample"
+                label = _cec_label(check_equivalence(
+                    golden[name], work[name], max_conflicts=self.max_conflicts
+                ))
+                if label != PASS:
+                    return label
         except Exception as exc:
             return _crash_label(exc)
         return PASS
@@ -310,9 +315,8 @@ def get_oracle(name: str, *, flow: str = "smartly", options=None,
                **kwargs) -> Oracle:
     """Instantiate a registered oracle by name.
 
-    ``kwargs`` (``random_vectors``, ``max_conflicts``, ...) are forwarded
-    when the oracle accepts them; unknown names raise ``ValueError`` with
-    the available choices.
+    ``kwargs`` (``max_conflicts``) are forwarded when the oracle accepts
+    them; unknown names raise ``ValueError`` with the available choices.
     """
     cls = ORACLES.get(name)
     if cls is None:

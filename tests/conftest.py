@@ -130,6 +130,20 @@ def hard_equivalent_pair(width: int = 16) -> Tuple[Module, Module]:
     return c1.module, c2.module
 
 
+def rare_difference(
+    width: int = 16, value: int = 40000
+) -> Tuple[Module, Module]:
+    """``a == 0`` vs ``a == 0 | a == value``: random patterns never tell
+    them apart, so only a SAT model can."""
+    c1 = Circuit("m")
+    a = c1.input("a", width)
+    c1.output("y", c1.eq(a, 0))
+    c2 = Circuit("m")
+    a = c2.input("a", width)
+    c2.output("y", c2.or_(c2.eq(a, 0), c2.eq(a, value)))
+    return c1.module, c2.module
+
+
 class _CircuitHelper:
     """Exposed via fixture so tests don't re-import helpers."""
 

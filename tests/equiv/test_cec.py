@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aig import aig_map
+from repro.aig import aig_map, fraig
 from repro.api import Session
 from repro.cli import main
 from repro.equiv import (
@@ -14,7 +14,11 @@ from repro.equiv import (
 )
 from repro.frontend import compile_verilog
 from repro.ir import Circuit, SigSpec
-from tests.conftest import hard_equivalent_pair, random_circuit
+from tests.conftest import (
+    hard_equivalent_pair,
+    random_circuit,
+    rare_difference,
+)
 
 
 def _mux_pair():
@@ -62,9 +66,8 @@ def test_counterexample_is_valid():
 
 
 def test_miter_folding_to_one_still_carries_a_counterexample():
-    """Regression: with the simulation filter off, a miter that folds to
-    constant 1 at construction used to come back refuted with an empty
-    counterexample."""
+    """Regression: a miter that folds to constant 1 at construction used
+    to come back refuted with an empty counterexample."""
     from repro.sim import Simulator
 
     def xor_with(const):
@@ -74,7 +77,7 @@ def test_miter_folding_to_one_still_carries_a_counterexample():
         return c.module
 
     gold, gate = xor_with(0b00), xor_with(0b11)
-    result = check_equivalence(gold, gate, random_vectors=0)
+    result = check_equivalence(gold, gate)
     assert not result.equivalent and not result.undecided
     assert result.method == "fold"
     assert set(result.counterexample) == {"a[0]", "a[1]"}
@@ -84,14 +87,8 @@ def test_miter_folding_to_one_still_carries_a_counterexample():
 
 
 def test_subtle_difference_needs_sat():
-    c1 = Circuit("m")
-    a = c1.input("a", 8)
-    c1.output("y", c1.eq(a, 0))
-    c2 = Circuit("m")
-    a = c2.input("a", 8)
-    # differs only at a == 193
-    c2.output("y", c2.or_(c2.eq(a, 0), c2.eq(a, 193)))
-    result = check_equivalence(c1.module, c2.module, random_vectors=8, seed=1)
+    # differs only at one value, which no seeded simulation pattern hits
+    result = check_equivalence(*rare_difference())
     assert not result.equivalent
     assert result.method == "sat"
 
@@ -144,18 +141,18 @@ def test_budget_exhaustion_is_undecided_not_nonequivalent():
     TimeoutError; it must surface as a distinct *undecided* result, never
     as a "not equivalent" claim (and never with a counterexample)."""
     gold, gate = hard_equivalent_pair()
-    result = check_equivalence(gold, gate, random_vectors=0, max_conflicts=1)
+    result = check_equivalence(gold, gate, max_conflicts=1)
     if result.undecided:
         assert not result.equivalent
         assert result.method == "budget"
         assert result.counterexample == {}
         assert bool(result) is False
         # the same pair *is* provable without a budget
-        assert check_equivalence(gold, gate, random_vectors=0).equivalent
+        assert check_equivalence(gold, gate).equivalent
         # and assert_equivalent treats undecided as a failure, with a
         # message distinct from the non-equivalence one
         with pytest.raises(AssertionError, match="UNDECIDED"):
-            assert_equivalent(gold, gate, random_vectors=0, max_conflicts=1)
+            assert_equivalent(gold, gate, max_conflicts=1)
     else:
         # budget large enough after all: must then be a proven pass
         assert result.equivalent
@@ -163,8 +160,7 @@ def test_budget_exhaustion_is_undecided_not_nonequivalent():
 
 def test_decided_within_budget_reports_method_sat():
     gold, gate = hard_equivalent_pair(width=4)
-    result = check_equivalence(gold, gate, random_vectors=0,
-                               max_conflicts=100000)
+    result = check_equivalence(gold, gate, max_conflicts=100000)
     assert result.equivalent
     assert result.method == "sat"
     assert not result.undecided
@@ -267,12 +263,7 @@ AIG_PAIRS = {
     "optimized": lambda: (lambda m: (m, _optimized(m)))(
         random_circuit(222, n_ops=10)),
     "refuted": _refuted_pair,
-    "refuted-by-sat": lambda: (
-        compile_verilog("module m(input [7:0] a, output y);"
-                        " assign y = a == 0; endmodule").top,
-        compile_verilog("module m(input [7:0] a, output y);"
-                        " assign y = a == 0 | a == 193; endmodule").top,
-    ),
+    "refuted-by-sat": rare_difference,
     "undriven": lambda: (compile_verilog(UNDRIVEN_READ).top,
                          compile_verilog(UNDRIVEN_READ).top),
     "undriven-refuted": lambda: (
@@ -286,13 +277,17 @@ AIG_PAIRS = {
 
 @pytest.mark.parametrize("pair", list(AIG_PAIRS))
 @pytest.mark.parametrize("vectors", [256, 0])
-def test_two_aigs_check_like_their_modules(pair, vectors):
+def test_two_aigs_check_like_their_modules(pair, vectors, monkeypatch):
     gold, gate = AIG_PAIRS[pair]()
-    on_modules = check_equivalence(gold, gate, random_vectors=vectors)
-    on_aigs = check_equivalence(aig_map(gold), aig_map(gate),
-                                random_vectors=vectors)
+    # vectors: the seeded simulation patterns the SAT sweep starts from;
+    # with none, every refutation comes from a solver model
+    monkeypatch.setattr(fraig, "SIM_PATTERNS", vectors)
+    on_modules = check_equivalence(gold, gate)
+    on_aigs = check_equivalence(aig_map(gold), aig_map(gate))
     assert on_aigs == on_modules
     assert on_modules.equivalent == ("refuted" not in pair)
+    if not vectors:
+        assert on_modules.method != "sim"
     aig, lit = build_miter(gold, gate)
     joined, joined_lit = build_miter(aig_map(gold), aig_map(gate))
     assert joined.structural_digest(joined_lit) == aig.structural_digest(lit)

@@ -18,7 +18,7 @@ from repro.opt.opt_merge import BREAK_SORT_KEY_ENV
 from repro.sat.oracle import SatOracle
 from repro.sat.solver import Solver
 from repro.workloads import build_case
-from tests.conftest import hard_equivalent_pair
+from tests.conftest import hard_equivalent_pair, rare_difference
 
 SEEDS = CI_CORPUS[:8]
 FLOWS = ("yosys", "smartly")
@@ -54,18 +54,6 @@ def optimized_miters():
             gate = golden.clone()
             Session(gate).run(flow)
             yield build_miter(golden, gate)
-
-
-def rare_difference(width=16, value=40000):
-    """``a == 0`` vs ``a == 0 | a == value``: random patterns never tell
-    them apart, so only a SAT model can."""
-    c1 = Circuit("m")
-    a = c1.input("a", width)
-    c1.output("y", c1.eq(a, 0))
-    c2 = Circuit("m")
-    a = c2.input("a", width)
-    c2.output("y", c2.or_(c2.eq(a, 0), c2.eq(a, value)))
-    return c1.module, c2.module
 
 
 def rare_implication(width=16, value=40000):
@@ -146,8 +134,7 @@ def test_pairs_left_at_the_pair_limit_fall_back_to_the_final_query(monkeypatch):
 @pytest.mark.parametrize("budget", [0, 1, 3, 10, 30, 100])
 def test_budget_caps_total_conflicts(budget):
     gold, gate = hard_equivalent_pair()
-    result = check_equivalence(gold, gate, random_vectors=0,
-                               max_conflicts=budget)
+    result = check_equivalence(gold, gate, max_conflicts=budget)
     assert result.sat_conflicts <= budget
     if result.undecided:
         assert not result.equivalent
@@ -173,10 +160,16 @@ def test_exhausted_budget_is_undecided_never_refuted():
 # -- sweep proofs -------------------------------------------------------------
 
 
-def test_table2_case_proves_only_after_merges():
+@pytest.fixture(scope="module")
+def table2_pair():
     golden = build_case("ac97_ctrl")
     gate = golden.clone()
     Session(gate).run("smartly")
+    return golden, gate
+
+
+def test_table2_case_proves_only_after_merges(table2_pair):
+    golden, gate = table2_pair
     aig, miter = build_miter(golden, gate)
     assert miter >> 1 != 0  # no fold at construction
     outcome = sweep_miter(aig, miter)
@@ -185,6 +178,21 @@ def test_table2_case_proves_only_after_merges():
     result = check_equivalence(golden, gate)
     assert result.equivalent and result.method == "sat"
     assert result.sat_conflicts == outcome.conflicts
+
+
+def test_a_check_simulates_its_miter_once(table2_pair, monkeypatch):
+    """The sweep's seeded patterns are the check's only simulation of
+    the whole miter; refinement patterns are evaluated one at a time."""
+    widths = []
+    eval_masks = AIG.eval_masks
+
+    def spy(self, input_masks, nvec=1):
+        widths.append(nvec)
+        return eval_masks(self, input_masks, nvec)
+
+    monkeypatch.setattr(AIG, "eval_masks", spy)
+    assert check_equivalence(*table2_pair).equivalent
+    assert widths.count(fraig.SIM_PATTERNS) == 1, widths
 
 
 def test_sweep_is_deterministic():

@@ -217,7 +217,7 @@ class TestRunSuite:
         suite = Session().run_suite({"a": self.CASES["alpha"]}, (spec,))
         assert suite["a"][spec.label].flow == "opt_expr; opt_clean"
 
-    def test_duplicate_flow_labels_rejected(self):
+    def test_flows_sharing_a_label_rejected(self):
         with pytest.raises(ValueError, match="duplicate flow labels"):
             Session().run_suite(
                 {"a": self.CASES["alpha"]},

@@ -126,7 +126,7 @@ class TestPresets:
     def test_overrides_propagate(self):
         spec = FlowSpec.preset("smartly", k=6, max_rounds=2)
         step = next(s for s in spec.steps if s.pass_name == "smartly")
-        assert step.options_dict["k"] == 6
+        assert step.options_dict == {"k": 6}
         assert spec.max_rounds == 2
 
     def test_options_object_not_mutated(self):
@@ -167,9 +167,10 @@ class TestCompositionAndBuild:
             "smartly sat_threshold=8 rebuild=false"
         ).validate()
         # smartly takes the SmartlyOptions fields, not its constructor's
-        # ``options`` object
+        # ``options`` object, and not max_rounds, a preset's loop cap
         for script in ("smartly options=1", "smartly_sat max_rounds=2",
-                       "opt_muxtree k=2"):
+                       "opt_muxtree k=2",
+                       "fixpoint; opt_expr; smartly max_rounds=1"):
             with pytest.raises(FlowScriptError, match="takes no option"):
                 FlowSpec.parse(script).validate()
 

@@ -50,7 +50,7 @@ def test_report_aggregates_shared_oracle_counters():
     assert report.ok
     assert report.oracle_stats == dict(oracle.counters)
     assert report.oracle_stats["queries"] == len(
-        [r for r in report.results if r.method in ("sat", "budget")]
+        [r for r in report.results if r.method in ("sat", "sim", "budget")]
     )
     summary = report.summary()
     assert summary["checks"] == 4 and summary["failures"] == 0

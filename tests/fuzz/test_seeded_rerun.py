@@ -18,51 +18,12 @@ import pytest
 
 from repro.api import Session
 from repro.equiv.differential import random_module
-from repro.ir.cells import CellType
-from repro.ir.signals import SigSpec, const_bit
+from repro.testing.oracles import _apply_edits, _plan_edits
 
 #: the fixed corpus CI replays (appending is fine, renumbering is not)
 SEEDED_CORPUS = tuple(range(3000, 3006))
 
 FLOWS = ("smartly", "yosys")
-
-
-def _plan_edits(module, rng, n=3):
-    """Name-addressed edit plans, applicable identically to any clone."""
-    comb = [
-        name for name in sorted(module.cells)
-        if module.cells[name].is_combinational
-        and "A" in module.cells[name].connections
-    ]
-    muxes = [
-        name for name in comb
-        if module.cells[name].type is CellType.MUX
-    ]
-    plans = []
-    for _ in range(n):
-        if muxes and rng.random() < 0.6:
-            plans.append(("pin_s", rng.choice(muxes), rng.randint(0, 1)))
-        elif comb:
-            plans.append(("pin_a0", rng.choice(comb), rng.randint(0, 1)))
-    return plans
-
-
-def _apply_edits(module, plans):
-    """Replay plans through the notifying edit APIs (the supported path)."""
-    applied = 0
-    for kind, name, value in plans:
-        cell = module.cells.get(name)
-        if cell is None:
-            continue  # identical on every copy: same plans, same netlist
-        if kind == "pin_s" and cell.type is CellType.MUX:
-            cell.set_port("S", value)
-            applied += 1
-        elif kind == "pin_a0" and "A" in cell.connections:
-            bits = list(cell.connections["A"])
-            bits[0] = const_bit(value)
-            cell.set_port("A", SigSpec(bits))
-            applied += 1
-    return applied
 
 
 def _check_seed(seed: int, flows=FLOWS) -> None:

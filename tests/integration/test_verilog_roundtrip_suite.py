@@ -25,7 +25,7 @@ def test_benchmark_model_roundtrips(ac97):
     text = verilog_str(ac97)
     back = compile_verilog(text).top
     assert aig_map(back).num_ands > 0
-    result = check_equivalence(ac97, back, random_vectors=128)
+    result = check_equivalence(ac97, back)
     assert result.equivalent, result.counterexample
 
 
@@ -37,7 +37,7 @@ def test_roundtripped_model_still_optimizes(ac97):
     Session(back).run("smartly")
     after = aig_map(back).num_ands
     assert after <= before
-    assert check_equivalence(golden, back, random_vectors=128).equivalent
+    assert check_equivalence(golden, back).equivalent
 
 
 def test_optimized_model_roundtrips(ac97):
@@ -45,5 +45,5 @@ def test_optimized_model_roundtrips(ac97):
     Session(work).run("smartly")
     text = verilog_str(work)
     back = compile_verilog(text).top
-    result = check_equivalence(work, back, random_vectors=128)
+    result = check_equivalence(work, back)
     assert result.equivalent, result.counterexample

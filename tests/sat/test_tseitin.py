@@ -132,17 +132,6 @@ def test_encode_whole_module_is_satisfiable():
     assert solver.solve() is True
 
 
-def test_encoding_idempotent():
-    c = Circuit("t")
-    a = c.input("a", 2)
-    c.output("y", c.not_(a))
-    index, solver, enc = _encode(c.module)
-    n_before = len(solver.clauses)
-    for cell in c.module.cells.values():
-        enc.encode_cell(cell)  # second time: no-op
-    assert len(solver.clauses) == n_before
-
-
 def test_dff_is_a_free_boundary():
     c = Circuit("t")
     clk, d = c.input("clk"), c.input("d")

@@ -1,8 +1,8 @@
 """Acceptance path: the injected ``opt_merge`` sort-key bug
 (:data:`repro.opt.opt_merge.BREAK_SORT_KEY_ENV`) must shrink ≥ 80% and
-keep failing identically, every fuzz lane must route failures through
-auto-shrink, and the minimized artifact must be byte-stable across
-interpreter hash seeds.
+keep failing identically, every fuzz lane must shrink against the oracle
+that reported its failure, and the minimized artifact must be
+byte-stable across interpreter hash seeds.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ import sys
 
 import pytest
 
-from repro.equiv.differential import (
-    DifferentialResult,
-    _oracle_for,
-    random_module,
-    run_differential,
-)
+from repro.equiv.differential import random_module, run_differential
 from repro.opt.opt_merge import BREAK_SORT_KEY_ENV
 from repro.testing import get_oracle, load_repro, reduce_module
 
@@ -51,28 +46,20 @@ def test_minimized_repro_is_cell_minimal(broken):
         assert oracle.probe(candidate) != result.target, name
 
 
-def _lane_result(flow: str, method: str = "sim",
-                 undecided: bool = False) -> DifferentialResult:
-    return DifferentialResult(
-        seed=SEED, flow=flow, case_name="m", original_area=1,
-        optimized_area=1, equivalent=False, undecided=undecided,
-        method=method,
-    )
+def test_crash_in_the_cec_step_shrinks(monkeypatch):
+    """A lane's CEC step that raises is reported by the CEC oracle, which
+    runs the check again on every shrink probe, so the crash shrinks."""
+    import repro.equiv.cec as cec
 
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
 
-def test_every_lane_routes_to_matching_oracle():
-    """All five fuzz lanes map to the repro.testing oracle that
-    reproduces them (the auto-shrink dispatch table)."""
-    assert _oracle_for(_lane_result("yosys")).name == "cec"
-    assert _oracle_for(_lane_result("yosys", undecided=True)).name == "cec"
-    assert _oracle_for(_lane_result("json-roundtrip")).name == "roundtrip"
-    div = _oracle_for(_lane_result("divergence:smartly",
-                                   method="divergence:area"))
-    assert div.name == "divergence" and div.flow == "smartly"
-    seeded = _oracle_for(_lane_result("seeded:yosys", method="seeded:area"))
-    assert seeded.name == "seeded" and seeded.flow == "yosys"
-    crash = _oracle_for(_lane_result("smartly", method="crash:KeyError"))
-    assert crash.name == "crash" and crash.flow == "smartly"
+    monkeypatch.setattr(cec, "check_equivalence", boom)
+    report = run_differential([SEED], flows=("yosys",), shrink=True,
+                              shrink_probes=40)
+    (entry,) = report.reductions
+    assert entry["oracle"] == "cec" and entry["label"] == "crash:RuntimeError"
+    assert "cells" in entry and "error" not in entry, entry
 
 
 def test_harness_dumps_and_autoshrinks(broken, tmp_path):

@@ -63,11 +63,11 @@ def test_get_oracle_unknown_name():
         get_oracle("nope")
 
 
-def test_get_oracle_forwards_and_drops_kwargs():
-    cec = get_oracle("cec", flow="yosys", random_vectors=8, max_conflicts=10)
-    assert cec.random_vectors == 8 and cec.max_conflicts == 10
+def test_get_oracle_passes_and_drops_kwargs():
+    cec = get_oracle("cec", flow="yosys", max_conflicts=10)
+    assert cec.max_conflicts == 10
     # knobless oracles silently ignore the tuning kwargs
-    div = get_oracle("divergence", flow="yosys", random_vectors=8)
+    div = get_oracle("divergence", flow="yosys", max_conflicts=10)
     assert div.flow == "yosys"
 
 
