@@ -404,7 +404,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     server = FlowServer(
         store_path=args.store,
-        engine=args.engine,
         max_workers=args.jobs,
         keep_generations=args.keep_generations,
         isolation=args.isolation,
@@ -695,9 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve a localhost TCP socket on this port "
                               "instead of stdin (0 = ephemeral, announced "
                               "on stderr)")
-    p_serve.add_argument("--engine", choices=("incremental", "eager"),
-                         default="incremental",
-                         help="pass engine for served jobs")
     p_serve.add_argument("--keep-generations", type=int, default=32,
                          help="store generations kept by gc at each "
                               "checkpoint (default: 32)")

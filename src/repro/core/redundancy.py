@@ -41,7 +41,7 @@ from ..ir.signals import SigBit, State
 from ..opt.pass_base import DirtySet, PassResult, prefixed, register_pass
 from ..opt.opt_muxtree import OptMuxtree
 from ..sat.oracle import SatOracle
-from ..sim.eval import eval_cell_masks
+from ..sim import eval_cell_masks, exhaustive_patterns
 from .cache import ResultCache
 from .inference import InferenceResult, infer
 from .subgraph import SubGraph, extract_subgraph
@@ -323,17 +323,8 @@ class SatRedundancy(OptMuxtree):
     # -- exhaustive simulation ------------------------------------------------------------
 
     def _simulate(self, subgraph: SubGraph):
-        n = subgraph.num_inputs
-        nvec = 1 << n
+        values, nvec = exhaustive_patterns(subgraph.inputs)
         mask = (1 << nvec) - 1  # one mask bit per simulated vector
-        values: Dict[SigBit, int] = {}
-        for i, bit in enumerate(subgraph.inputs):
-            period = 1 << i
-            pattern = 0
-            block = (1 << period) - 1
-            for start in range(period, nvec, 2 * period):
-                pattern |= block << start
-            values[bit] = pattern
         for bit, val in subgraph.known.items():
             values.setdefault(bit, mask if val else 0)
 

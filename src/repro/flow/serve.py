@@ -196,7 +196,6 @@ class FlowServer:
         *,
         store_path: Optional[str] = None,
         options: Optional[SmartlyOptions] = None,
-        engine: str = "incremental",
         max_workers: Optional[int] = None,
         keep_generations: int = DEFAULT_KEEP_GENERATIONS,
         isolation: str = "thread",
@@ -220,7 +219,6 @@ class FlowServer:
         if per_client_limit is not None and per_client_limit < 1:
             raise ValueError("per_client_limit must be >= 1 (or None)")
         self.options = options
-        self.engine = engine
         self.max_workers = max_workers
         self.isolation = isolation
         self.default_timeout_s = default_timeout_s
@@ -411,8 +409,9 @@ class FlowServer:
         name, signature = known
         spec = resolve_flow(request.get("flow", "smartly"),
                             options=self.options)
+        # a job session runs Session's default engine, "incremental"
         key = _suite_job_key(
-            signature, spec, request.get("check", False), self.engine,
+            signature, spec, request.get("check", False), "incremental",
             self.options,
         )
         # a private cache reading through the shared one counts this
@@ -465,8 +464,8 @@ class FlowServer:
             )
         rid = request.get("id")
         payload, delta = run_job(
-            request, options=self.options, engine=self.engine,
-            snapshot=self._cache.view(), emit_event=emit,
+            request, options=self.options, snapshot=self._cache.view(),
+            emit_event=emit,
         )
         self._remember(source_key, payload)
         self._merge_delta(delta, injected)
@@ -499,7 +498,6 @@ class FlowServer:
             outcome = pool.run_job(
                 request,
                 options=self.options,
-                engine=self.engine,
                 snapshot=self._cache.export(),
                 timeout_s=timeout,
                 on_event=emit,

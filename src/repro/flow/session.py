@@ -328,6 +328,9 @@ class _PendingEdits:
     counter: the window holds *raw* bits resolved through the sigmap only
     at seed time, and a compaction in between may have dropped the alias
     entries dead window bits still need — seeding across one is refused.
+    The alias map compacts only when a pipeline run ends, so plain edits
+    never move the counter; a run on the same module from another session
+    (or a direct :meth:`~repro.opt.pass_base.PassManager.run`) can.
     """
 
     start_revision: int
@@ -1137,8 +1140,7 @@ class Session:
                 if snapshot is not None:
                     sub.read_through(snapshot)
                 report, _signature = _run_suite_job(
-                    sub, module, spec, check, self.engine,
-                    memoize=snapshot is not None,
+                    sub, module, spec, check, memoize=snapshot is not None,
                 )
                 if snapshot is not None:
                     self._result_cache.merge(sub.export_cache())
@@ -1311,7 +1313,6 @@ def _run_suite_job(
     module: Module,
     spec: FlowSpec,
     check: bool,
-    engine: str,
     memoize: bool,
 ) -> Tuple[RunReport, Any]:
     """One suite job, with whole-job structural replay; returns the
@@ -1321,14 +1322,14 @@ def _run_suite_job(
     Suite jobs optimize a private clone and return only the report, so
     when the warm-start snapshot already holds the report of a
     *structurally identical* module run through the same flow (same
-    script, check flag, engine and options), the entire job replays from
-    the cache: every report field that matters — areas, AIG stats,
-    equivalence status — is invariant under renaming (the stored pass
-    counters describe the isomorphic twin's run, which the fresh run
-    would reproduce up to name-order tie-breaks).  The key rides in the
-    session :class:`~repro.core.cache.ResultCache` as a ``suite_job``
-    entry, so it exports, merges and counts hits like any other
-    structural entry.  Never used by :meth:`Session.run` — a direct run
+    script, check flag, and ``session``'s engine and options), the entire
+    job replays from the cache: every report field that matters — areas,
+    AIG stats, equivalence status — is invariant under renaming (the
+    stored pass counters describe the isomorphic twin's run, which the
+    fresh run would reproduce up to name-order tie-breaks).  The key
+    rides in the session :class:`~repro.core.cache.ResultCache` as a
+    ``suite_job`` entry, so it exports, merges and counts hits like any
+    other structural entry.  Never used by :meth:`Session.run` — a direct run
     must actually mutate its module.
     """
     cache = session._result_cache
@@ -1336,7 +1337,7 @@ def _run_suite_job(
     if memoize:
         signature = module_signature(module)
         key = _suite_job_key(
-            signature, spec, check, engine, session.options
+            signature, spec, check, session.engine, session.options
         )
         replayed = _replay_suite_job(
             cache, key, module.name, session._cache_totals
@@ -1374,7 +1375,7 @@ def _suite_process_job(
     if snapshot is not None:
         session.read_through(snapshot)
     report, _signature = _run_suite_job(
-        session, module, spec, check, engine, memoize=snapshot is not None,
+        session, module, spec, check, memoize=snapshot is not None,
     )
     delta = session.export_cache() if snapshot is not None else {}
     return report, delta

@@ -8,7 +8,7 @@ substrate: a bounded pool of **worker subprocesses** supervised from the
 daemon, each executing one job at a time.
 
 * Jobs ship as pickled work orders — the JSON request, the tuning
-  options, the engine, and a snapshot of the shared structural cache —
+  options, and a snapshot of the shared structural cache —
   over a private :mod:`multiprocessing` pipe; the worker streams
   ``event`` payloads back while the flow runs and finishes with the
   result payload (carrying the module signature the daemon's source
@@ -89,12 +89,11 @@ def run_job(
     request: Dict[str, Any],
     *,
     options: Optional[SmartlyOptions] = None,
-    engine: str = "incremental",
     snapshot: Optional[Mapping[Tuple, Any]] = None,
     emit_event: Optional[EventSink] = None,
 ) -> Tuple[Dict[str, Any], Dict[Tuple, Any]]:
     """Execute one ``run``/``hier`` request in a private warm-started
-    session; returns ``(payload, delta)``.
+    session on the incremental engine; returns ``(payload, delta)``.
 
     This is the isolation-agnostic job body: the thread path calls it
     in-process against a live view of the shared cache, worker
@@ -125,8 +124,7 @@ def run_job(
             )
         )
     extra: Dict[str, Any] = {}
-    with Session(design, options=options, events=bus,
-                 engine=engine) as session:
+    with Session(design, options=options, events=bus) as session:
         if snapshot is not None:
             session.read_through(snapshot)
         if op == "hier":
@@ -137,8 +135,7 @@ def run_job(
         else:
             module = design.top
             report, signature = _run_suite_job(
-                session, module, spec, check, engine,
-                memoize=True,
+                session, module, spec, check, memoize=True,
             )
             payload = report.to_dict()
             # the private session makes exactly one suite_job lookup
@@ -159,7 +156,7 @@ def run_job(
 def _worker_main(conn) -> None:
     """Worker-subprocess loop: execute pickled work orders until EOF.
 
-    Runs in the child.  Each order is ``{"request", "options", "engine",
+    Runs in the child.  Each order is ``{"request", "options",
     "snapshot", "fault", "attempt"}``; replies are ``("event", dict)``
     streams followed by ``("result", payload, delta)`` or ``("error",
     message)``.  The ``worker-crash`` / ``worker-hang`` fault sites live
@@ -193,7 +190,6 @@ def _worker_main(conn) -> None:
             payload, delta = run_job(
                 order["request"],
                 options=order.get("options"),
-                engine=order.get("engine", "incremental"),
                 snapshot=order.get("snapshot"),
                 emit_event=lambda data: conn.send(("event", data)),
             )
@@ -360,7 +356,6 @@ class WorkerPool:
         request: Dict[str, Any],
         *,
         options: Optional[SmartlyOptions] = None,
-        engine: str = "incremental",
         snapshot: Optional[Dict[Tuple, Any]] = None,
         timeout_s: Optional[float] = None,
         on_event: Optional[EventSink] = None,
@@ -380,7 +375,6 @@ class WorkerPool:
         order = {
             "request": request,
             "options": options,
-            "engine": engine,
             "snapshot": snapshot,
             "fault": fault,
             "attempt": attempt,

@@ -81,14 +81,10 @@ class NetIndex:
         self._view: Optional[CanonicalView] = None
         self._frozen = 0
         self._pending: List[ModuleEdit] = []
-        #: generation-compaction bookkeeping for the live alias map
-        #: (dead-entry reclamation; see :meth:`_maybe_compact`)
-        self._removal_events = 0
-        self._replaying = False
-        self._compact_deferred = False
         #: entry count at the last live-bit sweep; the O(module) sweep
         #: re-runs only after the alias map doubles past it
         self._compact_floor = 128
+        #: alias-map compactions so far (see :meth:`maybe_compact`)
         self.compactions = 0
         self._build()
         if live:
@@ -166,30 +162,8 @@ class NetIndex:
             self._frozen -= 1
             if not self._frozen and self._pending:
                 pending, self._pending = self._pending, []
-                # compaction must not fire mid-replay: _live_bits reads the
-                # module's *final* state, so compacting while later pending
-                # deindexes are still queued would drop entries those
-                # deindexes need to find their canonical roots
-                self._replaying = True
-                try:
-                    for edit in pending:
-                        self._apply(edit)
-                finally:
-                    self._replaying = False
-                if self._compact_deferred:
-                    self._compact_deferred = False
-                    self._maybe_compact()
-
-    def _note_generation_reset(self) -> None:
-        """The alias map just lost its stale dead-bit entries.
-
-        Consumers holding *raw* bits they resolve lazily — Session
-        pending-edit windows, the pass engine's round carry — would
-        silently resolve dead bits to themselves instead of their old
-        class; bumping :attr:`compactions` (their staleness check) keeps
-        them honest.
-        """
-        self.compactions += 1
+                for edit in pending:
+                    self._apply(edit)
 
     def _apply(self, edit: ModuleEdit) -> None:
         self._view = None
@@ -228,18 +202,7 @@ class NetIndex:
         # only drops aliases whose lhs class is unreachable from any cell
         # port, kept connection or module output, so the canonical mapping
         # of every queriable bit is unchanged (stale alias-map entries for
-        # dead bits are harmless).
-        if kind in (
-            module_mod.CELL_REMOVED,
-            module_mod.CONNECTIONS_REPLACED,
-            module_mod.WIRE_REMOVED,
-        ):
-            self._removal_events += 1
-            if self._removal_events % 64 == 0:
-                if self._replaying:
-                    self._compact_deferred = True
-                else:
-                    self._maybe_compact()
+        # dead bits are harmless; :meth:`maybe_compact` reclaims them).
 
     # -- alias-map generation compaction -------------------------------------
 
@@ -262,7 +225,7 @@ class NetIndex:
                 live.update(wire.bits)
         return live
 
-    def _maybe_compact(self) -> None:
+    def maybe_compact(self) -> None:
         """Compact the alias map when dead entries dominate.
 
         Removal-heavy sessions (opt_clean reaping thousands of bypassed
@@ -272,18 +235,20 @@ class NetIndex:
         rewritten over exactly the live bits — representatives preserved,
         so every driver/reader/output key stays valid (see
         :meth:`~repro.ir.module.SigMap.compact`).  The O(module) live-bit
-        sweep is doubly amortized: checked every 64 removal events, and
-        only once the entry count has doubled since the previous sweep
-        (``_compact_floor``), so modules whose alias map is mostly live
-        never pay repeated fruitless sweeps.
+        sweep runs only once the entry count has doubled since the
+        previous sweep (``_compact_floor``), so modules whose alias map is
+        mostly live never pay repeated fruitless sweeps.
 
-        Compaction intentionally keeps no entries for dead bits, so any
-        consumer holding *raw* pre-compaction bits must be told: Session
-        pending-edit windows compare the :attr:`compactions` counter
-        before seeding (see :meth:`_note_generation_reset`).
+        :meth:`repro.opt.pass_base.PassManager.run` calls this once, when
+        a pipeline run ends: no round carry of raw bits is held then, and
+        no frozen window is open.  A frozen window's buffered deindexes
+        still need the dropped entries, so inside one this does nothing.
+        Other holders of raw bits (Session pending-edit windows) compare
+        :attr:`compactions`, which each compaction bumps, before they
+        resolve them.
         """
         size = len(self.sigmap)
-        if size < 256 or size < 2 * self._compact_floor:
+        if self._frozen or size < 256 or size < 2 * self._compact_floor:
             return
         live = self._live_bits()
         if size <= 2 * len(live):
@@ -291,7 +256,8 @@ class NetIndex:
             return
         self.sigmap.compact(live)
         self._compact_floor = max(128, len(self.sigmap))
-        self._note_generation_reset()
+        self._view = None
+        self.compactions += 1
 
     def _index_port(self, cell: Cell, pname: str, spec: SigSpec,
                     is_out: bool) -> None:

@@ -161,20 +161,25 @@ class OptClean(Pass):
         # connection.  Keeping one marks its rhs wires used, so iterate to a
         # fixpoint to preserve whole alias chains.
         kept_connections = []
-        pending = list(module.connections)
+        pending = []
+        for lhs, rhs in module.connections:
+            wires = lhs.wires()
+            pending.append((
+                lhs, rhs, {id(w) for w in wires},
+                any(w.port_output for w in wires),
+            ))
         while True:
             still_pending = []
             progressed = False
-            for lhs, rhs in pending:
-                lhs_wires = {id(w) for w in lhs.wires()}
-                lhs_is_output = any(w.port_output for w in lhs.wires())
+            for entry in pending:
+                lhs, rhs, lhs_wires, lhs_is_output = entry
                 if lhs_is_output or lhs_wires & used:
                     kept_connections.append((lhs, rhs))
                     mark_spec(lhs)
                     mark_spec(rhs)
                     progressed = True
                 else:
-                    still_pending.append((lhs, rhs))
+                    still_pending.append(entry)
             pending = still_pending
             if not progressed or not pending:
                 break

@@ -391,14 +391,6 @@ class PassManager:
     def engine(self) -> str:
         return "incremental" if self.incremental else "eager"
 
-    @staticmethod
-    def _sigmap_generation(module: Module) -> Optional[int]:
-        """The live index's alias-map generation, or None before one
-        exists (a fresh build is current for every bit recorded after it,
-        so creation mid-run is not a reset)."""
-        index = module._net_index
-        return None if index is None else index.compactions
-
     def run(
         self,
         module: Module,
@@ -417,6 +409,10 @@ class PassManager:
         of this pipeline before those edits — exactly the invariant
         :class:`repro.flow.session.Session` tracks through the design edit
         channel.  Ignored by the eager engine.
+
+        When the run ends, the module's live index (if it has one) drops
+        its alias map's dead entries once they dominate
+        (:meth:`~repro.ir.walker.NetIndex.maybe_compact`).
         """
         emit = self.events.emit
         emit(
@@ -441,11 +437,9 @@ class PassManager:
         if carry is not None:
             dirty_stats["seeded_runs"] = 1
         self.converged = True
-        unverified = False  # a reset ate the final verification round
         for round_no in range(max_rounds if fixpoint else 1):
             round_change = False
             round_touched = DirtySet()
-            generation = self._sigmap_generation(module)
             if self.incremental and carry is not None:
                 dirty_stats["incremental_rounds"] += 1
                 dirty_stats["dirty_seed_cells"] += len(carry.cells)
@@ -491,31 +485,7 @@ class PassManager:
                 touched_cells=len(round_touched.cells),
             )
             any_change = any_change or round_change
-            # raw carry/seed bits are resolved against the sigmap only when
-            # consumed; an alias-map generation reset (compaction or full
-            # rebuild) in between orphans them, so escalate to a full round
-            # instead of trusting — and never *converge* on a round whose
-            # own seeds may have been orphaned mid-round
-            end_generation = self._sigmap_generation(module)
-            if generation is None:
-                # the index was created mid-round (generation 0); any
-                # nonzero count means resets fired after creation
-                reset = self.incremental and bool(end_generation)
-            else:
-                reset = self.incremental and end_generation != generation
-            if reset:
-                dirty_stats["generation_resets"] += 1
             if not round_change:
-                if fixpoint and reset and carry is not None:
-                    # this round's seeds may have been orphaned: re-verify
-                    # convergence with a full sweep — or, with no rounds
-                    # left to do so, report honestly instead of claiming a
-                    # fixpoint that was never verified
-                    if round_no == max_rounds - 1:
-                        unverified = True
-                        break
-                    carry = None
-                    continue
                 if fixpoint:
                     emit(
                         "round_converged",
@@ -524,8 +494,8 @@ class PassManager:
                         module=module.name,
                     )
                 break
-            carry = None if reset else round_touched
-        if fixpoint and rounds == max_rounds and (round_change or unverified):
+            carry = round_touched
+        if fixpoint and rounds == max_rounds and round_change:
             self.converged = False
             emit(
                 "round_limit_reached",
@@ -536,6 +506,11 @@ class PassManager:
             )
         self.rounds_run = rounds
         self.dirty_stats = dirty_stats
+        # the carry's raw bits are gone and no frozen window is open: the
+        # one point where the live alias map may drop its dead entries
+        index = module._net_index
+        if index is not None:
+            index.maybe_compact()
         emit(
             "pipeline_finished",
             pipeline=self.name,

@@ -33,6 +33,7 @@ hier-cec    design scope: ``run_hierarchy`` result not CEC-equivalent
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -312,22 +313,21 @@ ORACLE_NAMES = tuple(sorted(ORACLES))
 
 
 def get_oracle(name: str, *, flow: str = "smartly", options=None,
-               **kwargs) -> Oracle:
+               max_conflicts: Optional[int] = None) -> Oracle:
     """Instantiate a registered oracle by name.
 
-    ``kwargs`` (``max_conflicts``) are forwarded when the oracle accepts
-    them; unknown names raise ``ValueError`` with the available choices.
+    ``max_conflicts`` budgets the SAT check of the oracles that take it
+    (``cec``, ``hier-cec``); the others have no SAT check and ignore it.
+    Unknown names raise ``ValueError`` with the available choices.
     """
     cls = ORACLES.get(name)
     if cls is None:
         raise ValueError(
             f"unknown oracle {name!r}; choose from {', '.join(ORACLE_NAMES)}"
         )
-    try:
-        return cls(flow=flow, options=options, **kwargs)
-    except TypeError:
-        # oracle without tuning knobs (divergence/seeded/roundtrip/crash)
-        return cls(flow=flow, options=options)
+    if "max_conflicts" in inspect.signature(cls).parameters:
+        return cls(flow=flow, options=options, max_conflicts=max_conflicts)
+    return cls(flow=flow, options=options)
 
 
 __all__ = [

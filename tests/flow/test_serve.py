@@ -835,3 +835,12 @@ class TestCliSubprocess:
         assert replay["report"]["optimized_area"] == (
             result["report"]["optimized_area"]
         )
+
+    def test_cli_serve_has_no_engine_option(self, capsys):
+        # served jobs always run the incremental engine
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--engine", "eager"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err

@@ -27,14 +27,13 @@ class _CountdownPass(Pass):
             result.bump("ticks")
 
 
-class _ResettingPass(Pass):
-    """Changes the module once and forces a union-find generation reset
-    mid-round (what a union-find compaction does)."""
+class _ChangeOncePass(Pass):
+    """Changes the module in its first round only, noting whether each
+    round was a full sweep or seeded."""
 
-    name = "resetter"
+    name = "change-once"
 
     def __init__(self):
-        self.fired = False
         self.seed_kinds = []
 
     def execute(self, module, result):
@@ -42,79 +41,22 @@ class _ResettingPass(Pass):
 
     def execute_incremental(self, module, result, dirty):
         self.seed_kinds.append("full" if dirty is None else "seeded")
-        index = module.net_index()
-        if not self.fired:
-            self.fired = True
+        module.net_index()
+        if len(self.seed_kinds) == 1:
             result.bump("ticks")
-            index._note_generation_reset()
 
 
 class TestGenerationResetGuard:
-    """Raw carry bits are resolved only when consumed; a sigmap generation
-    reset in between must escalate the next round to a full sweep."""
-
-    def test_reset_forces_full_next_round(self):
-        module = random_module(9000, width=3, n_units=2)
-        pass_ = _ResettingPass()
-        manager = PassManager([pass_], incremental=True)
-        manager.run(module, fixpoint=True, max_rounds=4)
-        assert manager.dirty_stats.get("generation_resets", 0) >= 1
-        # round 1 must NOT be seeded from round 0's orphaned raw bits
-        assert pass_.seed_kinds == ["full", "full"]
-        assert manager.dirty_stats["full_rounds"] == 2
-        assert manager.dirty_stats["incremental_rounds"] == 0
-
-    def test_reset_on_final_round_reports_not_converged(self):
-        """A reset on the last allowed round leaves no budget for the
-        full verification sweep; claiming convergence anyway would anchor
-        design-scope skips on a fixpoint that was never verified."""
-
-        class _LateReset(Pass):
-            name = "latereset"
-            calls = 0
-
-            def execute(self, module, result):
-                pass
-
-            def execute_incremental(self, module, result, dirty):
-                type(self).calls += 1
-                index = module.net_index()
-                if self.calls == 1:
-                    result.bump("ticks")  # round 0 changes -> round 1 seeded
-                elif self.calls == 2:
-                    index._note_generation_reset()  # quiet round, mid-reset
-
-        module = random_module(9002, width=3, n_units=2)
-        manager = PassManager([_LateReset()], incremental=True)
-        manager.run(module, fixpoint=True, max_rounds=2)
-        assert manager.converged is False
-
-        # with budget for the verification round, convergence is honest
-        _LateReset.calls = 0
-        module2 = random_module(9002, width=3, n_units=2)
-        manager2 = PassManager([_LateReset()], incremental=True)
-        manager2.run(module2, fixpoint=True, max_rounds=4)
-        assert manager2.converged is True
-        assert _LateReset.calls == 3  # the extra full sweep actually ran
+    """A round's carry always seeds the next round: the live alias map
+    compacts only after the run ends, so no raw carry bit is orphaned."""
 
     def test_no_reset_keeps_rounds_incremental(self):
         module = random_module(9001, width=3, n_units=2)
-
-        class _Quiet(_ResettingPass):
-            def execute_incremental(self, inner_module, result, dirty):
-                self.seed_kinds.append(
-                    "full" if dirty is None else "seeded"
-                )
-                inner_module.net_index()
-                if not self.fired:
-                    self.fired = True
-                    result.bump("ticks")  # change, but no reset
-
-        pass_ = _Quiet()
+        pass_ = _ChangeOncePass()
         manager = PassManager([pass_], incremental=True)
         manager.run(module, fixpoint=True, max_rounds=4)
         assert pass_.seed_kinds == ["full", "seeded"]
-        assert "generation_resets" not in manager.dirty_stats
+        assert manager.dirty_stats["incremental_rounds"] == 1
 
 
 class TestConvergenceReporting:

@@ -16,7 +16,7 @@ from repro.ir.design import Design
 from repro.ir.signals import SigSpec
 from repro.opt.opt_merge import BREAK_SORT_KEY_ENV, OptMerge
 from repro.testing import ORACLE_NAMES, PASS, get_oracle
-from repro.testing.oracles import ORACLES
+from repro.testing.oracles import ORACLES, CecOracle
 
 
 def _healthy_module():
@@ -66,9 +66,29 @@ def test_get_oracle_unknown_name():
 def test_get_oracle_passes_and_drops_kwargs():
     cec = get_oracle("cec", flow="yosys", max_conflicts=10)
     assert cec.max_conflicts == 10
-    # knobless oracles silently ignore the tuning kwargs
+    # oracles without a SAT check ignore the budget
     div = get_oracle("divergence", flow="yosys", max_conflicts=10)
     assert div.flow == "yosys"
+
+
+def test_get_oracle_rejects_an_unknown_keyword():
+    # a misspelt budget must not yield an unbudgeted check
+    with pytest.raises(TypeError, match="max_conflict"):
+        get_oracle("cec", flow="yosys", max_conflict=10)
+
+
+def test_get_oracle_propagates_constructor_errors(monkeypatch):
+    class _Budgetless(CecOracle):
+        name = "budgetless"
+
+        def __init__(self, flow="smartly", options=None, max_conflicts=None):
+            if max_conflicts is not None:
+                raise TypeError("no budget here")
+            super().__init__(flow, options)
+
+    monkeypatch.setitem(ORACLES, "budgetless", _Budgetless)
+    with pytest.raises(TypeError, match="no budget here"):
+        get_oracle("budgetless", max_conflicts=10)
 
 
 def test_cec_oracle_catches_injected_merge_bug(monkeypatch):

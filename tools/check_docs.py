@@ -1,13 +1,16 @@
 """Documentation consistency checker (the CI docs job).
 
-Two guarantees:
+Three guarantees:
 
 1. every relative markdown link in ``docs/`` and ``README.md`` resolves to
    an existing file;
 2. every dotted ``repro.*`` name mentioned in ``docs/API.md`` actually
    exists — resolved by importing the longest module prefix and walking
    the remaining attributes, so the reference can never drift from the
-   code without CI noticing.
+   code without CI noticing;
+3. every flag in a ``python -m repro.cli <cmd> ...`` usage line of
+   ``README.md`` is an option of that subcommand in
+   ``repro.cli.build_parser()``.
 
 Usage::
 
@@ -16,6 +19,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import sys
@@ -29,8 +33,15 @@ LINK_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 #: the file whose dotted repro.* mentions must all import
 API_REFERENCE = REPO / "docs" / "API.md"
 
+#: the file whose ``python -m repro.cli`` usage lines must use real flags
+USAGE_FILE = REPO / "README.md"
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+#: a usage line's subcommand and the rest of the line (up to a backtick)
+_USAGE = re.compile(r"python -m repro\.cli ([a-z][\w-]*)([^`\n]*)")
+#: a flag: a dash-led word not inside another word (``hier-cec`` is none)
+_FLAG = re.compile(r"(?<![\w-])--?[A-Za-z][\w-]*")
 
 
 def check_links() -> list:
@@ -77,12 +88,52 @@ def check_api_names() -> list:
     return failures
 
 
+def cli_options() -> dict:
+    """Each subcommand of ``repro.cli.build_parser()`` mapped to the
+    option strings it takes."""
+    from repro.cli import build_parser
+
+    (subcommands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: set(parser._option_string_actions)
+        for name, parser in subcommands.choices.items()
+    }
+
+
+def check_cli_flags() -> list:
+    """Failures for every usage line naming a subcommand or flag the CLI
+    does not have (text after `` #`` is a comment)."""
+    origin = USAGE_FILE.relative_to(REPO)
+    options = cli_options()
+    failures = []
+    lines = 0
+    for match in _USAGE.finditer(USAGE_FILE.read_text()):
+        command, rest = match.groups()
+        lines += 1
+        known = options.get(command)
+        if known is None:
+            failures.append(f"{origin}: no repro.cli subcommand {command!r}")
+            continue
+        for flag in _FLAG.findall(rest.split(" #", 1)[0]):
+            if flag not in known:
+                failures.append(
+                    f"{origin}: {command} has no option {flag} "
+                    f"(usage: {match.group(0).strip()})"
+                )
+    print(f"{origin}: {lines} repro.cli usage lines checked")
+    return failures
+
+
 def main() -> int:
-    failures = check_links() + check_api_names()
+    failures = check_links() + check_api_names() + check_cli_flags()
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:
-        print(f"links OK across {len(LINK_FILES)} files; API names OK")
+        print(f"links OK across {len(LINK_FILES)} files; API names and "
+              f"CLI usage flags OK")
     return 1 if failures else 0
 
 
