@@ -107,7 +107,7 @@ class AIG:
         if existing is not None:
             return existing
         self._ands.append(key)
-        lit = 2 * (self.num_inputs + len(self._ands))
+        lit = 2 * (len(self.input_names) + len(self._ands))
         self._strash[key] = lit
         return lit
 
@@ -150,14 +150,18 @@ class AIG:
         return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor(self, a: int, b: int) -> int:
-        return self.or_(self.and_(a, b ^ 1), self.and_(a ^ 1, b))
+        # ``or_(and_(a, ~b), and_(~a, b))`` with ``or_`` inlined: the
+        # three ``and_`` calls are made in the same order
+        and_ = self.and_
+        return and_(and_(a, b ^ 1) ^ 1, and_(a ^ 1, b) ^ 1) ^ 1
 
     def xnor(self, a: int, b: int) -> int:
         return self.xor(a, b) ^ 1
 
     def mux(self, a: int, b: int, s: int) -> int:
         """``s ? b : a`` — 3 AND nodes in the worst case."""
-        return self.or_(self.and_(s, b), self.and_(s ^ 1, a))
+        and_ = self.and_
+        return and_(and_(s, b) ^ 1, and_(s ^ 1, a) ^ 1) ^ 1
 
     def and_reduce(self, lits: Sequence[int]) -> int:
         """Balanced conjunction tree."""

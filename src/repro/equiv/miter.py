@@ -20,7 +20,7 @@ keep registers in place.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from ..aig.aig import AIG
 from ..aig.aigmap import aig_map
@@ -62,7 +62,10 @@ def build_miter(
     :func:`~repro.ir.walker.current_index` (its live index when it has a
     usable one, else a snapshot), and both give the same miter.  Either
     way :class:`PortMismatchError` is raised when the output bit names
-    differ.
+    differ, or when either side names two input bits or two output bits
+    alike (a dff ``dff$1`` and an instance ``dff$1`` both name
+    ``dff$1.D[0]``): bits pair by name, so such a pair would merge two
+    inputs and drop an output.
 
     Extra internal sources (undriven wires) are miter inputs named by
     their canonical bit, shared when both sides have the bit; a bit
@@ -77,6 +80,9 @@ def build_miter(
             "build_miter takes two Modules or two AIGs, got "
             f"{type(gold).__name__} and {type(gate).__name__}"
         )
+    for label, side in (("gold", gold), ("gate", gate)):
+        _check_names(label, "input", side.input_names)
+        _check_names(label, "output", [name for name, _lit in side.outputs])
 
     aig = AIG()
     shared: Dict[str, int] = {}
@@ -96,6 +102,21 @@ def build_miter(
     miter_lit = aig.or_reduce(xors)
     aig.add_output(miter_lit, "miter")
     return aig, miter_lit
+
+
+def _check_names(label: str, kind: str, names: List[str]) -> None:
+    """Raise :class:`PortMismatchError` naming the first repeat in
+    ``names``."""
+    if len(set(names)) == len(names):
+        return
+    seen: Set[str] = set()
+    for name in names:
+        if name in seen:
+            raise PortMismatchError(
+                f"{label} names two {kind} bits {name!r}; the miter pairs "
+                f"bits by name"
+            )
+        seen.add(name)
 
 
 def _graft(aig: AIG, side: AIG, shared: Dict[str, int]) -> Dict[str, int]:

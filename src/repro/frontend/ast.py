@@ -131,7 +131,12 @@ class Case(Stmt):
 
 @dataclass
 class NetDecl:
-    """wire/reg/input/output declaration (one name per decl after parsing)."""
+    """wire/reg/input/output declaration (one name per decl after parsing).
+
+    ``msb``/``lsb`` are the range of the net's first declaration; every
+    later declaration of the same net (``input [3:0] a; wire [3:0] a;``)
+    adds its ``(msb, lsb, line)`` to ``redeclarations``, and elaboration
+    requires their ranges to be identical (IEEE 1364-2005 §12.3.3)."""
 
     name: str
     kind: str  # "wire" | "reg"
@@ -139,6 +144,9 @@ class NetDecl:
     lsb: Optional[Expr] = None
     is_input: bool = False
     is_output: bool = False
+    redeclarations: List[Tuple[Optional[Expr], Optional[Expr], int]] = field(
+        default_factory=list
+    )
 
 
 @dataclass

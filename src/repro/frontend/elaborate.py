@@ -20,6 +20,10 @@ Design notes / documented simplifications:
   here.  Cross-module checks (does the child exist, do widths match) are
   deferred to :func:`repro.ir.hierarchy.hierarchy`, since modules may be
   declared in any order.
+* Every declaration of a net has the same range (``input [3:0] a;
+  wire [3:0] a;`` is legal, ``wire a;`` after it is not, IEEE 1364-2005
+  §12.3.3); a different one is a :class:`FrontendError` naming the net
+  and the line of the declaration that differs.
 * A net bit has at most one driver among the ``assign`` statements and
   ``always`` blocks (a combinational block drives every bit of each wire
   it writes, unwritten bits with ``x``); a second one is a
@@ -60,6 +64,23 @@ from .ast import (
 )
 from .lexer import FrontendError
 from .parser import parse_source
+
+
+#: the :class:`Circuit` builder of each binary operator that maps to one
+#: cell over operands extended to a common width
+_BINARY_BUILDERS = {
+    "&": Circuit.and_,
+    "|": Circuit.or_,
+    "^": Circuit.xor,
+    "~^": Circuit.xnor,
+    "^~": Circuit.xnor,
+    "+": Circuit.add,
+    "-": Circuit.sub,
+    "==": Circuit.eq,
+    "!=": Circuit.ne,
+    "<": Circuit.lt,
+    "<=": Circuit.le,
+}
 
 
 class Elaborator:
@@ -136,8 +157,15 @@ class Elaborator:
             if param.name not in self.params:  # overrides win
                 self.params[param.name] = self.const_eval(param.value)
         for net in self.decl.nets:
-            msb = self.const_eval(net.msb) if net.msb is not None else 0
-            lsb = self.const_eval(net.lsb) if net.lsb is not None else 0
+            msb, lsb = self._range(net.msb, net.lsb)
+            for other_msb, other_lsb, line in net.redeclarations:
+                other = self._range(other_msb, other_lsb)
+                if other != (msb, lsb):
+                    raise FrontendError(
+                        f"net {net.name} redeclared at line {line} with "
+                        f"range [{other[0]}:{other[1]}]; it was declared "
+                        f"[{msb}:{lsb}]"
+                    )
             if msb < lsb:
                 raise FrontendError(
                     f"descending ranges are not supported: {net.name}[{msb}:{lsb}]"
@@ -177,6 +205,12 @@ class Elaborator:
                 inst.module, name=inst.name, connections=connections
             )
         return self.module
+
+    def _range(self, msb: Optional[Expr],
+               lsb: Optional[Expr]) -> Tuple[int, int]:
+        """A declared range, ``[0:0]`` when there is none."""
+        return (self.const_eval(msb) if msb is not None else 0,
+                self.const_eval(lsb) if lsb is not None else 0)
 
     def _drive(self, target: Iterable[SigBit], driver: str) -> None:
         """Record ``driver`` as the one driver of every bit of ``target``."""
@@ -365,21 +399,9 @@ class Elaborator:
         width = max(len(left), len(right))
         left = left.extend(width)
         right = right.extend(width)
-        builders = {
-            "&": c.and_,
-            "|": c.or_,
-            "^": c.xor,
-            "~^": c.xnor,
-            "^~": c.xnor,
-            "+": c.add,
-            "-": c.sub,
-            "==": c.eq,
-            "!=": c.ne,
-            "<": c.lt,
-            "<=": c.le,
-        }
-        if op in builders:
-            return builders[op](left, right)
+        builder = _BINARY_BUILDERS.get(op)
+        if builder is not None:
+            return builder(c, left, right)
         if op == ">":
             return c.lt(right, left)
         if op == ">=":

@@ -1,18 +1,21 @@
 """Tokenizer for the synthesizable Verilog subset.
 
 One compiled master pattern, a named group per lexeme class, scans the
-source.  Its alternatives are tried in this order: whitespace
-``[ \\t\\r\\f]`` (a form feed is white space, IEEE 1364-2005 §3.2; a
-vertical tab is not), then newline; ``//``, then ``/* */`` comments; a based
+source.  Each match starts with the white space ``[ \\t\\r\\f]*`` before
+its lexeme (a form feed is white space, IEEE 1364-2005 §3.2; a vertical
+tab is not), so white space costs no match of its own.  The lexeme
+alternatives are tried in this order: newline; ``//``, then ``/* */``
+comments; a based
 literal (``8'hFF``, ``3'b01z``), then a decimal number (underscores
 stripped); an identifier or keyword, then an escaped identifier (``\\``
 up to the next whitespace character, backslash dropped); operators,
 longest first, then punctuation.  Simple identifiers
 (``[A-Za-z_$][A-Za-z0-9_$]*``) and numbers are ASCII only, as IEEE 1364
 defines them: any other non-ASCII character outside a comment or an
-escaped identifier is an ``unexpected character`` error.  Positions come
-from match offsets: the line is a running newline count and the column
-``offset - line_start + 1``.
+escaped identifier is an ``unexpected character`` error; white space at
+the end of the source matches nothing and is dropped.  Positions come
+from the lexeme group's offsets: the line is a running newline count and
+the column ``offset - line_start + 1``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ _PUNCT = "()[]{}:;,.#@"
 #: ``(group, pattern)`` in precedence order; the error groups match only
 #: where the well-formed alternative before them failed
 _LEXEMES = (
-    ("ws", r"[ \t\r\f]+"),
     ("nl", r"\n"),
     ("line_comment", r"//[^\n]*"),
     ("block_comment", r"/\*[\s\S]*?\*/"),
@@ -68,9 +70,11 @@ _LEXEMES = (
     ("escaped", r"\\\S*"),
     ("op", "|".join(map(re.escape, _OPERATORS))),
     ("punct", "[" + re.escape(_PUNCT) + "]"),
-    ("junk", r"[\s\S]"),
+    # not white space: a match's white-space prefix must not be junk
+    ("junk", r"[^ \t\r\f]"),
 )
-_MASTER = re.compile("|".join(f"(?P<{name}>{regex})" for name, regex in _LEXEMES))
+_MASTER = re.compile(r"[ \t\r\f]*(?:" + "|".join(
+    f"(?P<{name}>{regex})" for name, regex in _LEXEMES) + ")")
 
 #: groups whose whole match is the token text
 _VERBATIM = {"op": TokKind.OP, "punct": TokKind.PUNCT, "based": TokKind.BASED_NUMBER}
@@ -105,35 +109,34 @@ def tokenize(source: str) -> List[Token]:
     line_start = 0
     for match in _MASTER.finditer(source):
         group = match.lastgroup
-        if group == "ws":
-            continue
         if group == "ident":
-            text = match.group()
+            text = match.group(group)
             append(Token(keyword if text in KEYWORDS else ident, text, line,
-                         match.start() - line_start + 1))
+                         match.start(group) - line_start + 1))
         elif group in _VERBATIM:
-            append(Token(_VERBATIM[group], match.group(), line,
-                         match.start() - line_start + 1))
+            append(Token(_VERBATIM[group], match.group(group), line,
+                         match.start(group) - line_start + 1))
         elif group == "nl":
             line += 1
             line_start = match.end()
         elif group == "number":
-            append(Token(TokKind.NUMBER, match.group().replace("_", ""), line,
-                         match.start() - line_start + 1))
+            append(Token(TokKind.NUMBER, match.group(group).replace("_", ""),
+                         line, match.start(group) - line_start + 1))
         elif group == "block_comment":
-            text = match.group()
+            text = match.group(group)
             newlines = text.count("\n")
             if newlines:
                 line += newlines
-                line_start = match.start() + text.rindex("\n") + 1
+                line_start = match.start(group) + text.rindex("\n") + 1
         elif group == "escaped":
-            append(Token(ident, match.group()[1:], line,
-                         match.start() - line_start + 1))
+            append(Token(ident, match.group(group)[1:], line,
+                         match.start(group) - line_start + 1))
         elif group != "line_comment":
             message = (_ERRORS.get(group)
-                       or f"unexpected character {match.group()!r}")
+                       or f"unexpected character {match.group(group)!r}")
             raise FrontendError(
-                f"lex error at {line}:{match.start() - line_start + 1}: {message}"
+                f"lex error at {line}:{match.start(group) - line_start + 1}: "
+                f"{message}"
             )
     tokens.append(Token(TokKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

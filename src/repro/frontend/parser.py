@@ -201,10 +201,7 @@ class Parser:
             kind = "reg" if self.accept("reg") else "wire"
             msb, lsb = self._parse_optional_range()
             while True:
-                name = self.expect_ident()
-                decl = self._find_or_add_net(module, name, kind)
-                decl.kind = kind
-                decl.msb, decl.lsb = msb, lsb
+                decl = self._declare_net(module, kind, msb, lsb)
                 decl.is_input = direction == "input"
                 decl.is_output = direction == "output"
                 if not self.accept(","):
@@ -214,10 +211,8 @@ class Parser:
             kind = self.advance().text
             msb, lsb = self._parse_optional_range()
             while True:
-                name = self.expect_ident()
-                decl = self._find_or_add_net(module, name, kind)
-                decl.kind = kind
-                decl.msb, decl.lsb = msb, lsb
+                decl = self._declare_net(module, kind, msb, lsb)
+                name = decl.name
                 if self.accept("="):
                     # wire w = expr;  -> implicit continuous assign
                     module.assigns.append(
@@ -281,11 +276,20 @@ class Parser:
         self.expect(";")
         return inst
 
-    def _find_or_add_net(self, module: ModuleDecl, name: str, kind: str) -> NetDecl:
+    def _declare_net(self, module: ModuleDecl, kind: str, msb: Optional[Expr],
+                     lsb: Optional[Expr]) -> NetDecl:
+        """Parse one declared net name: a new :class:`NetDecl`, or the
+        net's earlier one with this declaration's range and line added to
+        its ``redeclarations``."""
+        line = self.current.line
+        name = self.expect_ident()
         decl = self._nets.get(name)
         if decl is None:
-            decl = self._nets[name] = NetDecl(name, kind)
+            decl = self._nets[name] = NetDecl(name, kind, msb, lsb)
             module.nets.append(decl)
+        else:
+            decl.redeclarations.append((msb, lsb, line))
+        decl.kind = kind
         return decl
 
     def _parse_optional_range(self):

@@ -98,9 +98,8 @@ class Cell:
         #: the type's input and output port names in spec order, and each
         #: port's width expression: a cell's type never changes, so they
         #: are looked up once here instead of per query
-        self.input_ports = input_ports(ctype)
-        self.output_ports = output_ports(ctype)
-        self._port_widths = port_widths(ctype)
+        self.input_ports, self.output_ports, self._port_widths = \
+            _PORT_TABLES[ctype]
         self.width = width
         self.n = n
         self.connections: Dict[str, SigSpec] = {}
@@ -118,10 +117,8 @@ class Cell:
     def __setstate__(self, state) -> None:
         for key, value in state[1].items():
             setattr(self, key, value)
-        ctype = self.type
-        self.input_ports = input_ports(ctype)
-        self.output_ports = output_ports(ctype)
-        self._port_widths = port_widths(ctype)
+        self.input_ports, self.output_ports, self._port_widths = \
+            _PORT_TABLES[self.type]
 
     def port(self, name: str) -> SigSpec:
         """The SigSpec connected to the given port."""
@@ -197,6 +194,12 @@ class Cell:
 #: the slots a pickled :class:`Cell` carries
 _CELL_STATE = ("name", "type", "width", "n", "connections", "attributes",
                "version", "_module")
+
+#: per cell type: its input ports, output ports and port width expressions
+_PORT_TABLES = {
+    ctype: (input_ports(ctype), output_ports(ctype), port_widths(ctype))
+    for ctype in CellType
+}
 
 
 class Instance:
@@ -360,7 +363,8 @@ class Module:
         Output ports may be omitted, in which case fresh wires are created.
         """
         if name is None:
-            name = self._fresh_name(str(ctype), self.cells)
+            # ``_value_`` is ``str(ctype)`` without the Enum descriptor frames
+            name = self._fresh_name(ctype._value_, self.cells)
         if name in self.cells:
             raise ValueError(f"duplicate cell name {name!r} in module {self.name!r}")
         if width is None:

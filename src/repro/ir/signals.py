@@ -26,6 +26,7 @@ store generations written before interning carry no such field.
 from __future__ import annotations
 
 import enum
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
@@ -187,20 +188,28 @@ class SigBit:
         return f"<{self.wire.name}[{self.offset}]>"
 
 
+_set_wire = SigBit.wire.__set__
+_set_offset = SigBit.offset.__set__
+_set_state = SigBit.state.__set__
+#: a slot, not a property: every per-bit loop asks it
+_set_is_const = SigBit.is_const.__set__
+
+
 def _new_bit(wire: Optional[Wire], offset: int, state: Optional[State]) -> SigBit:
     """Allocate a bit object; only :class:`Wire` and the constants call
-    this, everyone else gets the interned object from ``SigBit(...)``."""
+    this, everyone else gets the interned object from ``SigBit(...)``.
+    The slots are filled through their descriptors, which bypass the
+    raising ``__setattr__``."""
     bit = object.__new__(SigBit)
-    object.__setattr__(bit, "wire", wire)
-    object.__setattr__(bit, "offset", offset)
-    object.__setattr__(bit, "state", state)
-    #: a slot, not a property: every per-bit loop asks it
-    object.__setattr__(bit, "is_const", state is not None)
+    _set_wire(bit, wire)
+    _set_offset(bit, offset)
+    _set_state(bit, state)
+    _set_is_const(bit, state is not None)
     return bit
 
 
 def _wire_bits(wire: Wire) -> Tuple[SigBit, ...]:
-    return tuple(_new_bit(wire, i, None) for i in range(wire.width))
+    return tuple(map(_new_bit, repeat(wire), range(wire.width), repeat(None)))
 
 
 BIT0 = _new_bit(None, 0, State.S0)
@@ -356,10 +365,13 @@ class SigSpec:
         return trusted_spec(self._bits * count)
 
     def extend(self, width: int, signed: bool = False) -> "SigSpec":
-        """Zero-extend (or sign-extend) / truncate to ``width`` bits."""
+        """Zero-extend (or sign-extend) / truncate to ``width`` bits;
+        ``self`` when it already has ``width`` bits."""
+        if width == len(self._bits):
+            return self
         if width < 0:
             raise ValueError("width must be >= 0")
-        if width <= len(self._bits):
+        if width < len(self._bits):
             return trusted_spec(self._bits[:width])
         if signed and self._bits:
             pad = self._bits[-1]

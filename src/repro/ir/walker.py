@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import module as module_mod
@@ -58,6 +59,9 @@ from .signals import BIT0, BIT1, BITX, SigBit, SigSpec
 
 #: a driver/reader record: (cell, port name, bit offset in that port)
 Entry = Tuple[Cell, str, int]
+
+_first = itemgetter(0)
+_DFF = CellType.DFF
 
 
 class NetIndex:
@@ -363,6 +367,21 @@ class NetIndex:
                 f"(e.g. {entries[0][0].name!r})"
             )
 
+    @property
+    def conflicts(self) -> Dict[SigBit, List[Entry]]:
+        """Canonical bits with more than one driver, each with its extra
+        driver entries: empty unless a conflict is visible (do not
+        mutate)."""
+        return self._extra_drivers
+
+    def _conflict(self, cbit: SigBit,
+                  entry: Optional[Entry]) -> DriverConflictError:
+        other = self._extra_drivers[cbit][0][0]
+        first = entry[0].name if entry else "a constant"
+        return DriverConflictError(
+            f"bit {cbit!r} driven by both {first!r} and {other.name!r}"
+        )
+
     # -- basic queries -------------------------------------------------------
 
     def canonical(self, bit: SigBit) -> SigBit:
@@ -373,19 +392,18 @@ class NetIndex:
         cbit = self.sigmap.get(bit, bit)
         entry = self.driver.get(cbit)
         if self._extra_drivers and cbit in self._extra_drivers:
-            other = self._extra_drivers[cbit][0][0]
-            first = entry[0].name if entry else "a constant"
-            raise DriverConflictError(
-                f"bit {cbit!r} driven by both {first!r} and {other.name!r}"
-            )
+            raise self._conflict(cbit, entry)
         return entry[0] if entry else None
 
     def comb_driver(self, bit: SigBit) -> Optional[Cell]:
         """The driving cell, but treating dff outputs as sources."""
-        cell = self.driver_cell(bit)
-        if cell is not None and cell.type is CellType.DFF:
+        cbit = self.sigmap.get(bit, bit)
+        entry = self.driver.get(cbit)
+        if self._extra_drivers and cbit in self._extra_drivers:
+            raise self._conflict(cbit, entry)
+        if entry is None or entry[0].type is _DFF:
             return None
-        return cell
+        return entry[0]
 
     def is_source(self, bit: SigBit) -> bool:
         """True for constants, module inputs, dff outputs and undriven bits."""
@@ -444,37 +462,57 @@ class NetIndex:
         return list(self._topo_cache)
 
     def _compute_topo(self) -> List[Cell]:
-        order: List[Cell] = []
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-        comb_cells = [c for c in self.module.cells.values() if c.is_combinational]
-        for root in comb_cells:
-            if state.get(root.name) == 1:
+        # one pass per cell over its input bits collects the drivers it
+        # depends on, in port order without repeats (a repeat would find
+        # its driver done); a bit with conflicting drivers stands in for
+        # its driver, so the walk raises where a driver query would
+        get = self.sigmap.get
+        driver = self.driver.get
+        conflicts = self._extra_drivers
+        # 0 = visiting, 1 = done (a dff's outputs are sources), 2 = a bit
+        # with conflicting drivers
+        state: Dict[object, int] = dict.fromkeys(conflicts, 2)
+        deps: Dict[Cell, List[object]] = {}
+        for cell in self.module.cells.values():
+            if cell.type is _DFF:
+                state[cell] = 1
                 continue
-            stack: List[Tuple[Cell, Iterator[SigBit]]] = [
-                (root, iter(self.cell_fanin_bits(root)))
+            bits = cell.input_bits()
+            cbits = list(map(get, bits, bits))
+            if conflicts and not conflicts.keys().isdisjoint(cbits):
+                drivers = [cbit if cbit in conflicts else entry[0]
+                           for cbit, entry in zip(cbits, map(driver, cbits))
+                           if entry is not None or cbit in conflicts]
+            else:
+                drivers = map(_first, filter(None, map(driver, cbits)))
+            deps[cell] = list(dict.fromkeys(drivers))
+
+        order: List[Cell] = []
+        for root in deps:
+            if root in state:
+                continue
+            state[root] = 0
+            stack: List[Tuple[Cell, Iterator[object]]] = [
+                (root, iter(deps[root]))
             ]
-            state[root.name] = 0
             while stack:
                 cell, it = stack[-1]
-                advanced = False
-                for bit in it:
-                    dep = self.comb_driver(bit)
-                    if dep is None:
+                for dep in it:
+                    dep_state = state.get(dep)
+                    if dep_state == 1:
                         continue
-                    dep_state = state.get(dep.name)
+                    if dep_state is None:
+                        state[dep] = 0
+                        stack.append((dep, iter(deps[dep])))
+                        break
                     if dep_state == 0:
                         raise CombLoopError(
                             f"combinational loop through {dep.name!r}"
                         )
-                    if dep_state is None:
-                        state[dep.name] = 0
-                        stack.append((dep, iter(self.cell_fanin_bits(dep))))
-                        advanced = True
-                        break
-                if not advanced:
+                    self.driver_cell(dep)  # raises: conflicting drivers
+                else:
                     stack.pop()
-                    state[cell.name] = 1
+                    state[cell] = 1
                     order.append(cell)
         return order
 

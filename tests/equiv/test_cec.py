@@ -1,8 +1,11 @@
 """Combinational equivalence checking."""
 
+import re
+
 import pytest
 
 from repro.aig import aig_map, fraig
+from repro.aig.aig import AIG, TRUE_LIT
 from repro.api import Session
 from repro.cli import main
 from repro.equiv import (
@@ -100,6 +103,54 @@ def test_port_mismatch_rejected():
     c2.output("y", c2.input("a", 8))
     with pytest.raises(PortMismatchError):
         check_equivalence(c1.module, c2.module)
+
+
+#: the auto-named dff ``dff$1`` and the instance ``dff$1`` both name
+#: ``dff$1.D[0]`` and ``dff$1.Q[0]``; gate registers ``b`` instead of ``a``
+DFF_NAMED_LIKE_AN_INSTANCE = """
+module child(input D, output Q); assign Q = D; endmodule
+module top(input clk, input a, input b, input c, output y, output z);
+  reg q;
+  always @(posedge clk) q <= a;
+  assign y = q;
+  child dff$1 (.D(c), .Q(z));
+endmodule
+"""
+
+
+def test_repeated_bit_names_are_a_port_mismatch():
+    gold = compile_verilog(DFF_NAMED_LIKE_AN_INSTANCE, top="top").top
+    gate = compile_verilog(
+        DFF_NAMED_LIKE_AN_INSTANCE.replace("q <= a;", "q <= b;"), top="top"
+    ).top
+    assert "dff$1" in gold.cells and "dff$1" in gold.instances
+    message = "gold names two input bits 'dff$1.Q[0]'"
+    with pytest.raises(PortMismatchError, match=re.escape(message)):
+        check_equivalence(gold, gate)
+    with pytest.raises(PortMismatchError, match=re.escape(message)):
+        build_miter(aig_map(gold), aig_map(gate))
+    # the gate side is checked too, outputs included
+    plain, twice = AIG(), AIG()
+    for side in (plain, twice):
+        side.add_output(side.add_input("a[0]"), "y[0]")
+    twice.add_output(TRUE_LIT, "y[0]")
+    with pytest.raises(PortMismatchError,
+                       match=re.escape("gate names two output bits 'y[0]'")):
+        build_miter(plain, twice)
+
+
+def test_cli_equiv_rejects_repeated_bit_names(tmp_path, capsys):
+    gold = tmp_path / "gold.v"
+    gate = tmp_path / "gate.v"
+    gold.write_text(DFF_NAMED_LIKE_AN_INSTANCE)
+    gate.write_text(DFF_NAMED_LIKE_AN_INSTANCE.replace("q <= a;", "q <= b;"))
+    assert main(["equiv", str(gold), str(gate), "--top", "top"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: gold names two input bits 'dff$1.Q[0]'; the miter pairs "
+        "bits by name"
+    ]
 
 
 def test_assert_equivalent_raises_with_cex():

@@ -360,6 +360,48 @@ class TestSingleDriver:
             )
 
 
+class TestRedeclaration:
+    """Every declaration of a net has the same range (IEEE 1364-2005
+    §12.3.3); a different one used to take the last range silently."""
+
+    def test_rangeless_wire_after_ranged_port_rejected(self):
+        with pytest.raises(FrontendError,
+                           match=r"^net a redeclared at line 1 with range "
+                                 r"\[0:0\]; it was declared \[3:0\]$"):
+            compile_top(
+                "module m(a, y); input [3:0] a; output [3:0] y; wire a;"
+                " assign y = a; endmodule"
+            )
+
+    def test_wider_wire_after_ansi_port_rejected(self):
+        with pytest.raises(FrontendError,
+                           match=r"^net a redeclared at line 3 with range "
+                                 r"\[7:0\]; it was declared \[3:0\]$"):
+            compile_top(
+                """module m(input [3:0] a,
+                            output [7:0] y);
+                  wire [7:0] a;
+                  assign y = a;
+                endmodule"""
+            )
+
+    def test_ranges_compare_after_evaluation(self):
+        # the same range written two ways is the same range
+        module = compile_top(
+            "module m(a, y); parameter W = 4; input [W-1:0] a;"
+            " wire [3:0] a; output [7:0] y; reg [2*W-1:0] y;"
+            " always @* y = {a, a}; endmodule"
+        )
+        assert module.wires["a"].width == 4 and module.wires["y"].width == 8
+
+    def test_same_range_redeclarations_stay_legal(self):
+        s = sim(
+            "module m(a, y); input [3:0] a; wire [3:0] a;"
+            " output [7:0] y; reg [7:0] y; always @* y = {a, ~a}; endmodule"
+        )
+        assert s.run({"a": 0b1010})["y"] == 0b1010_0101
+
+
 class TestRoundTripWithOptimizer:
     def test_compiled_case_restructures(self):
         from repro.api import Session
