@@ -1,53 +1,35 @@
-"""Persistent sub-graph result cache: content-signature memoization.
+"""Persistent whole-artifact result cache.
 
-Keys are the canonical name-free signature of
-:func:`repro.ir.struct_hash.struct_signature` — equal for renamed,
-cloned or independently built isomorphic sub-graphs, so entries are
-shared across modules, suite jobs and (via :meth:`export`/:meth:`merge`)
-worker processes.  Per-cell version bumps still invalidate: the
-signature encodes each cell's current connections directly, and the
-identity→signature memo (:class:`~repro.ir.struct_hash.StructKeyMemo`)
-re-canonicalises whenever a version moves.  The key embeds everything
-the redundancy pass's decision ladder consumes, so an entry stays valid
-across pass generations: an alias connection that re-canonicalises a
-boundary bit changes the key.  The reference path for this keying is no
-cache at all (``SmartlyOptions(use_result_cache=False)``).
+The cache holds three kinds of entries (:attr:`ResultCache.KINDS`), each
+keyed by a module- or miter-level structural signature, so a renamed
+clone or an isomorphic sibling shares the entry of its twin:
 
-The redundancy pass writes one kind here, ``resolve``: one entry per
-control query, holding the whole inference → simulation → SAT
-resolution with the notes it made (every outcome but a SAT budget-out,
-which depends on the solver's variable order).  The raw ball sizes are
-not among those notes, since the reduced sub-graph's signature does not
-cover the ball, so every query notes its own.  A data operand is one
-uncached query (one inference per group of bits that share a
-sub-graph): it costs less than the signatures that would key it.
+* ``suite_job`` — name-stripped :class:`~repro.flow.session.RunReport`
+  replays (see :func:`repro.flow.session._run_suite_job` and
+  :meth:`~repro.flow.session.Session.run_hierarchy`);
+* ``hier_netlist`` — optimized module clones that isomorphic-instance
+  replay swaps into sibling slots;
+* ``cec`` — hard SAT equivalence verdicts keyed by the miter AIG's
+  structural digest (see :func:`repro.equiv.cec.check_equivalence`).
+
+:meth:`ResultCache.key_for` builds every key.  All kinds ride
+:meth:`~ResultCache.export`/:meth:`~ResultCache.merge`, so warm-started
+workers and follow-up sessions replay reports, netlists and proofs they
+never computed.
 
 A cache may read through a *parent*: a read-only mapping (another
-cache's :meth:`export`, or the live :meth:`view` of a shared one) that
-:meth:`lookup` consults on a miss.  That is how a job session warm-starts
-without copying the cache it starts from: it reads the parent, stores
-what it learns in its own entries, and :meth:`export` hands back exactly
-that.
+cache's :meth:`~ResultCache.export`, or the live
+:meth:`~ResultCache.view` of a shared one) that
+:meth:`~ResultCache.lookup` consults on a miss.  That is how a job
+session warm-starts without copying the cache it starts from: it reads
+the parent, stores what it learns in its own entries, and
+:meth:`~ResultCache.export` hands back exactly that.
 
-Beside the per-sub-graph ``resolve`` entries, the cache carries
-whole-artifact kinds keyed by module- or miter-level signatures:
-``suite_job`` (name-stripped :class:`~repro.flow.session.RunReport` replays — see
-:func:`repro.flow.session._run_suite_job` and
-:meth:`~repro.flow.session.Session.run_hierarchy`), ``hier_netlist``
-(optimized module clones that isomorphic-instance replay swaps into
-sibling slots) and ``cec`` (hard SAT equivalence verdicts keyed by the
-miter AIG's structural digest — see :func:`repro.equiv.cec.
-check_equivalence`).  All of them ride :meth:`export`/:meth:`merge`
-like any other entry, so warm-started workers and follow-up sessions
-replay proofs and netlists they never computed.
-
-One cache instance is intended to live as long as its owner: the
-:class:`~repro.core.smartly.Smartly` pass keeps one across optimization
-rounds and runs, and :class:`~repro.flow.session.Session` injects a single
-session-wide instance into every flow it builds so entries persist across
-rounds, runs *and* modules of the same design.  Entries are bounded with
-oldest-half eviction — netlist mutation permanently orphans keys of
-unreachable structures, so the population must not grow with session
+One cache instance lives as long as its owner:
+:class:`~repro.flow.session.Session` keeps one session-wide instance, so
+entries persist across runs *and* modules of the same design, and the
+serve daemon keeps one for its lifetime.  Entries are bounded with
+oldest-half eviction, so the population does not grow with that
 lifetime.
 """
 
@@ -59,26 +41,24 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..ir.struct_hash import StructKeyMemo
-
 _MISS = object()
 
 
 class ResultCache:
-    """Bounded memo for sub-graph-keyed analysis outcomes.
+    """Bounded memo for whole-artifact outcomes (see :attr:`KINDS`).
 
     ``counters`` tracks per-kind traffic (``{kind}_hits`` / ``{kind}_misses``
     plus ``evictions`` — counted per evicted *entry* — and ``merged``);
-    owners snapshot it around a pass invocation and report the delta as
-    pass statistics (the ``rcache_*`` entries of
-    :class:`~repro.flow.session.RunReport` pass stats), and sessions
-    surface the lifetime totals as :attr:`~repro.flow.session.RunReport.
-    cache_stats`.
+    sessions surface the lifetime totals as
+    :attr:`~repro.flow.session.RunReport.cache_stats`.
 
     ``parent`` is an optional read-only mapping consulted on a miss (a
     hit there counts as a hit); :meth:`store` never writes it, and
     :meth:`export` and ``len()`` cover only this cache's own entries.
     """
+
+    #: the entry kinds :meth:`key_for` builds keys of
+    KINDS = ("suite_job", "hier_netlist", "cec")
 
     def __init__(
         self,
@@ -92,7 +72,6 @@ class ResultCache:
         #: watermark :meth:`export` counts back from
         self._appended = 0
         self.counters: Counter = Counter()
-        self._struct_memo = StructKeyMemo()
         #: guards mutation sweeps and snapshot iteration: thread-suite
         #: workers merge deltas into the shared session cache while the
         #: owner may be exporting a snapshot for the next job (or the
@@ -122,26 +101,18 @@ class ResultCache:
         totals["entries"] = len(self._entries)
         return totals
 
-    def key_for(
-        self,
-        kind: str,
-        subgraph: Any,
-        extra: Tuple = (),
-        sigmap: Any = None,
-    ) -> Tuple:
-        """The memo key of one analysis over one sub-graph.
+    def key_for(self, kind: str, *parts: Any) -> Tuple:
+        """The key ``(kind, *parts)`` of one entry.
 
-        ``kind`` names the analysis (``"resolve"``); ``extra`` carries
-        its parameters that change the answer (budgets, thresholds).  The
-        sub-graph contributes its canonical name-free signature
-        (``sigmap`` resolves raw connection bits exactly like the
-        analyses do).
+        ``kind`` is one of :attr:`KINDS`; ``parts`` are pure data (a
+        structural signature, then what else changes the answer), so a
+        key pickles and means the same in any process.  An instance
+        method, not a classmethod: ``perfbench/tracing.py`` replaces it
+        by a plain function that passes the instance on.
         """
-        signature = self._struct_memo.signature(
-            subgraph.cells, subgraph.target, subgraph.known,
-            inputs=subgraph.inputs, sigmap=sigmap,
-        )
-        return (kind, signature, extra)
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown result-cache kind {kind!r}")
+        return (kind, *parts)
 
     def lookup(self, key: Tuple) -> Tuple[bool, Any]:
         """``(hit, value)``; counts a ``{kind}_hits``/``_misses`` event.
@@ -185,9 +156,9 @@ class ResultCache:
     def export(self, since: int = 0) -> Dict[Tuple, Any]:
         """Snapshot the own signature-keyed entries for another process.
 
-        Keys are pure data (``(kind, digest, extra)`` tuples) and the
-        memoized values are plain outcomes — no live IR objects — so the
-        snapshot pickles cheaply and stays meaningful in any process.
+        Keys are pure data (see :meth:`key_for`) and the values are
+        plain outcomes, so the snapshot pickles and stays meaningful in
+        any process.
         ``since`` is an earlier :attr:`appended` reading: only entries
         appended after it are exported.  Eviction drops only the oldest
         entries, so those are the newest survivors, and the walk costs

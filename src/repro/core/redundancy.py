@@ -15,15 +15,13 @@ Theorem II.1 support grouping, and escalates through three deciders:
 Above ``sat_threshold`` free inputs the query is forgone (the paper's
 safeguard against the optimizer becoming the synthesis bottleneck).
 
-A control query has one memo: a :class:`ResultCache` ``resolve`` entry,
-keyed by the reduced sub-graph, holds the whole ladder's outcome and the
-notes it made; the rungs themselves run inference, simulation and SAT
-directly, and keep no memo of their own.  A data operand is one query
-with no memo: its undecided bits are grouped by the neighbour cells that
-fix their distance-``data_k`` ball, and each group gets one extraction
-and one run of the inference rules (the data rung poses no simulation
-or SAT query), because one inference per operand costs less than the
-signatures that would key it.
+Every control query runs the ladder directly, with no memo: one
+inference (and, when it leaves the value open, one simulation) costs
+less than the canonical sub-graph signature that would key a stored
+outcome.  A data operand is one query too: its undecided bits are
+grouped by the neighbour cells that fix their distance-``data_k`` ball,
+and each group gets one extraction and one run of the inference rules
+(the data rung poses no simulation or SAT query).
 
 A contradiction (both polarities unsatisfiable, or inconsistent facts)
 means the path into this mux can never be active; the branch is then pruned
@@ -34,7 +32,7 @@ observed.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.module import Cell, Module
 from ..ir.signals import SigBit, State
@@ -42,7 +40,6 @@ from ..opt.pass_base import DirtySet, PassResult, prefixed, register_pass
 from ..opt.opt_muxtree import OptMuxtree
 from ..sat.oracle import SatOracle
 from ..sim import eval_cell_masks, exhaustive_patterns
-from .cache import ResultCache
 from .inference import InferenceResult, infer
 from .subgraph import SubGraph, extract_subgraph
 
@@ -57,11 +54,10 @@ class SatRedundancy(OptMuxtree):
     in the pass stats, alongside ``sat_wallclock_us`` (total time spent
     inside SAT decisions).
 
-    A control query memoizes its whole resolution as one ``resolve``
-    entry of the result cache, keyed by the reduced sub-graph; the size
-    counters of each query's own ball are noted outside the replayed
-    notes.  Data operands are resolved uncached, one inference per group
-    of bits that share a sub-graph (:meth:`_resolve_data_values`).
+    A control query runs the inference → simulation → SAT ladder over
+    its own sub-graph (:meth:`_deep_resolve`); data operands take one
+    inference per group of bits that share a sub-graph
+    (:meth:`_resolve_data_values`).
     """
 
     name = "smartly_sat"
@@ -74,7 +70,6 @@ class SatRedundancy(OptMuxtree):
         sat_threshold: int = 64,
         max_conflicts: int = 2000,
         max_gates: int = 500,
-        use_result_cache: bool = True,
     ):
         self.k = k
         self.data_k = data_k
@@ -82,26 +77,12 @@ class SatRedundancy(OptMuxtree):
         self.sat_threshold = sat_threshold
         self.max_conflicts = max_conflicts
         self.max_gates = max_gates
-        self.use_result_cache = use_result_cache
         self._oracle = SatOracle()
-        #: persistent memo of control-query resolutions, keyed by
-        #: sub-graph content signatures; a Session injects its own
-        #: (:meth:`attach_result_cache`) to share one instance across
-        #: runs and modules
-        self._result_cache: Optional[ResultCache] = None
         self._sat_time = 0.0
         #: a cell edit can change the verdict of any control whose
         #: distance-k sub-graph contains it, i.e. of muxes up to k+1 hops
         #: away — the incremental engine's closure must reach that far
         self.dirty_radius = max(k, data_k) + 1
-
-    def attach_result_cache(self, cache: ResultCache) -> None:
-        """Share an externally owned result cache (Session injection point).
-
-        Keys are canonical structural signatures, so one cache instance
-        serves any number of modules without collisions.
-        """
-        self._result_cache = cache
 
     def execute(self, module: Module, result: PassResult) -> None:
         self._with_oracle(
@@ -118,20 +99,11 @@ class SatRedundancy(OptMuxtree):
 
     def _with_oracle(self, result: PassResult, body) -> None:
         self._sat_time = 0.0
-        if not self.use_result_cache:
-            self._result_cache = None
-        elif self._result_cache is None:
-            self._result_cache = ResultCache()
-        owners = {"rcache_": self._result_cache, "oracle_": self._oracle}
-        before = {
-            prefix: owner.counters.copy()
-            for prefix, owner in owners.items() if owner is not None
-        }
+        before = self._oracle.counters.copy()
         body()
         # counters, not bumps: queries posed must not flag a change
-        for prefix, counts in before.items():
-            grown = owners[prefix].counters - counts
-            result.stats.update(prefixed(prefix, grown))
+        grown = self._oracle.counters - before
+        result.stats.update(prefixed("oracle_", grown))
         if self._sat_time:
             result.stats["sat_wallclock_us"] += int(self._sat_time * 1e6)
 
@@ -232,65 +204,24 @@ class SatRedundancy(OptMuxtree):
         )
         # observation counters use note(): queries posed do not modify the
         # netlist, and marking them as changes kept the fixpoint loop from
-        # ever detecting convergence (every round re-ran to max_rounds).
-        # The sizes are this query's own: the reduced sub-graph's
-        # signature does not cover the raw ball, so no hit replays them.
+        # ever detecting convergence (every round re-ran to max_rounds)
         self.result.note("subgraph_gates_before", subgraph.gates_before)
         self.result.note("subgraph_gates_after", subgraph.gates_after)
-        cache = self._result_cache
-        if cache is None:
-            # reference path: run the ladder directly
-            return self._resolve_ladder(subgraph, self.result.note)[0]
+        return self._resolve_ladder(subgraph)
 
-        # whole resolutions memoize on the reduced sub-graph — the
-        # target's and the fact bits' fanin cones, i.e. exactly the
-        # content every ladder rung is a pure function of — so a hit
-        # skips all three rungs in one step, and exported entries let
-        # warm-started suite workers skip them too.
-        key = cache.key_for(
-            "resolve", subgraph,
-            extra=(self.sim_threshold, self.sat_threshold, self.max_conflicts),
-            sigmap=self.sigmap,
-        )
-        hit, outcome = cache.lookup(key)
-        if hit:
-            value, notes = outcome
-            for name, amount in notes:
-                self.result.note(name, amount)
-            return value
-        notes: List[Tuple[str, int]] = []
-
-        def note(name: str, amount: int = 1) -> None:
-            notes.append((name, amount))
-            self.result.note(name, amount)
-
-        value, storable = self._resolve_ladder(subgraph, note)
-        if storable:
-            cache.store(key, (value, tuple(notes)))
-        return value
-
-    def _resolve_ladder(
-        self, subgraph: SubGraph, note: Callable[..., None]
-    ) -> Tuple[Optional[bool], bool]:
+    def _resolve_ladder(self, subgraph: SubGraph) -> Optional[bool]:
         """The inference → simulation → SAT ladder over one control
-        sub-graph, posed under non-empty path facts.
-
-        Returns ``(value, storable)``; ``storable`` is False only for a
-        SAT budget-out, which depends on the CNF variable order the
-        solver saw and therefore must not be replayed for isomorphic
-        sub-graphs (a free control, satisfiable both ways, is a fact of
-        the structure and is stored).  Counters go through ``note`` so
-        the structural resolve memo can record them for replay.
-        """
+        sub-graph, posed under non-empty path facts."""
+        note = self.result.note
         # 1. inference rules (Table I)
         inference = infer(subgraph, self.index, subgraph.known)
         if inference.contradiction:
             note("dead_paths")
-            return False, True  # path never active: either branch sound
+            return False  # path never active: either branch sound
         value = inference.value_of(subgraph.target)
         if value is not None:
             note("ctrl_inferred")
-            return value, True
+            return value
 
         # 2. exhaustive simulation for small input counts
         if subgraph.num_inputs <= self.sim_threshold:
@@ -301,7 +232,7 @@ class SatRedundancy(OptMuxtree):
                 outcome = False
             if outcome is not None:
                 note("ctrl_sim_decided")
-            return outcome, True
+            return outcome
 
         # 3. SAT for medium input counts
         if subgraph.num_inputs <= self.sat_threshold:
@@ -315,10 +246,10 @@ class SatRedundancy(OptMuxtree):
                 note("dead_paths")  # both polarities impossible
             if decision.value is not None:
                 note("ctrl_sat_decided")
-            return decision.value, not decision.budget_out
+            return decision.value
 
         note("skipped_large")
-        return None, True
+        return None
 
     # -- exhaustive simulation ------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional
 from ..ir.module import Module
 from ..opt.opt_muxtree import OptMuxtree
 from ..opt.pass_base import DirtySet, Pass, PassResult, register_pass
-from .cache import ResultCache
 from .redundancy import SatRedundancy
 from .restructure import MuxtreeRestructure
 
@@ -47,13 +46,6 @@ class SmartlyOptions:
     max_conflicts: int = 2000
     #: raw neighbourhood cap before Theorem II.1 reduction
     max_gates: int = 500
-    #: memoize control-query resolutions (the whole inference →
-    #: simulation → SAT ladder) in a persistent
-    #: :class:`~repro.core.cache.ResultCache` keyed by canonical
-    #: name-independent structural signatures, so isomorphic sub-graphs
-    #: from renamed modules, clones or other processes share entries
-    #: (False = recompute every outcome, the reference path)
-    use_result_cache: bool = True
     #: largest case-selector width restructuring will tabulate
     max_sel_width: int = 12
     #: minimum estimated AIG gain before a tree is rebuilt
@@ -80,8 +72,8 @@ class Smartly(Pass):
             # SmartlyOptions instance must be reusable across runs
             opts = replace(opts, **overrides)
         self.options = opts
-        #: the stages, built once: the SAT stage owns its oracle and result
-        #: cache, so both persist across optimization rounds and runs
+        #: the stages, built once: the SAT stage owns its oracle, so its
+        #: counters persist across optimization rounds and runs
         self._stages: List[Pass] = []
         if opts.rebuild:
             # restructuring first: it simplifies the control ports the SAT
@@ -100,7 +92,6 @@ class Smartly(Pass):
                     sat_threshold=opts.sat_threshold,
                     max_conflicts=opts.max_conflicts,
                     max_gates=opts.max_gates,
-                    use_result_cache=opts.use_result_cache,
                 )
             )
         else:
@@ -119,20 +110,6 @@ class Smartly(Pass):
             for f in fields(SmartlyOptions)
             if f.name != "max_rounds"
         }
-
-    def attach_result_cache(self, cache: ResultCache) -> None:
-        """Share an externally owned result cache (Session injection point)
-        with the stages that memoize.
-
-        Keys are canonical structural signatures, so one cache instance
-        can serve any number of modules without collisions; injecting the
-        owning :class:`~repro.flow.session.Session`'s instance makes
-        outcomes persist across runs and across the design's modules, and
-        lets isomorphic sub-graphs share them.
-        """
-        for stage in self._stages:
-            if isinstance(stage, SatRedundancy):
-                stage.attach_result_cache(cache)
 
     def execute(self, module: Module, result: PassResult) -> None:
         self._execute(module, result, dirty=None, incremental=False)

@@ -1,13 +1,14 @@
 """Content-addressed on-disk store for :class:`~repro.core.cache.ResultCache`.
 
-:meth:`ResultCache.export` snapshots are pure data — ``(kind, digest,
-extra)`` tuples mapping to plain outcomes, :class:`~repro.flow.session.
-RunReport` records and optimized :class:`~repro.ir.module.Module` clones —
-so they pickle cheaply and mean the same thing in any process.  Until now
-they still died with the process: every CI run and every user session
-re-proved structural work (``suite_job`` replays, ``hier_netlist`` swaps,
-``cec``/``resolve``/``sat`` verdicts) that an earlier run had already
-paid for.  :class:`CacheStore` makes the snapshots durable:
+:meth:`ResultCache.export` snapshots are pure data — keys built by
+:meth:`~repro.core.cache.ResultCache.key_for` mapping to equivalence
+verdicts, :class:`~repro.flow.session.RunReport` records and optimized
+:class:`~repro.ir.module.Module` clones — so they pickle cheaply and
+mean the same thing in any process.  Without a store they die with the
+process, and every CI run and every user session re-does structural
+work (``suite_job`` replays, ``hier_netlist`` swaps, ``cec`` verdicts)
+that an earlier run had already paid for.  :class:`CacheStore` makes
+the snapshots durable:
 
 * **one file per generation** — each :meth:`CacheStore.save` writes the
   caller's delta as a single immutable generation file.  A session

@@ -111,7 +111,7 @@ def check_equivalence(
 
     cec_key = None
     if cache is not None:
-        cec_key = ("cec", aig.structural_digest(miter_lit))
+        cec_key = cache.key_for("cec", aig.structural_digest(miter_lit))
         hit, verdict = cache.lookup(cec_key)
         if hit:
             return EquivResult(bool(verdict), method="cached")

@@ -409,14 +409,14 @@ class FlowServer:
         name, signature = known
         spec = resolve_flow(request.get("flow", "smartly"),
                             options=self.options)
-        # a job session runs Session's default engine, "incremental"
-        key = _suite_job_key(
-            signature, spec, request.get("check", False), "incremental",
-            self.options,
-        )
         # a private cache reading through the shared one counts this
         # lookup exactly as a job session's would
         cache = ResultCache(parent=self._cache.view())
+        # a job session runs Session's default engine, "incremental"
+        key = _suite_job_key(
+            cache, signature, spec, request.get("check", False),
+            "incremental", self.options,
+        )
         report = _replay_suite_job(cache, key, name, cache.totals)
         if report is None:
             return None

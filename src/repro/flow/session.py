@@ -179,7 +179,7 @@ class RunReport:
     #: returned)
     design_cache: str = "none"
     #: session-lifetime cache totals at the end of this run (not per-run
-    #: deltas — those are the ``rcache_*``/``oracle_*`` pass stats): the
+    #: deltas — those are the ``oracle_*`` pass stats): the
     #: session :class:`~repro.core.cache.ResultCache` counters (per-kind
     #: hits/misses, per-entry eviction counts, store-load merges) plus
     #: its own population as ``entries`` (a job session reading through
@@ -307,9 +307,8 @@ class HierarchyReport:
 @dataclass
 class _FlowState:
     """Per-(module, flow) design-incremental state: the pass objects whose
-    internal caches (merge tables, result-cache handles) match the
-    module, the design revision at which the flow last converged, and the
-    report it produced."""
+    internal caches (merge tables) match the module, the design revision
+    at which the flow last converged, and the report it produced."""
 
     passes: List[Pass]
     revision: int
@@ -373,16 +372,17 @@ class Session:
       re-analyzed;
     * falls back to an ordinary full run otherwise (``"none"``).
 
-    A session-wide :class:`~repro.core.cache.ResultCache` is injected into
-    every incremental flow, so control-query resolutions memoize
-    across rounds, runs and modules (``rcache_*`` pass stats).  Eager runs
-    bypass all of this — they are the differential-testing reference.
+    Eager runs bypass all of this — they are the differential-testing
+    reference.  A session-wide :class:`~repro.core.cache.ResultCache`
+    holds the whole-artifact entries of every module of the design:
+    :meth:`run_suite` job reports, :meth:`run_hierarchy` netlists and the
+    verdicts of checked incremental runs.
 
     **Persistence** (``store_path=``): the cache additionally survives the
     process.  At open, every readable generation of the
     :class:`~repro.core.store.CacheStore` at that directory is merged
     into the session cache, so :meth:`run_suite` jobs, :meth:`
-    run_hierarchy` classes and sub-graph resolutions computed by earlier
+    run_hierarchy` classes and equivalence proofs computed by earlier
     sessions — or other machines sharing the directory — replay instead
     of recomputing.  At :meth:`close` (or an explicit
     :meth:`flush_store`) the delta this session learned is written back
@@ -420,10 +420,9 @@ class Session:
         #: module currently being optimized (its own flow's edits are
         #: tracked by the PassManager, not the design channel)
         self._running: Optional[str] = None
-        #: session-wide sub-graph result cache shared by every
-        #: incremental flow on every module of the design; keyed by
-        #: canonical structural signatures, so isomorphic sub-graphs hit
-        #: across modules and suite jobs
+        #: session-wide whole-artifact cache shared by every module of
+        #: the design; keyed by structural signatures, so isomorphic
+        #: modules hit across runs and suite jobs
         self._result_cache = ResultCache()
         #: optional on-disk persistence (see :mod:`repro.core.store`):
         #: the store's generations warm-start this session's cache at
@@ -692,11 +691,6 @@ class Session:
                     set(pending.edits.touched_fanin_bits),
                 )
                 design_cache = "seeded"
-        if incremental:
-            for pass_ in passes:
-                attach = getattr(pass_, "attach_result_cache", None)
-                if attach is not None:
-                    attach(self._result_cache)
         golden = None
         if check and spec.steps:
             # the pre-flow state the optimized netlist is proven against;
@@ -936,8 +930,10 @@ class Session:
             # the suite-job key, so hierarchy runs and suite jobs share
             # stored reports (instance-free modules have identical flat
             # and hierarchical signatures)
-            job_key = _suite_job_key(sig, spec, check, engine, self.options)
-            net_key = ("hier_netlist", *job_key[1:])
+            job_key = _suite_job_key(
+                cache, sig, spec, check, engine, self.options
+            )
+            net_key = cache.key_for("hier_netlist", *job_key[1:])
             replay = None
             report_hit, stored_report = cache.lookup(job_key)
             netlist_hit, stored_mod = cache.lookup(net_key)
@@ -1066,8 +1062,8 @@ class Session:
         entries (:meth:`~repro.core.cache.ResultCache.export`, see
         :meth:`read_through`) and merges each job's delta back afterwards
         — so process workers no longer start cold, jobs of one suite
-        share sub-graph outcomes with the sessions runs that preceded
-        them, and a second suite benefits from the first.  The snapshot
+        replay the reports and proofs of the runs that preceded them,
+        and a second suite benefits from the first.  The snapshot
         is taken once before any job starts, which keeps every job's
         cache traffic deterministic regardless of scheduling.  Suite-wide
         totals come back as :attr:`SuiteReport.cache_stats`.
@@ -1271,15 +1267,16 @@ def _options_fingerprint(options: Optional[SmartlyOptions]) -> Optional[Tuple]:
 
 
 def _suite_job_key(
+    cache: ResultCache,
     signature: Any,
     spec: FlowSpec,
     check: bool,
     engine: str,
     options: Optional[SmartlyOptions],
 ) -> Tuple:
-    """The ``suite_job`` cache key of one module (by its structural
-    signature) run through one flow configuration."""
-    return (
+    """The ``suite_job`` key in ``cache`` of one module (by its
+    structural signature) run through one flow configuration."""
+    return cache.key_for(
         "suite_job",
         signature,
         (str(spec), spec.label, bool(check), engine,
@@ -1337,7 +1334,7 @@ def _run_suite_job(
     if memoize:
         signature = module_signature(module)
         key = _suite_job_key(
-            signature, spec, check, session.engine, session.options
+            cache, signature, spec, check, session.engine, session.options
         )
         replayed = _replay_suite_job(
             cache, key, module.name, session._cache_totals

@@ -179,13 +179,20 @@ class Parser:
                     lsb = self.parse_expr()
                     self.expect("]")
                 while True:
+                    line = self.current.line
                     name = self.expect_ident()
+                    if name in self._nets:
+                        raise FrontendError(
+                            f"port {name} of module {module.name} is "
+                            f"declared twice in its port list (again at "
+                            f"line {line})"
+                        )
                     module.ports.append(name)
                     decl = NetDecl(name, kind, msb, lsb,
                                    is_input=direction == "input",
                                    is_output=direction == "output")
                     module.nets.append(decl)
-                    self._nets.setdefault(name, decl)  # the first one wins
+                    self._nets[name] = decl
                     if not self.accept(","):
                         return
                     if self.check("input") or self.check("output"):

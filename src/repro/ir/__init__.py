@@ -10,9 +10,9 @@ The public surface mirrors a small subset of Yosys RTLIL:
 * :class:`~repro.ir.builder.Circuit` — fluent construction
 * :class:`~repro.ir.walker.NetIndex` — drivers/readers/cones/topological order
 * :func:`~repro.ir.validate.validate_module`
-* :func:`~repro.ir.struct_hash.struct_signature` — canonical name-free
-  sub-graph signatures (plus :class:`~repro.ir.struct_hash.StructKeyMemo`
-  and the :func:`~repro.ir.struct_hash.renamed_copy` verification helper)
+* :func:`~repro.ir.struct_hash.module_signature` — canonical name-free
+  module signatures (plus the :func:`~repro.ir.struct_hash.renamed_copy`
+  verification helper)
 """
 
 from .builder import Circuit
@@ -48,13 +48,7 @@ from .signals import (
     concat,
     const_bit,
 )
-from .struct_hash import (
-    StructKeyMemo,
-    module_signature,
-    renamed_copy,
-    struct_signature,
-    subgraph_signature,
-)
+from .struct_hash import module_signature, renamed_copy
 from .json_writer import (
     YosysJsonWriter,
     write_yosys_json,
@@ -87,7 +81,6 @@ __all__ = [
     "SigMap",
     "SigSpec",
     "State",
-    "StructKeyMemo",
     "UNARY_TYPES",
     "ValidationError",
     "Wire",
@@ -103,8 +96,6 @@ __all__ = [
     "renamed_copy",
     "spec_for",
     "spec_for_yosys",
-    "struct_signature",
-    "subgraph_signature",
     "validate_module",
     "VerilogWriter",
     "YosysJsonWriter",

@@ -77,11 +77,10 @@ class Cell:
     ``width`` is the cell's data width ``W``; ``n`` is the pmux branch count
     or the shift-amount width (1 for everything else).
 
-    ``version`` counts port rewires (every :meth:`set_port`); memos keyed
-    on cell content — e.g. :class:`~repro.ir.struct_hash.StructKeyMemo`
-    and the per-cell tables of :class:`~repro.ir.walker.CanonicalView` —
-    use it to detect stale entries after an optimization pass mutates
-    the netlist mid-flight.
+    ``version`` counts port rewires (every :meth:`set_port`); the
+    per-cell tables of :class:`~repro.ir.walker.CanonicalView` use it to
+    detect stale entries after an optimization pass mutates the netlist
+    mid-flight.
     """
 
     __slots__ = ("name", "type", "width", "n", "connections", "attributes",

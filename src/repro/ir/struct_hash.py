@@ -1,55 +1,35 @@
-"""Canonical structural signatures: name-independent sub-graph hashing.
+"""Canonical structural signatures: name-independent module hashing.
 
-An *identity* key — the ordered ``(cell name, version)`` tuple of a
-sub-graph's cells plus its canonical boundary bits — can never collide
-across modules, clones or runs — which also means structurally identical
-sub-graphs from a renamed module, a cloned suite job, or an independently
-built isomorphic region can never share a cache entry, and worker
-processes can never be warm-started from a parent's cache (identity keys
-embed live wire objects).
+:func:`module_signature` is a canonical, name-free encoding of a
+module's netlist, computed in two phases:
 
-:func:`struct_signature` closes that gap with a canonical, name-free
-encoding of a redundancy sub-graph, computed in two facts-independent
-phases plus a cheap per-query fold:
-
-* **labeling** — the sub-graph DAG is walked depth-first from the target
-  bit, visiting each cell's input ports in declared port order and bits
-  LSB-first (an order fully determined by structure); cells outside the
-  target's cone are then walked the same way, ordered by a bottom-up
-  Merkle fingerprint of their fanin shape.  Cells are numbered in first-
-  visit order, free inputs in first-encounter order;
+* **labeling** — the netlist is walked depth-first from its roots (the
+  output-port bits, then the instance bindings), visiting each cell's
+  input ports in declared port order and bits LSB-first (an order fully
+  determined by structure); cells outside every root's cone are then
+  walked the same way, ordered by a bottom-up Merkle fingerprint of
+  their fanin shape (refined Weisfeiler–Lehman style where fingerprints
+  tie).  Cells are numbered in first-visit order, free inputs in
+  first-encounter order;
 * **encoding** — each cell renders as ``(type, width, n, per-input-port
   operand encodings)``, where an operand is a constant state, a free
   input's canonical number, or a ``(cell number, port, offset)`` driver
-  reference — a Merkle-style encoding that captures sharing exactly;
-* **fold** — the target's operand encoding and the known facts (as a
-  canonically sorted ``(operand, value)`` set) are hashed together with
-  the cell encoding.  Facts never influence the labeling, so one labeling
-  serves every facts-variant of the same sub-graph — the muxtree
-  traversal asks about the same neighbourhood under many path facts, and
-  :class:`StructKeyMemo` makes each variant cost one sorted fold.
+  reference — a Merkle-style encoding that captures sharing exactly —
+  and the roots' operand encodings fold in beside the cells.
 
-Two sub-graphs with equal signatures are isomorphic as labeled DAGs under
-the label correspondence (the encoding is invertible up to renaming), so
-any analysis whose outcome is a pure function of the sub-graph — the
-Table-I inference rules, exhaustive simulation, a SAT polarity verdict —
-may safely share cache entries across modules, clones and processes.
-The reverse direction is conservative: cells whose Merkle fingerprints
-tie (e.g. ``and(x, y)`` vs ``and(z, z)`` — the fingerprint abstracts
-free-input sharing) are ordered by their position in the caller's cell
-sequence, so *independently built* isomorphic graphs can, rarely, hash
+Two modules with equal signatures are isomorphic netlists under the
+label correspondence (the encoding is invertible up to renaming), so any
+value that is invariant under renaming — AIG areas, optimization
+outcomes, equivalence verdicts — may be shared between them: the
+``suite_job`` and ``hier_netlist`` entries of
+:class:`~repro.core.cache.ResultCache` are keyed this way.  The reverse
+direction is conservative: cells whose fingerprints still tie after
+refinement are ordered by their position in the module's cell sequence,
+so *independently built* isomorphic modules can, rarely, hash
 differently and merely miss.  The encoding uses only strings, ints and
 bools (no ``id()``, no interpreter ``hash``), so signatures are stable
-across interpreter runs and hash seeds; the returned key is a fixed-width
-BLAKE2b digest, cheap to compare, hash and pickle.
-
-Per-cell version counters are **not** embedded: the signature *is* the
-content — any rewire of a participating cell changes its operand
-encodings directly, which is the same invalidation the ``(name,
-version)`` scheme bought indirectly.  Versions still matter for speed:
-:class:`StructKeyMemo` memoizes the labeling per ``(cells+versions,
-target)`` so it is computed once per distinct sub-graph state, and any
-rewire bumps a version and misses the memo.
+across interpreter runs and hash seeds; the returned key is a
+fixed-width BLAKE2b digest, cheap to compare, hash and pickle.
 
 :func:`renamed_copy` is the verification tool for all of the above: a
 structure-preserving module copy whose every wire and cell is renamed
@@ -74,8 +54,8 @@ StructSignature = str
 #: persisted cache artifact (see :class:`repro.core.store.CacheStore`).
 #: Signatures are only comparable between processes that canonicalize
 #: identically, so ANY change to the labeling walk, the operand
-#: encoding, the facts fold, the WL refinement or the digest layout MUST
-#: bump this string — stale on-disk generations written under the old
+#: encoding, the WL refinement or the digest layout MUST bump this
+#: string — stale on-disk generations written under the old
 #: scheme are then skipped instead of silently never hitting (or worse,
 #: colliding).
 SCHEME_FINGERPRINT = "structural/blake2b-16/wl3/v1"
@@ -103,7 +83,7 @@ _Fanin = Tuple[Tuple[str, Tuple[SigBit, ...]], ...]
 
 
 class _Canon:
-    """One canonical labeling of a sub-graph's cells and free bits.
+    """One canonical labeling of a netlist's cells and free bits.
 
     ``driven`` maps canonical output bits to ``(cell, port, offset)``;
     labels are assigned in deterministic first-visit order by
@@ -189,7 +169,7 @@ class _Canon:
         operand = self.table.get(bit)
         if operand is None:
             # a boundary bit outside every labeled cone (defensive: the
-            # labeling phase routes every sub-graph bit through a cone)
+            # labeling phase routes every netlist bit through a cone)
             index = self.input_label[bit] = len(self.input_label)
             operand = self.table[bit] = ("i", index)
         return operand
@@ -355,11 +335,11 @@ def _canonicalize(
     roots: Sequence[SigBit],
     sigmap: Optional[SigMap],
 ) -> Tuple[str, _Canon, AliasGet]:
-    """Facts-independent phase: label + encode, digest the core payload.
+    """Label + encode, and digest the core payload.
 
-    ``roots`` anchor the traversal (a sub-graph's target, or a module's
-    output bits) and their operand encodings fold into the core, so the
-    signature pins down which bits the caller is asking about.
+    ``roots`` anchor the traversal (a module's output bits and instance
+    bindings) and their operand encodings fold into the core, so the
+    signature pins down which bits the netlist exposes.
     """
     get = sigmap.get if sigmap is not None else _NO_ALIASES
     driven = _driven_map(cells, get)
@@ -402,46 +382,6 @@ def _canonicalize(
         repr(core).encode("utf-8"), digest_size=16
     ).hexdigest()
     return digest, canon, get
-
-
-def _fold_facts(
-    core_digest: str,
-    canon: _Canon,
-    get: AliasGet,
-    known: Dict[SigBit, bool],
-) -> StructSignature:
-    """Hash the facts (and the core) into the final signature."""
-    fold = tuple(sorted(
-        (canon.operand(get(bit, bit)), bool(value))
-        for bit, value in known.items()
-    ))
-    return hashlib.blake2b(
-        repr((core_digest, fold)).encode("utf-8"), digest_size=16
-    ).hexdigest()
-
-
-def struct_signature(
-    cells: Sequence[Cell],
-    target: SigBit,
-    known: Dict[SigBit, bool],
-    sigmap: Optional[SigMap] = None,
-) -> StructSignature:
-    """The canonical name-free signature of one redundancy sub-graph.
-
-    ``cells`` is the sub-graph cell set (any order), ``target`` the query
-    bit, ``known`` the path facts; ``sigmap`` resolves raw connection
-    bits to canonical representatives exactly like the analyses the
-    signature keys (pass None for modules without alias connections).
-    """
-    digest, canon, get = _canonicalize(cells, (target,), sigmap)
-    return _fold_facts(digest, canon, get, known)
-
-
-def subgraph_signature(subgraph, sigmap: Optional[SigMap] = None) -> StructSignature:
-    """:func:`struct_signature` of a :class:`~repro.core.subgraph.SubGraph`."""
-    return struct_signature(
-        subgraph.cells, subgraph.target, subgraph.known, sigmap
-    )
 
 
 def module_signature(
@@ -497,86 +437,6 @@ def module_signature(
         repr((digest, tuple(sorted(entries)))).encode("utf-8"),
         digest_size=16,
     ).hexdigest()
-
-
-class StructKeyMemo:
-    """Bounded labeling memo: one canonicalization per sub-graph state.
-
-    Keyed by the cheap identity tuple — ``(cell name, version)`` pairs,
-    the canonical target, the free-input list and the fact *bits* (not
-    values) — exactly the boundary the PR 2/PR 4 invalidation argument
-    proves to determine the sub-graph's content: any rewire bumps a
-    version, and any alias re-canonicalisation that changes the structure
-    without touching a cell (``module.connect`` folding a boundary bit to
-    a constant, merging two inputs, …) changes the input list or a fact
-    bit and misses.  Fact *values* deliberately stay out: the labeling is
-    facts-independent, so the fact-value variants the traversal
-    generates pay only a sorted fold.
-
-    Cached entries are pure — the core digest plus the canonicalization's
-    ``bit → operand encoding`` table (the constants and the labeled
-    boundary/driven bits, see :class:`_Canon`) — so the memo
-    pins no :class:`Cell` objects, no :class:`~repro.ir.module.SigMap`
-    snapshot and no closures; a fact bit missing from the table (only
-    possible for callers that pass facts outside the sub-graph) falls
-    back to a fresh uncached canonicalization rather than mutating shared
-    state.  Entries are evicted oldest-first at the size cap like every
-    other bounded memo here.
-    """
-
-    __slots__ = ("max_entries", "_cores", "hits", "misses")
-
-    def __init__(self, max_entries: int = 50_000):
-        self.max_entries = max_entries
-        self._cores: Dict[Tuple, Tuple[str, Dict[SigBit, _Operand]]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._cores)
-
-    def signature(
-        self,
-        cells: Sequence[Cell],
-        target: SigBit,
-        known: Dict[SigBit, bool],
-        inputs: Sequence[SigBit] = (),
-        sigmap: Optional[SigMap] = None,
-    ) -> StructSignature:
-        """The structural signature, with the labeling phase memoized."""
-        get = sigmap.get if sigmap is not None else _NO_ALIASES
-        ident = (
-            tuple((cell.name, cell.version) for cell in cells),
-            get(target, target),
-            tuple(inputs),
-            frozenset(known),
-        )
-        core = self._cores.get(ident)
-        if core is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-            digest, canon, _core_get = _canonicalize(
-                cells, (target,), sigmap
-            )
-            core = (digest, canon.table)
-            if len(self._cores) >= self.max_entries:
-                for stale in list(self._cores)[: self.max_entries // 2]:
-                    self._cores.pop(stale, None)
-            self._cores[ident] = core
-        digest, table = core
-        fold = []
-        for bit, value in known.items():
-            operand = table.get(get(bit, bit))
-            if operand is None:
-                # a fact outside the labeled sub-graph: never produced by
-                # the extraction paths — recompute fresh, do not share
-                return struct_signature(cells, target, known, sigmap)
-            fold.append((operand, bool(value)))
-        return hashlib.blake2b(
-            repr((digest, tuple(sorted(fold)))).encode("utf-8"),
-            digest_size=16,
-        ).hexdigest()
 
 
 def renamed_copy(
@@ -637,10 +497,7 @@ def renamed_copy(
 
 __all__ = [
     "SCHEME_FINGERPRINT",
-    "StructKeyMemo",
     "StructSignature",
     "module_signature",
     "renamed_copy",
-    "struct_signature",
-    "subgraph_signature",
 ]

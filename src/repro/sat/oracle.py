@@ -5,10 +5,8 @@ protocol (paper §II): a control is fixed when ``SAT(S=1)`` or
 ``SAT(S=0)`` is unsatisfiable under the path facts.  Each query gets its
 own :class:`~repro.sat.solver.Solver` and
 :class:`~repro.sat.tseitin.CircuitEncoder`, so a verdict depends on the
-sub-graph it was handed and on nothing asked before it.  Repeats are the
-caller's to memoize: the redundancy pass stores every outcome but a
-budget-out in its :class:`~repro.core.cache.ResultCache` ``resolve``
-entry.  :meth:`solve_miter` serves the equivalence checker.
+sub-graph it was handed and on nothing asked before it, and a repeat is
+solved again.  :meth:`solve_miter` serves the equivalence checker.
 
 Per-session counters (:attr:`SatOracle.counters`, a
 :class:`collections.Counter`) are merged into the owning pass's
@@ -30,17 +28,14 @@ from .tseitin import CircuitEncoder
 class Decision(NamedTuple):
     """Outcome of a two-polarity redundancy query (:meth:`SatOracle.decide`).
 
-    ``value`` is the forced value of the target bit (None = undecided).
+    ``value`` is the forced value of the target bit (None = undecided:
+    both polarities are satisfiable, or a solve ran out of conflicts).
     ``dead`` marks a contradiction: the path assumptions themselves are
-    unsatisfiable, so neither polarity is reachable.  ``budget_out``
-    marks an undecided value that a solve left open by running out of
-    conflicts; an undecided value without it is *free* (both polarities
-    are satisfiable), a fact of the sub-graph's structure.
+    unsatisfiable, so neither polarity is reachable.
     """
 
     value: Optional[bool]
     dead: bool = False
-    budget_out: bool = False
 
 
 class SatOracle:
@@ -104,9 +99,7 @@ class SatOracle:
             return Decision(False, dead=can_be_false is False)
         if can_be_false is False:
             return Decision(True)
-        return Decision(
-            None, budget_out=can_be_true is None or can_be_false is None
-        )
+        return Decision(None)
 
     # -- miter solving (equivalence checking) ----------------------------------
 

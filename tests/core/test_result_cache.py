@@ -1,25 +1,20 @@
-"""The content-signature result cache: transparency and reuse.
+"""The whole-artifact result cache: keys, lookup, eviction, export,
+merge and read-through.
 
-The cache memoizes whole control-query resolutions (``resolve``) keyed by
-sub-graph content signatures.  It must be a pure acceleration: every flow
-produces byte-identical netlists, areas and pass stats (its own
-``rcache_*`` counters and the SAT solves it saves aside) with the cache
-on or off, while fixpoint rounds re-asking the same undecided queries hit
-instead of recomputing.
+The mechanics are kind-agnostic: :meth:`ResultCache.lookup` and
+:meth:`ResultCache.store` take any key tuple whose first element names
+its kind, and :meth:`ResultCache.key_for` builds the keys of the three
+kinds the program stores.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, SmartlyOptions
+from repro.api import Session
 from repro.core.cache import ResultCache
-from repro.equiv import CI_CORPUS
 from repro.equiv.differential import random_module
 from repro.ir import Circuit
-from repro.ir.verilog_writer import verilog_str
-from repro.sat.solver import Solver
-from repro.workloads import CASE_NAMES, build_case
 
 
 def _chain_module(name="chain"):
@@ -31,6 +26,14 @@ def _chain_module(name="chain"):
 
 
 class TestUnit:
+    def test_key_for_builds_the_keys_of_three_kinds(self):
+        cache = ResultCache()
+        assert ResultCache.KINDS == ("suite_job", "hier_netlist", "cec")
+        for kind in ResultCache.KINDS:
+            assert cache.key_for(kind, "sig", (1, 2)) == (kind, "sig", (1, 2))
+        with pytest.raises(ValueError, match="resolve"):
+            cache.key_for("resolve", "sig")
+
     def test_lookup_miss_then_hit(self):
         cache = ResultCache()
         hit, value = cache.lookup(("sim", "k1"))
@@ -344,220 +347,11 @@ class TestReadThroughSuites:
 
 
 class TestTransparency:
-    @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
-    def test_areas_identical_cache_on_and_off(self, flow):
-        for seed in (301, 302, 303):
-            on = Session(random_module(seed, width=4, n_units=3)).run(flow)
-            off = Session(
-                random_module(seed, width=4, n_units=3),
-                options=SmartlyOptions(use_result_cache=False),
-            ).run(flow)
-            assert on.optimized_area == off.optimized_area, (seed, flow)
-
     def test_areas_identical_across_both_engines(self):
-        for engine in ("incremental", "eager"):
-            on = Session(_chain_module(), engine=engine).run("smartly")
-            off = Session(
-                _chain_module(),
-                options=SmartlyOptions(use_result_cache=False),
-                engine=engine,
-            ).run("smartly")
-            assert on.optimized_area == off.optimized_area, engine
-
-
-#: engine and smartly options of each cache-invariance lane; the sim0
-#: lanes send every control query that inference leaves open to SAT
-#: (the default thresholds never reach it on these designs), and a
-#: one-conflict budget sends budget-outs through the cache too
-LANES = {
-    "incremental": ("incremental", {}),
-    "eager": ("eager", {}),
-    "sim0": ("incremental", {"sim_threshold": 0}),
-    "sim0-mc1": ("incremental", {"sim_threshold": 0, "max_conflicts": 1}),
-}
-
-
-def _run_outcome(module, flow, lane, cache):
-    """The optimized netlist and the pass stats of one run, without the
-    cache's own counters, the SAT oracle's and the wall-clock readings;
-    and, apart, the oracle's solver calls, which a hit saves."""
-    engine, options = LANES[lane]
-    report = Session(
-        module,
-        options=SmartlyOptions(use_result_cache=cache, **options),
-        engine=engine,
-    ).run(flow)
-    stats = {
-        key: value for key, value in report.pass_stats.items()
-        if not key.rsplit(".", 1)[-1].startswith(("rcache_", "oracle_"))
-        and "wallclock" not in key
-    }
-    return verilog_str(module), stats, report.oracle_stats.get(
-        "solver_calls", 0
-    )
-
-
-def _assert_invariant(on, off, label):
-    assert on[:2] == off[:2], label
-    # a hit replays a stored outcome instead of solving it again
-    assert on[2] <= off[2], label
-
-
-@pytest.mark.parametrize("lane", LANES)
-@pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
-class TestCacheInvariance:
-    """Every netlist and every counter but the cache's own and the
-    solver's reads the same with the cache on and off: a ``resolve`` hit
-    replays only what its key covers (the raw ball size of a query is its
-    own), and it never solves more."""
-
-    @pytest.mark.parametrize("case", CASE_NAMES)
-    def test_table2_case(self, case, flow, lane):
-        on = _run_outcome(build_case(case), flow, lane, cache=True)
-        off = _run_outcome(build_case(case), flow, lane, cache=False)
-        _assert_invariant(on, off, case)
-
-    def test_fuzz_corpus(self, flow, lane):
-        for seed in CI_CORPUS[:16]:
-            on = _run_outcome(
-                random_module(seed, width=8, n_units=4), flow, lane, True
-            )
-            off = _run_outcome(
-                random_module(seed, width=8, n_units=4), flow, lane, False
-            )
-            _assert_invariant(on, off, seed)
-
-
-class TestLadderEntries:
-    """The smartly ladder keeps one memo per control query: ``resolve``
-    is the only entry kind it reads or writes, since its rungs keep no
-    memo of their own and data queries none at all."""
-
-    KINDS = {"resolve", "suite_job", "cec", "hier_netlist"}
-
-    @pytest.mark.parametrize("sim_threshold", (8, 0))
-    @pytest.mark.parametrize("flow", ("smartly", "smartly-sat"))
-    @pytest.mark.parametrize("design", ("ac97_ctrl", "random_module"))
-    def test_only_resolve_entries(self, design, flow, sim_threshold):
-        module = (
-            build_case(design) if design in CASE_NAMES
-            else random_module(1002, width=8, n_units=4)
-        )
-        session = Session(
-            module, options=SmartlyOptions(sim_threshold=sim_threshold)
-        )
-        report = session.run(flow)
-        kinds = {key[0] for key in session.export_cache()}
-        assert "resolve" in kinds and kinds <= self.KINDS, kinds
-        rcache = [
-            key.rsplit(".", 1)[-1] for key in report.pass_stats
-            if key.rsplit(".", 1)[-1].startswith("rcache_")
-        ]
-        assert rcache, report.pass_stats
-        assert all(name.startswith("rcache_resolve_") for name in rcache), (
-            rcache
-        )
-
-
-class TestSatOutcomes:
-    """A free SAT outcome (satisfiable both ways) is a fact of the
-    sub-graph's structure and is stored; a budget-out is not."""
-
-    @staticmethod
-    def _riscv_sim0():
-        session = Session(
-            build_case("riscv"), options=SmartlyOptions(sim_threshold=0)
-        )
-        report = session.run("smartly")
-        stats = {
-            key.rsplit(".", 1)[-1]: value
-            for key, value in report.pass_stats.items()
+        areas = {
+            engine: Session(_chain_module(), engine=engine).run(
+                "smartly"
+            ).optimized_area
+            for engine in ("incremental", "eager")
         }
-        sat_entries = [
-            value for (kind, *_), (value, notes) in
-            session.export_cache().items()
-            if kind == "resolve" and ("sat_queries", 1) in notes
-        ]
-        return stats, sat_entries
-
-    def test_free_outcome_replays(self):
-        stats, sat_entries = self._riscv_sim0()
-        assert stats["sat_queries"] == 8
-        # three of the eight queries replay a stored free outcome: ten
-        # solves, where asking every one again took sixteen
-        assert stats["rcache_resolve_hits"] == 3
-        assert stats["oracle_solver_calls"] == 10
-        assert None in sat_entries
-
-    def test_budget_out_stores_no_entry(self, monkeypatch):
-        monkeypatch.setattr(
-            Solver, "solve", lambda self, assumptions, max_conflicts=None: None
-        )
-        stats, sat_entries = self._riscv_sim0()
-        # every query is solved: no budget-out is stored to replay
-        assert stats["oracle_solver_calls"] == 2 * stats["sat_queries"] > 0
-        assert sat_entries == []
-
-
-class TestStructuralSharing:
-    """A renamed clone replays the entries its isomorphic base left."""
-
-    @staticmethod
-    def _clone_run_counters(primed):
-        from repro.api import Design
-        from repro.ir.struct_hash import renamed_copy
-
-        base = random_module(307, width=4, n_units=4, name="base")
-        clone = renamed_copy(base, prefix="z", name="clone")
-        design = Design(base)
-        design.add_module(clone)
-        session = Session(design)
-        if primed:
-            session.run("smartly", module="base")
-        before = dict(session._result_cache.counters)
-        report = session.run("smartly", module="clone")
-        after = session._result_cache.counters
-        misses = sum(
-            value - before.get(key, 0)
-            for key, value in after.items() if key.endswith("_misses")
-        )
-        return report, misses
-
-    def test_cache_shares_across_renamed_clone_modules(self):
-        primed_report, primed_misses = self._clone_run_counters(True)
-        fresh_report, fresh_misses = self._clone_run_counters(False)
-        # the base run's entries answer the clone's queries: strictly
-        # fewer misses than the same clone in a fresh session, same area
-        assert primed_misses < fresh_misses, (primed_misses, fresh_misses)
-        assert primed_report.optimized_area == fresh_report.optimized_area
-
-
-class TestReuse:
-    def test_fixpoint_rounds_hit_the_cache(self):
-        module = random_module(305, width=4, n_units=4)
-        report = Session(module).run("smartly")
-        stats = report.pass_stats
-        hits = sum(
-            v for k, v in stats.items()
-            if k.rsplit(".", 1)[-1].startswith("rcache_")
-            and k.endswith("_hits")
-        )
-        assert hits > 0, stats
-
-    def test_cache_disabled_reports_no_rcache_stats(self):
-        report = Session(
-            _chain_module(), options=SmartlyOptions(use_result_cache=False)
-        ).run("smartly")
-        assert not any("rcache_" in key for key in report.pass_stats)
-
-    def test_session_shares_one_cache_across_modules_and_runs(self):
-        from repro.api import Design
-
-        design = Design(_chain_module("alpha"))
-        design.add_module(_chain_module("beta"))
-        session = Session(design)
-        session.run_all("smartly")
-        # both modules' flows were attached to the same session cache
-        assert len(session._result_cache) > 0
-        total = dict(session._result_cache.counters)
-        assert sum(v for k, v in total.items() if k.endswith("_misses")) > 0
+        assert areas["incremental"] == areas["eager"], areas

@@ -137,6 +137,8 @@ BAD_INPUTS = {
     "literal.aag": "aag 3 2 0 1 1\n2\n4\nx\n6 2 4\n",
     "range.aag": "aag 3 2 0 1 1\n2\n4\n6\n6 2 40\n",
     "twice.aag": "aag 3 2 0 1 1\n2\n4\n6\n4 2 6\n",
+    "port_twice.v": "module m(input a, input a, output y); assign y = a;"
+                    " endmodule\n",
 }
 
 

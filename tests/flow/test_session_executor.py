@@ -168,7 +168,8 @@ class TestWarmStart:
 
     def test_run_report_carries_session_lifetime_cache_stats(self):
         session = Session(build_case(CASES[0]))
-        report = session.run("smartly")
+        # a checked run stores its cec verdict in the session cache
+        report = session.run("smartly", check=True)
         assert report.cache_stats.get("entries", 0) > 0
         assert "cache_stats" in report.to_dict()
         again = session.run("smartly")

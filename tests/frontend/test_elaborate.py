@@ -385,6 +385,19 @@ class TestRedeclaration:
                 endmodule"""
             )
 
+    def test_port_named_twice_in_an_ansi_list_rejected(self):
+        # a second NetDecl would reach the elaborator, whose add_wire
+        # raises a bare ValueError (a traceback out of the CLI)
+        with pytest.raises(FrontendError,
+                           match=r"^port a of module m is declared twice "
+                                 r"in its port list \(again at line 2\)$"):
+            compile_top(
+                """module m(input a, output y,
+                            input [1:0] a);
+                  assign y = a;
+                endmodule"""
+            )
+
     def test_ranges_compare_after_evaluation(self):
         # the same range written two ways is the same range
         module = compile_top(

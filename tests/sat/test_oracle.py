@@ -149,20 +149,20 @@ def test_decide_sees_a_rewired_cell():
     assert oracle.decide(subgraph, sigmap) == Decision(True)
 
 
-def test_budget_out_is_marked_apart_from_free(monkeypatch):
+def test_budget_out_reads_undecided(monkeypatch):
     module, a, b, y = _and_module()
     oracle = SatOracle()
     free = _query(module, y, {})
     forced = _query(module, y, {a: False})
     assert oracle.decide(*free) == Decision(None)
-    # a solve that runs out of conflicts leaves the value open as a
-    # budget-out; one UNSAT answer still decides it
+    # a solve that runs out of conflicts leaves the value open, like a
+    # free control; one UNSAT answer still decides it
     outcomes = iter([None, None, False, None])
     monkeypatch.setattr(
         Solver, "solve", lambda self, assumptions, max_conflicts=None:
         next(outcomes)
     )
-    assert oracle.decide(*free) == Decision(None, budget_out=True)
+    assert oracle.decide(*free) == Decision(None)
     assert oracle.decide(*forced) == Decision(False)
 
 

@@ -25,21 +25,28 @@ def broken(monkeypatch):
     monkeypatch.setenv(BREAK_SORT_KEY_ENV, "1")
 
 
-def test_shrinks_at_least_80_percent(broken):
-    module = random_module(SEED, width=4, n_units=3)
-    oracle = get_oracle("cec", flow="yosys")
-    result = reduce_module(module, oracle, max_probes=400)
+@pytest.fixture(scope="module")
+def reduced():
+    """The CEC oracle and its reduction of the broken seed, made once for
+    the tests that read it (each test sets the bug again to probe)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(BREAK_SORT_KEY_ENV, "1")
+        module = random_module(SEED, width=4, n_units=3)
+        oracle = get_oracle("cec", flow="yosys")
+        return oracle, reduce_module(module, oracle, max_probes=400)
+
+
+def test_shrinks_at_least_80_percent(broken, reduced):
+    oracle, result = reduced
     assert result.target == "cec:counterexample"
     assert result.reduction >= 0.8, result.summary()
     assert oracle.probe(result.module) == result.target
 
 
-def test_minimized_repro_is_cell_minimal(broken):
+def test_minimized_repro_is_cell_minimal(broken, reduced):
     """Removing any single cell changes the oracle's verdict — the
     repro carries no freight."""
-    module = random_module(SEED, width=4, n_units=3)
-    oracle = get_oracle("cec", flow="yosys")
-    result = reduce_module(module, oracle, max_probes=400)
+    oracle, result = reduced
     for name in sorted(result.module.cells):
         candidate = result.module.clone()
         candidate.remove_cell(candidate.cells[name])

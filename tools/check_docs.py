@@ -4,10 +4,11 @@ Three guarantees:
 
 1. every relative markdown link in ``docs/`` and ``README.md`` resolves to
    an existing file;
-2. every dotted ``repro.*`` name mentioned in ``docs/API.md`` actually
-   exists — resolved by importing the longest module prefix and walking
-   the remaining attributes, so the reference can never drift from the
-   code without CI noticing;
+2. every dotted ``repro.*`` name mentioned in ``docs/API.md``,
+   ``README.md`` and ``docs/ARCHITECTURE.md`` actually exists — resolved
+   by importing the longest module prefix and walking the remaining
+   attributes, so the docs can never drift from the code without CI
+   noticing;
 3. every flag in a ``python -m repro.cli <cmd> ...`` usage line of
    ``README.md`` is an option of that subcommand in
    ``repro.cli.build_parser()``.
@@ -30,8 +31,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: markdown files whose relative links must resolve
 LINK_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 
-#: the file whose dotted repro.* mentions must all import
-API_REFERENCE = REPO / "docs" / "API.md"
+#: the files whose dotted repro.* mentions must all import
+NAME_FILES = [
+    REPO / "docs" / "API.md", REPO / "README.md",
+    REPO / "docs" / "ARCHITECTURE.md",
+]
 
 #: the file whose ``python -m repro.cli`` usage lines must use real flags
 USAGE_FILE = REPO / "README.md"
@@ -78,13 +82,15 @@ def resolve_dotted(name: str):
 
 def check_api_names() -> list:
     failures = []
-    names = sorted(set(_DOTTED.findall(API_REFERENCE.read_text())))
-    for name in names:
-        try:
-            resolve_dotted(name)
-        except (ImportError, AttributeError) as exc:
-            failures.append(f"docs/API.md: {name} does not resolve ({exc})")
-    print(f"docs/API.md: {len(names)} dotted names checked")
+    for path in NAME_FILES:
+        origin = path.relative_to(REPO)
+        names = sorted(set(_DOTTED.findall(path.read_text())))
+        for name in names:
+            try:
+                resolve_dotted(name)
+            except (ImportError, AttributeError) as exc:
+                failures.append(f"{origin}: {name} does not resolve ({exc})")
+        print(f"{origin}: {len(names)} dotted names checked")
     return failures
 
 

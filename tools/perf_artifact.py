@@ -91,8 +91,6 @@ def main(argv=None) -> int:
             artifact["benches"][key] = run_bench(script, tmpdir)
 
     headlines = {
-        "structhash_cross_module_hit_rate_pct": artifact["benches"]
-            ["structhash"]["cross_module"]["cross_hit_rate_pct"],
         "structhash_warm_start_reduction_pct": artifact["benches"]
             ["structhash"]["warm_start"]["reduction_pct"],
         "incremental_rerun_reduction_pct": artifact["benches"]
